@@ -22,6 +22,7 @@ from .config import load_config
 from .errors import InputError, RebalfreqError
 from .evaluate import (
     CSV_HEADER,
+    _fmt,
     figure_rows,
     rows_to_csv,
     run_table_cell,
@@ -36,13 +37,7 @@ from .frequency import (
 )
 from .markets import finite_difference_jacobians, jacobians
 from .merton import l21_norm, merton_state
-from .simulate import run_strategies, simulate_state_grid
-
-_FMT = ".10g"
-
-
-def _fmt(x):
-    return format(float(x), _FMT)
+from .simulate import _default_y0, run_strategies, simulate_state_grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,23 +53,13 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _default_state(run):
-    if run.simulation.y0 is not None:
-        return run.simulation.y0
-    if run.model.p == 0:
-        return np.zeros(0)
-    return np.full(run.model.p, run.model.long_run_mean)
-
-
 def _sample_states(run, n=100):
     """States drawn from simulated state paths (the measure the rules see)."""
     model = run.model
     if model.p == 0:
         return np.zeros((1, 0))
     sim = run.simulation
-    _, states = simulate_state_grid(
-        model, sim.horizon, sim.dt, 16, _default_state(run), sim.seed
-    )
+    _, states = simulate_state_grid(model, sim.horizon, sim.dt, 16, sim.y0, sim.seed)
     flat = states.reshape(-1, model.p)
     idx = np.linspace(0, len(flat) - 1, n).astype(int)
     return flat[idx]
@@ -83,7 +68,7 @@ def _sample_states(run, n=100):
 def cmd_frequency(args):
     run = load_config(args.config)
     sim = _apply_overrides(run, args)
-    y0 = _default_state(run)
+    y0 = _default_y0(run.model, sim.y0)
     rule = optimal_rule(run.model, sim.gamma, allow_flagged=sim.allow_flagged)
     a_star = float(np.asarray(rule.A_of(y0)))
     wait = float(rule.waiting_time(y0, sim.epsilon))
@@ -119,7 +104,7 @@ def cmd_frequency(args):
 def cmd_tc(args):
     run = load_config(args.config)
     sim = _apply_overrides(run, args)
-    y0 = _default_state(run)
+    y0 = _default_y0(run.model, sim.y0)
     kw = dict(
         horizon_T=sim.horizon,
         y0=y0,
@@ -218,6 +203,7 @@ def cmd_figure(args):
     rows = figure_rows(
         n_paths=int(args.paths) if args.paths else 0,
         seed=int(args.seed) if args.seed is not None else 7,
+        epsilon=float(args.epsilon) if args.epsilon is not None else 0.01,
     )
     lines = ["rho,A_star_years,F_hat"]
     for r in rows:
@@ -230,7 +216,7 @@ def cmd_validate(args):
     run = load_config(args.config)
     sim = run.simulation
     model = run.model
-    y0 = _default_state(run)
+    y0 = _default_y0(run.model, sim.y0)
     lines = ["check,value,status"]
 
     states = _sample_states(run)

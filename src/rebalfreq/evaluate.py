@@ -24,8 +24,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import (
+    AssumptionError,
+    DegenerateCovarianceError,
+    DegenerateTargetError,
+    DomainError,
+    InputError,
+    ParameterError,
+)
 from .frequency import (
+    DiscretizationRule,
+    _rate_grid,
     bs1d_closed_forms,
     constant_rule,
     lemma_constants,
@@ -337,23 +346,25 @@ def _table_spec(table_id):
     raise InputError(f"table id must be one of {TABLE_IDS}, got {table_id!r}")
 
 
-def _build_strategy(name, model, config):
+def _build_strategy(name, model, config, constant=None):
+    """The strategy a table names (``constant``: a ready ``time_constant`` rule)."""
     if name == "time_adaptive":
         return time_based(
             optimal_rule(model, config.gamma, allow_flagged=config.allow_flagged),
             label="time_adaptive",
         )
     if name == "time_constant":
-        rule = constant_rule(
-            model,
-            config.gamma,
-            config.horizon,
-            y0=config.y0,
-            dt=config.dt,
-            seed=config.seed,
-            allow_flagged=config.allow_flagged,
-        )
-        return time_based(rule, label="time_constant")
+        if constant is None:
+            constant = constant_rule(
+                model,
+                config.gamma,
+                config.horizon,
+                y0=config.y0,
+                dt=config.dt,
+                seed=config.seed,
+                allow_flagged=config.allow_flagged,
+            )
+        return time_based(constant, label="time_constant")
     if name == "buy_hold":
         return buy_and_hold()
     if name == "move":
@@ -372,79 +383,64 @@ def _analytic_frictionless(model, gamma, y0=None):
     return None
 
 
-def _prediction(name, model, config):
-    """Asymptotic performance prediction for strategies with closed forms."""
+# Errors that mean a prediction's formula does not apply to the cell, which
+# is then left blank; any other error is a fault and propagates.
+_NOT_APPLICABLE = (AssumptionError, DegenerateTargetError, DomainError, DegenerateCovarianceError)
+
+# State paths behind the time-based rule and predictions of a table cell.
+_GRID_PATHS = 2000
+
+
+def _cell_predictions(model, config, names):
+    """The ``time_constant`` rule and the prediction of each strategy.
+
+    Both time-based predictions, the constant rule and, for state-dependent
+    models, the frictionless rate they are measured from come from one
+    evaluation of the state grid. It is dropped on return, so the Monte
+    Carlo workers forked next do not inherit it. A prediction is ``None``
+    where its formula does not apply; the constant rule is ``None`` only
+    when ``time_constant`` is not among ``names``.
+    """
     fr = _analytic_frictionless(model, config.gamma)
     eps23 = config.epsilon ** (2.0 / 3.0)
-    try:
-        if name == "time_adaptive":
-            tc = total_cost(
-                model,
-                config.gamma,
-                rule=None,
-                horizon_T=config.horizon,
-                y0=config.y0,
-                dt=config.dt,
-                seed=config.seed,
-                allow_flagged=config.allow_flagged,
+    preds = {"frictionless": fr}
+    rule = None
+    timed = [n for n in ("time_adaptive", "time_constant") if n in names]
+    if timed:
+        try:
+            grid = _rate_grid(
+                model, config.gamma, config.horizon, config.y0, _GRID_PATHS,
+                config.dt, config.seed, config.allow_flagged,
             )
-            base = fr if fr is not None else _mc_frictionless_rate(model, config)
-            return base - eps23 * tc / config.horizon
-        if name == "time_constant":
-            rule = constant_rule(
-                model,
-                config.gamma,
-                config.horizon,
-                y0=config.y0,
-                dt=config.dt,
-                seed=config.seed,
-                allow_flagged=config.allow_flagged,
-            )
-            tc = total_cost(
-                model,
-                config.gamma,
-                rule=rule,
-                horizon_T=config.horizon,
-                y0=config.y0,
-                dt=config.dt,
-                seed=config.seed,
-                allow_flagged=config.allow_flagged,
-            )
-            base = fr if fr is not None else _mc_frictionless_rate(model, config)
-            return base - eps23 * tc / config.horizon
-        if name == "move" and model.p == 0 and model.m == 1:
+        except _NOT_APPLICABLE:
+            if "time_constant" in names:
+                raise
+        else:
+            base = fr if fr is not None else grid.mean_integral(grid.f_rate) / config.horizon
+            if "time_constant" in names:
+                rule = DiscretizationRule(kind="constant", A=grid.constant_a())
+            for name in timed:
+                cost = grid.total_cost(rule if name == "time_constant" else None)
+                preds[name] = base - eps23 * cost / config.horizon
+    if "move" in names and model.p == 0 and model.m == 1 and config.epsilon > 0:
+        try:
             forms = bs1d_closed_forms(
                 float(model.mu(np.zeros(0))[0, 0]),
                 float(model.vol[0]),
                 config.gamma,
                 config.epsilon,
             )
-            return fr - forms.move_based_loss_rate
-        if name == "frictionless":
-            return fr
-    except Exception:
-        return None
-    return None
-
-
-def _mc_frictionless_rate(model, config, n_paths=2000):
-    """Plug-in frictionless rate averaged over simulated state paths."""
-    from .simulate import simulate_state_grid
-
-    times, states = simulate_state_grid(
-        model, config.horizon, config.dt, n_paths, config.y0, config.seed
-    )
-    flat = states.reshape(-1, model.p)
-    f = merton_state(model, flat, config.gamma).f_rate.reshape(states.shape[0], -1)
-    w = np.full(f.shape[1], config.dt)
-    w[0] = w[-1] = 0.5 * config.dt
-    return float((f @ w).mean()) / config.horizon
+            preds["move"] = fr - forms.move_based_loss_rate
+        except _NOT_APPLICABLE:
+            pass
+    return rule, preds
 
 
 def run_table_cell(model, config, strategy_names, label_suffix=""):
     """Run one model's strategy battery and return report rows."""
+    rule, predictions = _cell_predictions(model, config, strategy_names)
     sims = [
-        _build_strategy(n, model, config)
+        _build_strategy(n, model, config, rule)
         for n in strategy_names
         if n != "frictionless"
     ]
@@ -466,7 +462,7 @@ def run_table_cell(model, config, strategy_names, label_suffix=""):
                 out,
                 config,
                 frictionless_rate=fr_analytic,
-                prediction=_prediction(name, model, config),
+                prediction=predictions.get(name),
             )
         rep.strategy = rep.strategy + label_suffix
         reports.append(rep)
@@ -557,7 +553,7 @@ def figure_rows(
                 estimate_objective(outcomes["time"], config, frictionless_rate=fr).F_hat
             )
         else:
-            tc = total_cost(model, gamma, rule=None, horizon_T=horizon)
+            tc = total_cost(model, gamma, rule=None, horizon_T=horizon, allow_flagged=True)
             f_hat = fr - epsilon ** (2.0 / 3.0) * tc / horizon
         rows.append({"rho": float(rho), "A_star_years": wait, "F_hat": f_hat})
     return rows

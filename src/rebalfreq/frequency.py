@@ -102,7 +102,11 @@ def rate_parts(model, gamma, y, allow_flagged=False):
     where ``beta`` vanishes (buy-and-hold target; the small-cost regime
     does not apply).
     """
-    st = merton_state(model, y, gamma)
+    return _rate_parts(merton_state(model, y, gamma), gamma, allow_flagged)
+
+
+def _rate_parts(st, gamma, allow_flagged):
+    """``(N, D)`` of :func:`rate_parts` from an evaluated :class:`MertonState`."""
     norm = l21_norm(st.beta)
     if np.any(norm <= 0.0):
         raise DegenerateTargetError(
@@ -153,24 +157,66 @@ def cost_breakdown(model, gamma, y, A=None, allow_flagged=False):
     return CostBreakdown(tac_rate=n / np.sqrt(A), de_rate=0.5 * d * A)
 
 
-def _state_path_integrals(model, gamma, horizon, y0, n_paths, dt, seed, allow_flagged):
-    """Trapezoid integrals of N(Y_t) and D(Y_t) over simulated state paths.
+@dataclass(frozen=True)
+class _RateGrid:
+    """``N``, ``D`` and the frictionless rate at every state of a state grid.
 
-    Returns per-path arrays ``(int_N, int_D)`` of shape ``(n_paths,)``. Uses
-    the same grid and per-path random streams as the wealth simulator so
-    asymptotic and simulated quantities share sampling-error structure.
+    ``states`` is the flat ``(n_states, p)`` array of grid states, path by
+    path, and ``n``, ``d``, ``f_rate`` are their values there. ``weights``
+    is the trapezoid weight vector of one path, so ``values @ weights``
+    integrates a pointwise quantity over ``[0, T]``. A constant-coefficient
+    model (``p = 0``) has one state, held over the whole horizon.
     """
-    from .simulate import simulate_state_grid
 
-    times, states = simulate_state_grid(model, horizon, dt, n_paths, y0, seed)
-    n_steps = len(times) - 1
-    flat = states.reshape(-1, model.p)
-    n, d = rate_parts(model, gamma, flat, allow_flagged)
-    n = n.reshape(n_paths, n_steps + 1)
-    d = d.reshape(n_paths, n_steps + 1)
-    w = np.full(n_steps + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return n @ w, d @ w
+    states: np.ndarray
+    n: np.ndarray
+    d: np.ndarray
+    f_rate: np.ndarray
+    weights: np.ndarray
+
+    def mean_integral(self, values):
+        """``E[int_0^T values dt]`` over the grid's paths."""
+        return float((values.reshape(-1, len(self.weights)) @ self.weights).mean())
+
+    def rule_values(self, rule):
+        """The rule's ``A`` at every grid state; must be positive."""
+        a = np.broadcast_to(np.asarray(rule.A_of(self.states), dtype=float), self.n.shape)
+        if np.any(a <= 0):
+            raise ParameterError("rule values must be positive")
+        return a
+
+    def constant_a(self):
+        """Best state-independent ``A``: ``(E[int N dt] / E[int D dt])^(2/3)``."""
+        return float((self.mean_integral(self.n) / self.mean_integral(self.d)) ** (2.0 / 3.0))
+
+    def total_cost(self, rule=None):
+        """Leading-order total cost of ``rule`` (``None``: pointwise optimal)."""
+        if rule is None:
+            return self.mean_integral(1.5 * self.n ** (2.0 / 3.0) * self.d ** (1.0 / 3.0))
+        a = self.rule_values(rule)
+        return self.mean_integral(0.5 * self.d * a + self.n / np.sqrt(a))
+
+
+def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged):
+    """Evaluate ``N``, ``D`` and the frictionless rate on simulated state paths.
+
+    The paths come from :func:`rebalfreq.simulate.simulate_state_grid`, which
+    uses the same grid and per-path random streams as the wealth simulator,
+    so asymptotic and simulated quantities share sampling-error structure.
+    Raises as :func:`rate_parts` does at any grid state.
+    """
+    if model.p == 0:
+        states, weights = np.zeros((1, 0)), np.array([float(horizon_T)])
+    else:
+        from .simulate import simulate_state_grid
+
+        times, grid = simulate_state_grid(model, horizon_T, dt, n_paths, y0, seed)
+        states = grid.reshape(-1, model.p)
+        weights = np.full(len(times), dt)
+        weights[0] = weights[-1] = 0.5 * dt
+    st = merton_state(model, states, gamma)
+    n, d = _rate_parts(st, gamma, allow_flagged)
+    return _RateGrid(states, n, d, st.f_rate, weights)
 
 
 def constant_rule(
@@ -190,14 +236,8 @@ def constant_rule(
     :func:`optimal_rule` evaluated anywhere) and Monte Carlo estimates over
     ``n_paths`` simulated state paths started at ``y0`` otherwise.
     """
-    if model.p == 0:
-        a = float(_a_star(model, gamma, np.zeros(0), allow_flagged))
-        return DiscretizationRule(kind="constant", A=a)
-    int_n, int_d = _state_path_integrals(
-        model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged
-    )
-    a = float((int_n.mean() / int_d.mean()) ** (2.0 / 3.0))
-    return DiscretizationRule(kind="constant", A=a)
+    grid = _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged)
+    return DiscretizationRule(kind="constant", A=grid.constant_a())
 
 
 def total_cost(
@@ -219,33 +259,8 @@ def total_cost(
     two paths agree at ``A*`` to floating-point accuracy. Multiply by
     ``eps^(2/3) / T`` for the annualised performance loss.
     """
-    if model.p == 0:
-        y = np.zeros(0)
-        n, d = rate_parts(model, gamma, y, allow_flagged)
-        if rule is None:
-            return float(horizon_T * 1.5 * n ** (2.0 / 3.0) * d ** (1.0 / 3.0))
-        a = np.asarray(rule.A_of(y), dtype=float)
-        if np.any(a <= 0):
-            raise ParameterError("rule values must be positive")
-        return float(horizon_T * (0.5 * d * a + n / np.sqrt(a)))
-
-    from .simulate import simulate_state_grid
-
-    times, states = simulate_state_grid(model, horizon_T, dt, n_paths, y0, seed)
-    n_steps = len(times) - 1
-    flat = states.reshape(-1, model.p)
-    n, d = rate_parts(model, gamma, flat, allow_flagged)
-    if rule is None:
-        integrand = 1.5 * n ** (2.0 / 3.0) * d ** (1.0 / 3.0)
-    else:
-        a = np.broadcast_to(np.asarray(rule.A_of(flat), dtype=float), n.shape)
-        if np.any(a <= 0):
-            raise ParameterError("rule values must be positive")
-        integrand = 0.5 * d * a + n / np.sqrt(a)
-    integrand = integrand.reshape(n_paths, n_steps + 1)
-    w = np.full(n_steps + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return float((integrand @ w).mean())
+    grid = _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged)
+    return grid.total_cost(rule)
 
 
 def lemma_constants(
@@ -271,26 +286,9 @@ def lemma_constants(
     with ``N``, ``D`` as in :func:`rate_parts` (so ``D/gamma`` is half the
     tracking quadratic form). Exact for constant-coefficient models.
     """
-    if model.p == 0:
-        y = np.zeros(0)
-        n, d = rate_parts(model, gamma, y, allow_flagged)
-        a = float(np.asarray(rule.A_of(y)))
-        return (
-            float(horizon_T * n / np.sqrt(a)),
-            float(horizon_T * (d / gamma) * a),
-        )
-    from .simulate import simulate_state_grid
-
-    times, states = simulate_state_grid(model, horizon_T, dt, n_paths, y0, seed)
-    n_steps = len(times) - 1
-    flat = states.reshape(-1, model.p)
-    n, d = rate_parts(model, gamma, flat, allow_flagged)
-    a = np.broadcast_to(np.asarray(rule.A_of(flat), dtype=float), n.shape)
-    w = np.full(n_steps + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    tac_term = (n / np.sqrt(a)).reshape(n_paths, -1) @ w
-    de_term = ((d / gamma) * a).reshape(n_paths, -1) @ w
-    return float(tac_term.mean()), float(de_term.mean())
+    grid = _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged)
+    a = grid.rule_values(rule)
+    return grid.mean_integral(grid.n / np.sqrt(a)), grid.mean_integral((grid.d / gamma) * a)
 
 
 @dataclass(frozen=True)

@@ -475,8 +475,11 @@ def evaluate_coefficients(model, y):
 
     Returns a :class:`Coefficients` tuple ``(mu, sigma, b, g, Sigma,
     Sigma_inv)``. Raises :class:`DomainError` outside the model's support
+    or where ``mu`` or ``sigma`` is not finite, both checked at every state,
     and :class:`DegenerateCovarianceError` if ``sigma sigma^T`` is not
-    positive definite.
+    positive definite. For models with ``constant_sigma`` the covariance is
+    formed, checked and inverted once, and ``Sigma`` / ``Sigma_inv`` are
+    read-only views of that one matrix broadcast over the batch.
     """
     model.check_support(y)
     batch, batched = _as_batch(y, model.p)
@@ -486,8 +489,12 @@ def evaluate_coefficients(model, y):
     g = model.g(batch)
     if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(sigma)):
         raise DomainError("non-finite coefficient evaluation")
-    Sigma = np.einsum("nij,nkj->nik", sigma, sigma)
+    sig = sigma[:1] if model.constant_sigma else sigma
+    Sigma = np.einsum("nij,nkj->nik", sig, sig)
     Sigma_inv = _spd_inverse(Sigma)
+    if model.constant_sigma:
+        shape = (len(batch),) + Sigma.shape[1:]
+        Sigma, Sigma_inv = np.broadcast_to(Sigma, shape), np.broadcast_to(Sigma_inv, shape)
     out = Coefficients(mu, sigma, b, g, Sigma, Sigma_inv)
     if not batched:
         out = Coefficients(*(a[0] for a in out))

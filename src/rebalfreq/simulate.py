@@ -63,7 +63,7 @@ class SimulationConfig:
     ``horizon / dt`` must be integral; initial wealth is normalised to one.
     ``antithetic`` pairs path ``2k+1`` with the sign-flipped draws of path
     ``2k`` (requires an even ``n_paths``). ``n_workers`` only distributes
-    blocks across threads; it never changes results.
+    blocks across worker processes; it never changes results.
     """
 
     horizon: float
@@ -281,13 +281,6 @@ def _path_normals(seed, path_index, n_steps, d, antithetic):
     return z if sign > 0 else -z
 
 
-def _block_normals(seed, lo, hi, n_steps, d, antithetic):
-    z = np.empty((hi - lo, n_steps, d))
-    for i in range(hi - lo):
-        z[i] = _path_normals(seed, lo + i, n_steps, d, antithetic)
-    return z
-
-
 class _BlockNormals:
     """Per-path Philox streams for one block, drawn in step chunks.
 
@@ -374,14 +367,15 @@ def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size
     g0 = model.g(y0[None, :])[0] if constant_sigma else None
     for lo in range(0, n_paths, block_size):
         hi = min(lo + block_size, n_paths)
-        z = _block_normals(seed, lo, hi, n_steps, model.d, False)
+        source = _BlockNormals(seed, lo, hi, model.d, False)
         y = np.tile(y0, (hi - lo, 1))
         states[lo:hi, 0] = y
         for step in range(n_steps):
+            z = source.step(n_steps - step)
             if constant_sigma:
-                shock = np.einsum("nd,pd->np", z[:, step], g0)
+                shock = np.einsum("nd,pd->np", z, g0)
             else:
-                shock = np.einsum("npd,nd->np", model.g(y), z[:, step])
+                shock = np.einsum("npd,nd->np", model.g(y), z)
             y = y + model.b(y) * dt + shock * sqrt_dt
             y = _reflect(y, model.support)
             states[lo:hi, step + 1] = y
@@ -826,8 +820,9 @@ def run_strategies(model, config, strategies, record_paths=0):
     Returns ``(outcomes, records)`` where ``outcomes`` maps each strategy
     label to a :class:`StrategyOutcome` with per-path arrays in path order,
     and ``records`` holds full ledgers for the first ``record_paths`` paths
-    (``None`` if zero). Blocks are distributed over worker processes when
-    ``n_workers > 1``; results are bit-identical for any worker count.
+    of every block (``None`` if zero). Blocks are distributed over worker
+    processes when ``n_workers > 1``; results are bit-identical for any
+    worker count and block size.
     """
     labels = [s.label for s in strategies]
     if len(set(labels)) != len(labels):
@@ -846,13 +841,13 @@ def run_strategies(model, config, strategies, record_paths=0):
         args = [(model, config, strategies, lo, hi, record_paths) for lo, hi in bounds]
         try:
             ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
+            pool = ProcessPoolExecutor(
                 max_workers=min(config.n_workers, len(bounds)), mp_context=ctx
-            ) as pool:
-                results = list(pool.map(_block_worker_star, args))
+            )
         except (OSError, ValueError):  # fork unavailable: fall back to threads
-            with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-                results = list(pool.map(_block_worker_star, args))
+            pool = ThreadPoolExecutor(max_workers=config.n_workers)
+        with pool:
+            results = list(pool.map(_block_worker_star, args))
     else:
         results = [
             _block_worker(model, config, strategies, lo, hi, record_paths)
@@ -872,8 +867,25 @@ def run_strategies(model, config, strategies, record_paths=0):
             failed=np.concatenate([p.failed for p in parts]),
             frictionless_path=np.concatenate([p.frictionless_path for p in parts]),
         )
-    records = results[0][1] if record_paths else None
+    records = _merge_records([r[1] for r in results if r[1] is not None])
     return outcomes, records
+
+
+def _merge_records(parts):
+    """Join the blocks' path records in path order (``None`` if there are none).
+
+    Trades are listed by step, then path, as one block lists them, so the
+    records do not depend on the block size.
+    """
+    if not parts:
+        return None
+    merged = PathRecords(parts[0].times, np.concatenate([r.growth for r in parts]))
+    for label in parts[0].wealth:
+        for name in ("wealth", "weights", "w_pre_min", "w_pre_max"):
+            getattr(merged, name)[label] = np.concatenate([getattr(r, name)[label] for r in parts])
+        trades = (t for r in parts for t in r.trades[label])
+        merged.trades[label] = sorted(trades, key=lambda t: t[:2])
+    return merged
 
 
 def run_strategy(model, config, strategy, record_paths=0):

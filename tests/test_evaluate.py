@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rebalfreq import (
+    AssumptionError,
     BlackScholesModel,
     InputError,
     ParameterError,
@@ -17,6 +18,7 @@ from rebalfreq import (
     run_strategy,
     time_based,
 )
+from rebalfreq import evaluate, simulate
 from rebalfreq.evaluate import CSV_HEADER, _table_spec, run_table_cell
 
 from conftest import EPS, GAMMA
@@ -103,6 +105,48 @@ def test_csv_rows_format(bs1d):
     # deterministic: same seed, same text
     reports2 = run_table_cell(bs1d, cfg, ["frictionless", "time_adaptive", "buy_hold"])
     assert rows_to_csv(reports2) == text
+
+
+def test_table2_cell_simulates_one_state_grid(monkeypatch):
+    calls = []
+    real = simulate.simulate_state_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_state_grid", counting)
+    spec = _table_spec(2)
+    (_, model), = spec["models"]
+    cfg = config(horizon=0.2, n_paths=8, allow_flagged=True)
+    reports = run_table_cell(model, cfg, spec["strategies"])
+    assert len(calls) == 1
+    preds = {r.strategy: r.asymptotic_prediction for r in reports}
+    assert preds["time_adaptive"] is not None
+    assert preds["time_constant"] is not None
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_prediction_fault_propagates(monkeypatch, bs1d):
+    monkeypatch.setattr(evaluate, "_rate_grid", _raise(TypeError("a fault")))
+    with pytest.raises(TypeError):
+        run_table_cell(bs1d, config(horizon=0.2, n_paths=8), ["frictionless", "time_adaptive"])
+
+
+def test_inapplicable_prediction_left_blank(monkeypatch, bs1d):
+    monkeypatch.setattr(evaluate, "_rate_grid", _raise(AssumptionError("leveraged")))
+    reports = run_table_cell(
+        bs1d, config(horizon=0.2, n_paths=8), ["frictionless", "time_adaptive"]
+    )
+    assert reports[0].asymptotic_prediction == pytest.approx(0.025, abs=1e-15)
+    assert reports[1].asymptotic_prediction is None
+    assert rows_to_csv(reports).splitlines()[2].endswith(",")
 
 
 def test_table_spec_validation():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,11 +14,13 @@ from rebalfreq import (
     evaluate_coefficients,
     finite_difference_jacobians,
     jacobians,
+    merton_state,
     model_from_config,
+    rate_parts,
     smooth_cutoff,
 )
 
-from conftest import KO_PARAMS, sample_support_states
+from conftest import GAMMA, KO_PARAMS, sample_support_states
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +146,57 @@ def test_sigma_inverse_residual_identity(bs2d, ko2d):
 def test_domain_error_outside_support(ko1d):
     with pytest.raises(DomainError):
         evaluate_coefficients(ko1d, np.array([ko1d.support[0, 1] + 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# constant-covariance fast path
+# ---------------------------------------------------------------------------
+
+class GenericCovarianceKO(TruncatedKimOmbergModel):
+    """Kim-Omberg model that claims a state-dependent covariance, so every
+    state takes the generic batched Cholesky path."""
+
+    @property
+    def constant_sigma(self):
+        return False
+
+
+def ko2d_pair(rho=0.6):
+    kw = dict(vol=[0.1428, 0.1428], correlation=[[1.0, rho], [rho, 1.0]], **KO_PARAMS)
+    return TruncatedKimOmbergModel(**kw), GenericCovarianceKO(**kw)
+
+
+def test_constant_covariance_fast_path_bit_identical():
+    fast, generic = ko2d_pair()
+    states = sample_support_states(fast, 300, seed=5)
+    # the fast path inverts one matrix and broadcasts it; the generic one does not
+    assert evaluate_coefficients(fast, states).Sigma_inv.strides[0] == 0
+    assert evaluate_coefficients(generic, states).Sigma_inv.strides[0] != 0
+    for y in (states, states[7]):
+        a, b = merton_state(fast, y, GAMMA), merton_state(generic, y, GAMMA)
+        for f in dataclasses.fields(a):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+    for got, want in zip(
+        rate_parts(fast, GAMMA, states, allow_flagged=True),
+        rate_parts(generic, GAMMA, states, allow_flagged=True),
+    ):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_constant_covariance_fast_path_keeps_checks():
+    for model in ko2d_pair():
+        states = sample_support_states(model, 5, seed=2)
+        # a state outside the box, or one whose drift is not finite, is
+        # rejected wherever it sits in the batch
+        beyond = np.array([[model.support[0, 1] + 1.0]])
+        for bad in (beyond, np.array([[np.nan]])):
+            with pytest.raises(DomainError):
+                evaluate_coefficients(model, np.vstack([states, bad]))
+        model.sigma_const[1] = 0.0  # second asset without volatility
+        with pytest.raises(DegenerateCovarianceError):
+            evaluate_coefficients(model, states)
+        with pytest.raises(DegenerateCovarianceError):
+            merton_state(model, states, GAMMA)
 
 
 def test_positive_definite_at_sampled_states(bs1d, bs2d, ko1d, ko2d):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rebalfreq import (
+    AssumptionError,
     BlackScholesModel,
     ParameterError,
     SimulationConfig,
@@ -24,6 +25,7 @@ from rebalfreq import (
     simulate_state_grid,
     time_based,
 )
+from rebalfreq import simulate
 from rebalfreq.frequency import DiscretizationRule
 from rebalfreq.simulate import _rebalance_batch
 
@@ -308,6 +310,52 @@ def test_antithetic_paths_mirror(bs1d):
     np.testing.assert_allclose((r0 - drift) + (r1 - drift), 0.0, atol=1e-15)
     with pytest.raises(ParameterError):
         small_config(n_paths=5, antithetic=True)
+
+
+def test_records_cover_every_block(ko1d):
+    strategies = [
+        time_based(optimal_rule(ko1d, GAMMA, allow_flagged=True), label="time"),
+        move_based(),
+        buy_and_hold(),
+    ]
+    recs = []
+    for block in (128, 256):
+        cfg = small_config(horizon=1.0, n_paths=256, block_size=block, allow_flagged=True)
+        recs.append(run_strategies(ko1d, cfg, strategies, record_paths=200)[1])
+    split, whole = recs
+    assert split.wealth["move"].shape == (200, 251)
+    assert any(path >= 128 for _, path, _, _ in split.trades["move"])
+    np.testing.assert_array_equal(split.times, whole.times)
+    np.testing.assert_array_equal(split.growth, whole.growth)
+    for name in ("wealth", "weights", "w_pre_min", "w_pre_max"):
+        a, b = getattr(split, name), getattr(whole, name)
+        assert a.keys() == b.keys()
+        for label in a:
+            np.testing.assert_array_equal(a[label], b[label])
+    for label in whole.trades:
+        assert len(split.trades[label]) == len(whole.trades[label])
+        for (step, path, dl, sz), (step2, path2, dl2, sz2) in zip(
+            split.trades[label], whole.trades[label]
+        ):
+            assert (step, path, sz) == (step2, path2, sz2)
+            np.testing.assert_array_equal(dl, dl2)
+
+
+def test_worker_error_raised_without_thread_rerun(monkeypatch):
+    built = []
+
+    class SpyThreadPool(simulate.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SpyThreadPool)
+    leveraged = BlackScholesModel(mu=[0.2], vol=[0.16])  # w* = 1.5625
+    cfg = small_config(horizon=0.2, n_paths=8, block_size=4, n_workers=2)
+    rule = optimal_rule(leveraged, GAMMA)  # raises once a worker evaluates it
+    with pytest.raises(AssumptionError):
+        run_strategies(leveraged, cfg, [time_based(rule, label="time")])
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
