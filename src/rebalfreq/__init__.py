@@ -1,6 +1,6 @@
 """Optimal time-based portfolio rebalancing under small proportional costs.
 
-A numpy/scipy library for computing asymptotically optimal rebalancing
+A numpy library for computing asymptotically optimal rebalancing
 schedules for multi-asset portfolios facing proportional trading costs, and
 for validating the closed-form frequencies and welfare losses by Monte Carlo
 simulation of discretely rebalanced wealth against alternative strategies

@@ -214,7 +214,7 @@ def cmd_figure(args):
 
 def cmd_validate(args):
     run = load_config(args.config)
-    sim = run.simulation
+    sim = _apply_overrides(run, args)
     model = run.model
     y0 = _default_y0(run.model, sim.y0)
     lines = ["check,value,status"]
@@ -245,7 +245,7 @@ def cmd_validate(args):
         f"assumption_no_leverage_at_y0,{int(bool(st0.assumption_ok))},"
         f"{_status(bool(st0.assumption_ok))}"
     )
-    frac_ok = float(np.mean(merton_state(model, states, sim.gamma).assumption_ok))
+    frac_ok = float(np.mean(st.assumption_ok))
     lines.append(f"assumption_ok_fraction_sampled,{_fmt(frac_ok)},{_status(frac_ok == 1.0)}")
 
     nd = check_nondegeneracy(model, sim.gamma, states)
@@ -274,24 +274,29 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        p.add_argument("--paths", type=int, default=None, help="override path count")
-        p.add_argument("--epsilon", type=float, default=None, help="override cost rate")
-        p.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    flags = {
+        "config": dict(required=True, help="YAML run configuration"),
+        "seed": dict(type=int, default=None, help="override RNG seed"),
+        "paths": dict(type=int, default=None, help="override path count"),
+        "epsilon": dict(type=float, default=None, help="override cost rate"),
+        "out": dict(default=None, help="write CSV here instead of stdout"),
+    }
+
+    def add_flags(p, *names):
+        """Register ``--out`` and the named flags, the ones the command reads."""
+        for name in names + ("out",):
+            p.add_argument(f"--{name}", **flags[name])
 
     p = sub.add_parser("frequency", help="optimal waiting time and cost rates")
-    add_common(p)
+    add_flags(p, "config", "seed", "epsilon")
     p.set_defaults(func=cmd_frequency)
 
     p = sub.add_parser("tc", help="leading-order total costs and the 2:1 split")
-    add_common(p)
+    add_flags(p, "config", "seed", "epsilon")
     p.set_defaults(func=cmd_tc)
 
     p = sub.add_parser("simulate", help="Monte Carlo strategy comparison")
-    add_common(p)
+    add_flags(p, "config", "seed", "paths", "epsilon")
     p.add_argument(
         "--dump-paths",
         type=int,
@@ -303,16 +308,16 @@ def build_parser():
 
     p = sub.add_parser("table", help="run a built-in benchmark table")
     p.add_argument("--table", type=int, required=True, choices=[1, 2, 3, 4])
-    add_common(p, config_required=False)
+    add_flags(p, "seed", "paths", "epsilon")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("figure", help="waiting time and performance vs correlation")
     p.add_argument("--figure", type=int, required=True, choices=[1])
-    add_common(p, config_required=False)
+    add_flags(p, "seed", "paths", "epsilon")
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("validate", help="model and assumption checks")
-    add_common(p)
+    add_flags(p, "config", "seed")
     p.set_defaults(func=cmd_validate)
     return parser
 

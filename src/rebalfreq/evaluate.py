@@ -376,7 +376,7 @@ def _build_strategy(name, model, config, constant=None):
     raise InputError(f"unknown strategy name {name!r}")
 
 
-def _analytic_frictionless(model, gamma, y0=None):
+def _analytic_frictionless(model, gamma):
     """Exact frictionless rate for constant-coefficient models, else None."""
     if model.p == 0:
         return float(merton_state(model, np.zeros(0), gamma).f_rate)
@@ -451,7 +451,7 @@ def run_table_cell(model, config, strategy_names, label_suffix=""):
         bench = frictionless_benchmark()
         outcomes, _ = run_strategies(model, config, [bench])
         sample = outcomes[bench.label]
-    fr_analytic = _analytic_frictionless(model, config.gamma)
+    fr_analytic = predictions["frictionless"]
     reports = []
     for name in strategy_names:
         if name == "frictionless":

@@ -80,42 +80,18 @@ def smooth_cutoff(y, y_min, y_max, xi):
             f"cutoff bands overlap: need y_min + 2*xi < y_max, got "
             f"[{y_min}, {y_max}] with xi={xi}"
         )
-    y = np.asarray(y, dtype=float)
-    t_lo = np.clip((y - y_min) / xi, 0.0, 1.0)
-    t_hi = np.clip((y - (y_max - xi)) / xi, 0.0, 1.0)
-
-    in_lo = (y > y_min) & (y < y_min + xi)
-    in_hi = (y > y_max - xi) & (y < y_max)
-    below = y <= y_min
-    above = y >= y_max
-    interior = ~(below | above | in_lo | in_hi)
-
-    value = np.select(
-        [below, in_lo, interior, in_hi],
-        [
-            np.full_like(y, y_min + 0.5 * xi),
-            y_min + 0.5 * xi + xi * _smoothstep_integral(t_lo),
-            y,
-            (y_max - xi) + xi * (t_hi - _smoothstep_integral(t_hi)),
-        ],
-        default=y_max - 0.5 * xi,
-    )
-    deriv = np.select(
-        [in_lo, interior, in_hi],
-        [_smoothstep(t_lo), np.ones_like(y), 1.0 - _smoothstep(t_hi)],
-        default=0.0,
-    )
+    value, deriv = _cutoff_fast(np.asarray(y, dtype=float), y_min, y_max, xi)
     if value.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
 
 
 def _cutoff_fast(y, y_min, y_max, xi):
-    """Same map as :func:`smooth_cutoff`, tuned for large 1-D batches.
+    """The map of :func:`smooth_cutoff` on a float array, without its checks.
 
     Starts from the identity and patches only the off-interior subsets, so
     the common case (state well inside the bands) costs a copy plus masks.
-    Parameter validation is the constructor's job.
+    Parameter validation is the caller's job.
     """
     value = y.copy()
     deriv = np.ones_like(y)
@@ -197,6 +173,10 @@ class MarketModel:
         """Entrywise gradient of Sigma = sigma sigma^T, shape (n, m, m, p)."""
         _, dsig = finite_difference_jacobians(self, y)
         return dsig
+
+    def fused_coeffs(self, y):
+        """``(mu, dmu_dy, b)`` at the states ``y``; override to share one sweep."""
+        return self.mu(y), self.dmu_dy(y), self.b(y)
 
     @property
     def constant_sigma(self):

@@ -106,9 +106,10 @@ class Strategy:
 
     Kinds: ``time`` (rebalance to the target on a pre-announced schedule
     from ``rule``), ``buy_hold`` (set up the target once, never trade),
-    ``move`` (single asset: trade when the weight leaves a band around the
-    target), ``pasted`` (apply the univariate band per asset independently),
-    and ``frictionless`` (trade to the target every grid step at zero cost;
+    ``pasted`` (trade an asset when its weight leaves a band around its
+    target, with the univariate band applied per asset independently),
+    ``move`` (the one-asset case of the ``pasted`` band policy), and
+    ``frictionless`` (trade to the target every grid step at zero cost;
     benchmark). Band strategies trade back to the nearest band edge by
     default (``trade_to="boundary"``); ``trade_to="target"`` recentres fully.
     """
@@ -168,17 +169,7 @@ def move_based_halfwidth_1d(model, y, gamma, epsilon, allow_flagged=False):
     """
     if model.m != 1:
         raise ParameterError("move_based_halfwidth_1d requires a single-asset model")
-    if epsilon <= 0:
-        raise ParameterError("cost rate must be positive")
-    st = merton_state(model, y, gamma)
-    if not allow_flagged and not np.all(st.assumption_ok):
-        from .errors import AssumptionError
-
-        raise AssumptionError(
-            "target weight outside (0, 1); pass allow_flagged=True to proceed"
-        )
-    sig_diag = st.Sigma[..., 0, 0]
-    return _halfwidths(st.beta, sig_diag[..., None], gamma, epsilon)[..., 0]
+    return pasted_halfwidths(model, y, gamma, epsilon, allow_flagged)[..., 0]
 
 
 def pasted_halfwidths(model, y, gamma, epsilon, allow_flagged=False):
@@ -209,10 +200,11 @@ def rebalance_solve(d, w_star, epsilon, tol=1e-14, max_iter=200):
 
     ``d = w_star - w_pre`` is the weight gap just before the trade. Solves
     the scalar fixed point ``s = sum_i |d_i - eps w*_i s|`` by iteration
-    from ``s0 = sum_i |d_i|`` (a contraction with factor ``<= eps sum w*``)
-    and returns ``(DeltaL, cost_fraction)`` with ``DeltaL_i = d_i - eps
-    w*_i s`` and ``cost_fraction = eps * s``; wealth shrinks by the factor
-    ``1 - cost_fraction`` and post-trade weights equal ``w_star`` exactly.
+    from ``s0 = sum_i |d_i|`` (a contraction with factor ``<= eps sum w*``),
+    as a batch of one for the engine's solver, and returns ``(DeltaL,
+    cost_fraction)`` with ``DeltaL_i = d_i - eps w*_i s`` and
+    ``cost_fraction = eps * s``; wealth shrinks by the factor ``1 -
+    cost_fraction`` and post-trade weights equal ``w_star`` exactly.
     """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     u = np.atleast_1d(np.asarray(w_star, dtype=float))
@@ -222,18 +214,9 @@ def rebalance_solve(d, w_star, epsilon, tol=1e-14, max_iter=200):
         raise ParameterError("epsilon must be nonnegative")
     if epsilon == 0.0:
         return d.copy(), 0.0
-    if epsilon * np.sum(np.abs(u)) >= 1.0:
-        raise ParameterError("need eps * sum|w*| < 1 for a well-posed rebalance")
-    s = float(np.sum(np.abs(d)))
-    for _ in range(max_iter):
-        s_new = float(np.sum(np.abs(d - epsilon * u * s)))
-        if abs(s_new - s) < tol:
-            s = s_new
-            break
-        s = s_new
-    else:
-        raise ConvergenceError("trade-size fixed point did not converge")
-    return d - epsilon * u * s, epsilon * s
+    traded = np.ones((1, d.size), dtype=bool)
+    dl, s = _rebalance_batch((u - d)[None], u[None], epsilon, traded, tol, max_iter)
+    return dl[0], float(epsilon * s[0])
 
 
 def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
@@ -243,11 +226,8 @@ def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
     keep their dollar value. Convergence is judged path by path and each
     path's value freezes the moment it converges, so a path's result never
     depends on which other paths share the batch. Returns ``(DeltaL, s)``
-    with shapes ``(B, m)`` and ``(B,)``.
+    with shapes ``(B, m)`` and ``(B,)``; ``epsilon`` must be positive.
     """
-    if epsilon == 0.0:
-        dl = np.where(traded, u - w_pre, 0.0)
-        return dl, np.zeros(len(w_pre))
     if np.any(epsilon * np.abs(np.where(traded, u, 0.0)).sum(axis=1) >= 1.0):
         raise ParameterError("need eps * sum|targets| < 1 for a well-posed rebalance")
     s = np.abs(np.where(traded, u - w_pre, 0.0)).sum(axis=1)
@@ -270,20 +250,12 @@ def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
 # random numbers and state paths
 # ---------------------------------------------------------------------------
 
-def _path_normals(seed, path_index, n_steps, d, antithetic):
-    """Standard normal increments for one path, reproducible in isolation."""
-    if antithetic:
-        key_index, sign = path_index // 2, (1.0 if path_index % 2 == 0 else -1.0)
-    else:
-        key_index, sign = path_index, 1.0
-    bitgen = np.random.Philox(key=np.array([seed, key_index], dtype=np.uint64))
-    z = np.random.Generator(bitgen).standard_normal((n_steps, d))
-    return z if sign > 0 else -z
-
-
 class _BlockNormals:
-    """Per-path Philox streams for one block, drawn in step chunks.
+    """Per-path Philox streams for paths ``lo .. hi - 1``, drawn in step chunks.
 
+    Path ``k`` draws from the stream keyed ``(seed, k)``; with antithetic
+    sampling an odd path is the sign flip of the stream keyed ``(seed, k //
+    2)``, mirrored from the previous lane when that lane is in the block.
     Chunked draws continue each path's stream exactly where the previous
     chunk stopped, so chunk size never affects the generated numbers; it
     only bounds memory.
@@ -292,32 +264,35 @@ class _BlockNormals:
     def __init__(self, seed, lo, hi, d, antithetic, chunk=512):
         self.d = d
         self.chunk = chunk
-        self.antithetic = antithetic
-        self._gens = []
+        self._lanes = []  # (generator, flip sign), or None: mirror the previous lane
         for pi in range(lo, hi):
-            if antithetic and pi % 2 == 1:
-                self._gens.append(None)  # mirror of the previous lane
+            odd = antithetic and pi % 2 == 1
+            if odd and pi > lo:
+                self._lanes.append(None)
             else:
                 key_index = pi // 2 if antithetic else pi
-                self._gens.append(
-                    np.random.Generator(
-                        np.random.Philox(key=np.array([seed, key_index], dtype=np.uint64))
-                    )
-                )
+                bitgen = np.random.Philox(key=np.array([seed, key_index], dtype=np.uint64))
+                self._lanes.append((np.random.Generator(bitgen), odd))
         self._buf = None
         self._pos = 0
+
+    def draw(self, size):
+        """Normals for the next ``size`` steps, shape ``(B, size, d)``."""
+        buf = np.empty((len(self._lanes), size, self.d))
+        for i, lane in enumerate(self._lanes):
+            if lane is None:
+                np.negative(buf[i - 1], out=buf[i])
+            else:
+                gen, flip = lane
+                buf[i] = gen.standard_normal((size, self.d))
+                if flip:
+                    np.negative(buf[i], out=buf[i])
+        return buf
 
     def step(self, n_left):
         """Normals for the next time step, shape ``(B, d)``."""
         if self._buf is None or self._pos >= self._buf.shape[1]:
-            size = min(self.chunk, n_left)
-            buf = np.empty((len(self._gens), size, self.d))
-            for i, g in enumerate(self._gens):
-                if g is None:
-                    np.negative(buf[i - 1], out=buf[i])
-                else:
-                    buf[i] = g.standard_normal((size, self.d))
-            self._buf = buf
+            self._buf = self.draw(min(self.chunk, n_left))
             self._pos = 0
         z = self._buf[:, self._pos, :]
         self._pos += 1
@@ -348,6 +323,34 @@ def _reflect(y, support):
     return y
 
 
+def _state_step(model, g0, y, b, z, dt):
+    """One Euler step of the state with drift ``b``, reflected at the support.
+
+    ``g0`` is the state diffusion of a constant-covariance model, whose ``g``
+    is constant too; with ``None`` it is evaluated at ``y``.
+    """
+    if g0 is not None:
+        shock = np.einsum("nd,pd->np", z, g0)
+    else:
+        shock = np.einsum("npd,nd->np", model.g(y), z)
+    return _reflect(y + b * dt + shock * np.sqrt(dt), model.support)
+
+
+def _state_paths(model, y0, normals, dt, out):
+    """Fill ``out`` ``(B, n_steps + 1, p)`` with state paths started at ``y0``.
+
+    ``normals`` yields the ``(B, d)`` increments of one step at a time.
+    """
+    y = np.tile(y0, (len(out), 1))
+    out[:, 0] = y
+    if model.p == 0:
+        return
+    g0 = model.g(y[:1])[0] if model.constant_sigma else None
+    for step, z in enumerate(normals):
+        y = _state_step(model, g0, y, model.b(y), z, dt)
+        out[:, step + 1] = y
+
+
 def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size=4096):
     """Euler paths of the state variable alone on the simulation grid.
 
@@ -359,26 +362,12 @@ def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size
     n_steps = int(round(horizon / dt))
     times = np.linspace(0.0, horizon, n_steps + 1)
     y0 = _default_y0(model, y0)
-    if model.p == 0:
-        return times, np.zeros((n_paths, n_steps + 1, 0))
     states = np.empty((n_paths, n_steps + 1, model.p))
-    sqrt_dt = np.sqrt(dt)
-    constant_sigma = model.constant_sigma
-    g0 = model.g(y0[None, :])[0] if constant_sigma else None
     for lo in range(0, n_paths, block_size):
         hi = min(lo + block_size, n_paths)
         source = _BlockNormals(seed, lo, hi, model.d, False)
-        y = np.tile(y0, (hi - lo, 1))
-        states[lo:hi, 0] = y
-        for step in range(n_steps):
-            z = source.step(n_steps - step)
-            if constant_sigma:
-                shock = np.einsum("nd,pd->np", z, g0)
-            else:
-                shock = np.einsum("npd,nd->np", model.g(y), z)
-            y = y + model.b(y) * dt + shock * sqrt_dt
-            y = _reflect(y, model.support)
-            states[lo:hi, step + 1] = y
+        normals = (source.step(n_steps - k) for k in range(n_steps))
+        _state_paths(model, y0, normals, dt, states[lo:hi])
     return times, states
 
 
@@ -387,43 +376,18 @@ def simulate_market_path(model, config, path_index):
 
     ``states`` has shape ``(n_steps + 1, p)`` and ``log_returns`` has shape
     ``(n_steps, m)``; the pair ``(config.seed, path_index)`` fully
-    determines the output.
+    determines the output, which equals the engine's for that path.
     """
     n_steps = config.n_steps
-    dt = config.dt
     times = np.linspace(0.0, config.horizon, n_steps + 1)
-    z = _path_normals(config.seed, path_index, n_steps, model.d, config.antithetic)
     y0 = _default_y0(model, config.y0)
-    sqrt_dt = np.sqrt(dt)
-    states = np.empty((n_steps + 1, model.p))
-    if model.p == 0:
-        mu = model.mu(np.zeros((1, 0)))[0]
-        sig = model.sigma(np.zeros((1, 0)))[0]
-        rn2 = np.sum(sig * sig, axis=1)
-        logret = (mu - 0.5 * rn2) * dt + np.einsum("nd,md->nm", z, sig) * sqrt_dt
-        return times, states, logret
-    logret = np.empty((n_steps, model.m))
-    y = y0[None, :]
-    states[0] = y[0]
-    constant_sigma = model.constant_sigma
-    for step in range(n_steps):
-        zrow = z[step : step + 1]
-        mu = model.mu(y)
-        sig = model.sigma(y)
-        rn2 = np.sum(sig[0] * sig[0], axis=1)
-        if constant_sigma:
-            shock = np.einsum("nd,md->nm", zrow, sig[0])
-        else:
-            shock = np.einsum("nmd,nd->nm", sig, zrow)
-        logret[step] = (mu[0] - 0.5 * rn2) * dt + shock[0] * sqrt_dt
-        if constant_sigma:
-            gshock = np.einsum("nd,pd->np", zrow, model.g(y)[0])
-        else:
-            gshock = np.einsum("npd,nd->np", model.g(y), zrow)
-        y = y + model.b(y) * dt + gshock * sqrt_dt
-        y = _reflect(y, model.support)
-        states[step + 1] = y[0]
-    return times, states, logret
+    source = _BlockNormals(config.seed, path_index, path_index + 1, model.d, config.antithetic)
+    z = source.draw(n_steps)
+    states = np.empty((1, n_steps + 1, model.p))
+    _state_paths(model, y0, np.swapaxes(z, 0, 1), config.dt, states)
+    kernel = _Kernel(model, config.gamma, False, y0)
+    logret = kernel.log_returns(kernel.bundle(states[0, :-1]), z[0], config.dt)
+    return times, states[0], logret
 
 
 # ---------------------------------------------------------------------------
@@ -507,20 +471,18 @@ class _Kernel:
     """Batched coefficient shortcuts for the hot loop.
 
     Models with state-independent diffusion (all built-in families) get
-    closed-form fast paths, and models exposing ``fused_coeffs`` share one
-    coefficient sweep per step; anything else falls back to full per-step
-    evaluation through :func:`rebalfreq.merton.merton_state`.
+    closed-form fast paths fed by one ``fused_coeffs`` sweep per step;
+    anything else falls back to full per-step evaluation through
+    :func:`rebalfreq.merton.merton_state`.
     """
 
-    def __init__(self, model, gamma, need_beta):
+    def __init__(self, model, gamma, need_beta, y0):
         self.model = model
         self.gamma = gamma
         self.p, self.m, self.d = model.p, model.m, model.d
         self.fast = model.constant_sigma
-        self.fused = getattr(model, "fused_coeffs", None) if self.fast else None
         self.need_beta = need_beta
-        y_ref = _default_y0(model, None) if self.p else np.zeros(0)
-        coefs = evaluate_coefficients(model, y_ref[None] if self.p else np.zeros((1, 0)))
+        coefs = evaluate_coefficients(model, y0[None])
         self.sigma = coefs.sigma[0]
         self.Sigma = coefs.Sigma[0]
         self.Sigma_inv = coefs.Sigma_inv[0]
@@ -548,18 +510,11 @@ class _Kernel:
             mu = np.broadcast_to(self.mu0, (B, self.m))
             return _StepBundle(self, mu, None, w, np.full(B, self.f0), beta)
         if self.fast:
-            if self.fused is not None:
-                mu_t, dmu, b = self.fused(y)
-            else:
-                mu_t = self.model.mu(y)
-                dmu = self.model.dmu_dy(y) if self.need_beta else None
-                b = self.model.b(y)
+            mu_t, dmu, b = self.model.fused_coeffs(y)
             w = np.einsum("nk,ki->ni", mu_t, self.winv)
             f = 0.5 * np.einsum("nm,nm->n", mu_t, w)
             beta = None
             if self.need_beta:
-                if dmu is None:
-                    dmu = self.model.dmu_dy(y)
                 dw = np.einsum("ik,nkp->nip", self.Sigma_inv / self.gamma, dmu)
                 sigma_tilde = np.einsum("nip,pd->nid", dw, self.g0)
                 sbar = np.einsum("nm,md->nd", w, self.sigma)
@@ -577,8 +532,8 @@ class _Kernel:
         """Asset log increments over one step, coefficients at the left endpoint.
 
         Contractions use fixed-order einsum loops (not BLAS) so results are
-        bitwise independent of batch size and identical across the engine,
-        the single-path API, and the state-grid helper.
+        bitwise independent of batch size and identical between the engine
+        and the single-path API.
         """
         sqrt_dt = np.sqrt(dt)
         if self.fast:
@@ -591,12 +546,7 @@ class _Kernel:
     def state_step(self, cur, y, z, dt):
         if self.p == 0:
             return y
-        if self.fast:
-            shock = np.einsum("nd,pd->np", z, self.g0)
-        else:
-            shock = np.einsum("npd,nd->np", self.model.g(y), z)
-        y_new = y + cur.b * dt + shock * np.sqrt(dt)
-        return _reflect(y_new, self.model.support)
+        return _state_step(self.model, self.g0 if self.fast else None, y, cur.b, z, dt)
 
     def _quad_const(self, err):
         if self.m == 1:
@@ -712,17 +662,13 @@ def _run_block(model, kernel, config, strategies, lo, hi, record_upto):
             elif s.kind == "time":
                 trig = active & (t1 >= st["next_t"] - 1e-9 * dt) & (t1 < horizon_cut)
                 u = wst_new
-            else:  # move / pasted band policies
+            else:  # band policies: pasted, and move as its one-asset case
                 if eps > 0:
                     delta = deltas * s.halfwidth_scale
                 else:
                     delta = np.zeros((B, model.m))
                 asset_mask = np.abs(err) > delta
-                if s.kind == "move":
-                    trig = active & asset_mask[:, 0] & (t1 < horizon_cut)
-                    asset_mask = None  # single asset: trade it fully
-                else:
-                    trig = active & asset_mask.any(axis=1) & (t1 < horizon_cut)
+                trig = active & asset_mask.any(axis=1) & (t1 < horizon_cut)
                 if s.trade_to == "boundary" and eps > 0:
                     u = wst_new - np.sign(err) * delta
                 else:
@@ -806,7 +752,7 @@ def _run_block(model, kernel, config, strategies, lo, hi, record_upto):
 
 def _block_worker(model, config, strategies, lo, hi, record_paths):
     need_beta = any(s.kind in ("move", "pasted") for s in strategies)
-    kernel = _Kernel(model, config.gamma, need_beta)
+    kernel = _Kernel(model, config.gamma, need_beta, _default_y0(model, config.y0))
     return _run_block(model, kernel, config, strategies, lo, hi, record_paths)
 
 

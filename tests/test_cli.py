@@ -1,6 +1,30 @@
 import numpy as np
+import pytest
 
 from rebalfreq import cli
+
+KO1D_CONFIG = """\
+model:
+  kind: kim_omberg
+  vol: [0.1428]
+  mean_reversion: 0.2712
+  long_run_mean: 0.056
+  state_vol: 0.0368
+  state_correlation: -0.9351
+simulation:
+  horizon: 1.0
+  dt: 0.004
+  n_paths: 8
+  epsilon: 0.01
+  gamma: 5.0
+  allow_flagged: true
+"""
+
+
+def ko1d_config(tmp_path):
+    path = tmp_path / "ko1d.yaml"
+    path.write_text(KO1D_CONFIG)
+    return str(path)
 
 
 def figure_waits(tmp_path, *extra):
@@ -17,3 +41,20 @@ def test_figure_epsilon_sets_waiting_time(tmp_path):
     # waiting times scale like eps^(2/3) (default cost rate 0.01); the CSV
     # carries ten significant digits
     np.testing.assert_allclose(smaller / default, 0.1 ** (2.0 / 3.0), rtol=1e-9)
+
+
+def test_validate_seed_moves_sampled_states(tmp_path):
+    config = ko1d_config(tmp_path)
+    rows = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"validate_{seed}.csv"
+        assert cli.main(["validate", "--config", config, "--seed", seed, "--out", str(out)]) == 0
+        rows.append(dict(line.split(",", 1) for line in out.read_text().splitlines()[1:]))
+    assert rows[0]["w_star_1"] == rows[1]["w_star_1"]
+    assert rows[0]["min_beta_l21_sampled"] != rows[1]["min_beta_l21_sampled"]
+
+
+def test_unread_flag_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tc", "--config", ko1d_config(tmp_path), "--paths", "10"])
+    assert exc.value.code == 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rebalfreq import (
     AssumptionError,
     BlackScholesModel,
+    MarketModel,
     ParameterError,
     SimulationConfig,
     TruncatedKimOmbergModel,
@@ -283,6 +284,33 @@ def test_engine_growth_matches_single_path_api(bs1d, ko1d):
             )
 
 
+def test_engine_growth_matches_single_path_api_antithetic(bs1d, ko1d):
+    # an odd path mirrors its partner's lane inside an engine block, but is
+    # the first lane of its own block in the single-path API
+    for model in (bs1d, ko1d):
+        cfg = small_config(horizon=2.0, n_paths=8, antithetic=True, allow_flagged=model.p > 0)
+        _, records = run_strategies(model, cfg, [buy_and_hold()], record_paths=8)
+        for i in range(8):
+            _, _, logret = simulate_market_path(model, cfg, i)
+            np.testing.assert_array_equal(records.growth[i], np.exp(logret))
+
+
+def test_default_coefficient_sweep_matches_fused(ko1d):
+    class Unfused(TruncatedKimOmbergModel):
+        fused_coeffs = MarketModel.fused_coeffs
+
+    cfg = small_config(horizon=1.0, n_paths=16, allow_flagged=True)
+    runs = [
+        run_strategies(model, cfg, [move_based(), buy_and_hold()])[0]
+        for model in (ko1d, Unfused(vol=[0.1428], **KO_PARAMS))
+    ]
+    for label in ("move", "buy_hold"):
+        for field in ("rel_sum", "tac", "de", "n_trades", "frictionless_path"):
+            np.testing.assert_array_equal(
+                getattr(runs[0][label], field), getattr(runs[1][label], field)
+            )
+
+
 def test_bit_reproducibility_workers_blocks(ko1d):
     base = dict(horizon=20.0, dt=1.0 / 250.0, n_paths=600, epsilon=EPS,
                 gamma=GAMMA, seed=3, allow_flagged=True)
@@ -428,6 +456,11 @@ def test_tac_decreases_with_waiting_time(bs1d):
     se = max(x.std(ddof=1) / np.sqrt(len(x)) for x in (t05, t10, t20))
     assert t05.mean() > t10.mean() - 3 * se
     assert t10.mean() > t20.mean() - 3 * se
+
+
+def test_move_needs_single_asset(bs2d):
+    with pytest.raises(ParameterError):
+        run_strategies(bs2d(0.3), small_config(n_paths=4), [move_based()])
 
 
 def test_pasted_trades_assets_independently(bs2d):
