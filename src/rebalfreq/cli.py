@@ -163,12 +163,13 @@ def cmd_simulate(args):
 
 
 def _dump_paths(run, sim, k, path):
-    from .evaluate import _build_strategy
+    from .evaluate import _build_strategy, _cell_predictions
 
     names = [n for n in run.strategies if n != "frictionless"]
     if not names:
         raise InputError("path dumps need at least one simulated strategy")
-    strategies = [_build_strategy(n, run.model, sim) for n in names]
+    rule, _ = _cell_predictions(run.model, sim, names)
+    strategies = [_build_strategy(n, run.model, sim, rule) for n in names]
     _, records = run_strategies(run.model, sim, strategies, record_paths=int(k))
     lines = ["strategy,path,time,wealth," + ",".join(f"weight_{i+1}" for i in range(run.model.m))]
     for label in records.wealth:

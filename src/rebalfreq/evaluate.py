@@ -36,7 +36,6 @@ from .frequency import (
     DiscretizationRule,
     _rate_grid,
     bs1d_closed_forms,
-    constant_rule,
     lemma_constants,
     optimal_rule,
     total_cost,
@@ -346,24 +345,15 @@ def _table_spec(table_id):
     raise InputError(f"table id must be one of {TABLE_IDS}, got {table_id!r}")
 
 
-def _build_strategy(name, model, config, constant=None):
-    """The strategy a table names (``constant``: a ready ``time_constant`` rule)."""
+def _build_strategy(name, model, config, constant):
+    """The strategy a table names; ``constant`` is the ``time_constant`` rule
+    of :func:`_cell_predictions`."""
     if name == "time_adaptive":
         return time_based(
             optimal_rule(model, config.gamma, allow_flagged=config.allow_flagged),
             label="time_adaptive",
         )
     if name == "time_constant":
-        if constant is None:
-            constant = constant_rule(
-                model,
-                config.gamma,
-                config.horizon,
-                y0=config.y0,
-                dt=config.dt,
-                seed=config.seed,
-                allow_flagged=config.allow_flagged,
-            )
         return time_based(constant, label="time_constant")
     if name == "buy_hold":
         return buy_and_hold()

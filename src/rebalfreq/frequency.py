@@ -377,8 +377,7 @@ def check_nondegeneracy(model, gamma, sample_states):
     norms = l21_norm(st.beta)
     bound = None
     if model.m == 2:
-        sigma = np.asarray(model.sigma(batch))
-        off = sigma[:, 1, 1]
+        off = st.sigma[:, 1, 1]
         w1, w2 = st.w_star[:, 0], st.w_star[:, 1]
         if np.all(w1 > 0) and np.all(w2 > 0) and np.all(off > 0):
             bound = float(np.min(w1 * w2 * off))

@@ -450,6 +450,12 @@ def _spd_inverse(Sigma):
     return np.linalg.solve(np.swapaxes(chol, -1, -2), z)
 
 
+def _check_finite(*coefficients):
+    """Raise :class:`DomainError` unless every coefficient value is finite."""
+    if not all(np.all(np.isfinite(c)) for c in coefficients):
+        raise DomainError("non-finite coefficient evaluation")
+
+
 def evaluate_coefficients(model, y):
     """Evaluate all coefficient functions at a state point (or batch).
 
@@ -467,8 +473,7 @@ def evaluate_coefficients(model, y):
     sigma = model.sigma(batch)
     b = model.b(batch)
     g = model.g(batch)
-    if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(sigma)):
-        raise DomainError("non-finite coefficient evaluation")
+    _check_finite(mu, sigma)
     sig = sigma[:1] if model.constant_sigma else sigma
     Sigma = np.einsum("nij,nkj->nik", sig, sig)
     Sigma_inv = _spd_inverse(Sigma)

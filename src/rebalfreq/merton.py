@@ -13,6 +13,11 @@ formulas need is derived here:
 ``beta`` is stored with the sign the definition produces; downstream
 formulas consume only row norms and the quadratic form ``tr(beta' Sigma
 beta)``, which are sign-insensitive.
+
+All of these are formed in one function, ``_geometry``, which both
+:func:`merton_state` and the simulation engine call. For a ``constant_sigma``
+model it takes ``sigma``, ``g``, ``Sigma`` and ``Sigma^{-1}`` formed at one
+state: :func:`merton_state` forms them per call, the engine per path block.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .markets import _as_batch, evaluate_coefficients, jacobians
+from .markets import _as_batch, _check_finite, evaluate_coefficients, jacobians
 
 __all__ = [
     "MertonState",
@@ -64,8 +69,10 @@ class MertonState:
     Field shapes carry a leading batch axis iff the query did. Units:
     ``Sigma`` in 1/years, ``sigma_tilde`` and ``beta`` in 1/sqrt(years),
     ``f_rate`` (the frictionless objective rate ``mu' Sigma^{-1} mu / 2
-    gamma``) in 1/years. ``assumption_ok`` is True where the weights neither
-    short nor leverage (each component in ``[0, 1)``, total in ``(0, 1]``).
+    gamma``) in 1/years. ``mu``, ``sigma`` and ``b`` are the model's
+    coefficients at the state, which the simulation engine steps with.
+    ``assumption_ok`` is True where the weights neither short nor leverage
+    (each component in ``[0, 1)``, total in ``(0, 1]``).
     """
 
     y: np.ndarray
@@ -76,7 +83,15 @@ class MertonState:
     sigma_tilde: np.ndarray
     beta: np.ndarray
     f_rate: np.ndarray
-    assumption_ok: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    b: np.ndarray
+
+    @property
+    def assumption_ok(self):
+        w = self.w_star
+        total = w.sum(axis=-1)
+        return np.all((w >= 0.0) & (w < 1.0), axis=-1) & (total > 0.0) & (total <= 1.0)
 
     @property
     def beta_l21(self):
@@ -93,32 +108,64 @@ def merton_state(model, y, gamma):
     if gamma <= 0:
         raise ParameterError(f"risk aversion must be positive, got gamma={gamma}")
     batch, batched = _as_batch(y, model.p)
-    coefs = evaluate_coefficients(model, batch)
-    mu, sigma, g = coefs.mu, coefs.sigma, coefs.g
-    Sigma, Sigma_inv = coefs.Sigma, coefs.Sigma_inv
+    st = _geometry(model, batch, gamma, _constant_block(model, batch))
+    if batched:
+        return st
+    return MertonState(**{k: v if k == "gamma" else v[0] for k, v in vars(st).items()})
 
-    w = np.einsum("nij,nj->ni", Sigma_inv, mu) / gamma
-    dmu, dsig = jacobians(model, batch)
-    # chain rule for w*(y) = Sigma^{-1}(y) mu(y) / gamma:
-    #   dw/dy_j = -Sigma^{-1} (dSigma/dy_j) w + Sigma^{-1} (dmu/dy_j) / gamma
-    dSw = np.einsum("nklp,nl->nkp", dsig, w)
-    dw = np.einsum("nik,nkp->nip", Sigma_inv, dmu / gamma - dSw)
+
+def _constant_block(model, y):
+    """``(sigma, g, Sigma, Sigma_inv)`` of a ``constant_sigma`` model at the states ``y``.
+
+    They are formed at the first state and broadcast over all of them as
+    read-only views; ``None`` for a state-dependent covariance.
+    """
+    if not model.constant_sigma:
+        return None
+    c = evaluate_coefficients(model, y[:1])
+    return tuple(
+        np.broadcast_to(v, (len(y),) + v.shape[1:]) for v in (c.sigma, c.g, c.Sigma, c.Sigma_inv)
+    )
+
+
+def _geometry(model, y, gamma, const):
+    """The :class:`MertonState` at the states ``y`` ``(n, p)``: the one formula.
+
+    ``const`` is :func:`_constant_block` of the model at these ``n``
+    states. When it is given only ``mu``, its Jacobian and ``b`` are
+    evaluated per state, in one ``fused_coeffs`` sweep, and Sigma has no
+    Jacobian; otherwise every coefficient is evaluated and Sigma inverted
+    at each state. The support and finiteness checks run at every state
+    either way. Contractions are fixed-order einsum loops, so a state's
+    result depends neither on the batch it sits in nor on which of the two
+    ways it was evaluated.
+    """
+    if const is None:
+        c = evaluate_coefficients(model, y)
+        dmu, dsig = jacobians(model, y)
+        mu, b, sigma, g, Sigma, Sigma_inv = c.mu, c.b, c.sigma, c.g, c.Sigma, c.Sigma_inv
+    else:
+        model.check_support(y)
+        mu, dmu, b = model.fused_coeffs(y)
+        _check_finite(mu)
+        dsig = None
+        sigma, g, Sigma, Sigma_inv = const
+    a = Sigma_inv / gamma
+    # w* = (Sigma^{-1} / gamma) mu, and by the chain rule
+    #   dw*/dy_j = (Sigma^{-1} / gamma) (dmu/dy_j - gamma (dSigma/dy_j) w*)
+    w = np.einsum("nik,nk->ni", a, mu)
+    if dsig is not None:
+        dmu = dmu - gamma * np.einsum("nklp,nl->nkp", dsig, w)
+    dw = np.einsum("nik,nkp->nip", a, dmu)
     sigma_tilde = np.einsum("nip,npd->nid", dw, g)
 
     sbar = np.einsum("nm,nmd->nd", w, sigma)
     beta = sigma_tilde - w[:, :, None] * (sigma - sbar[:, None, :])
     f_rate = 0.5 * np.einsum("nm,nm->n", mu, w)
-    ok = (
-        np.all((w >= 0.0) & (w < 1.0), axis=1)
-        & (w.sum(axis=1) > 0.0)
-        & (w.sum(axis=1) <= 1.0)
+    return MertonState(
+        y=y, gamma=gamma, w_star=w, Sigma=Sigma, Sigma_inv=Sigma_inv,
+        sigma_tilde=sigma_tilde, beta=beta, f_rate=f_rate, mu=mu, sigma=sigma, b=b,
     )
-    if not batched:
-        return MertonState(
-            batch[0], gamma, w[0], Sigma[0], Sigma_inv[0],
-            sigma_tilde[0], beta[0], f_rate[0], ok[0],
-        )
-    return MertonState(batch, gamma, w, Sigma, Sigma_inv, sigma_tilde, beta, f_rate, ok)
 
 
 def merton_weights(model, y, gamma):

@@ -11,7 +11,9 @@ weight fractions solve
     dL_i = u_i (1 - eps * s) - w_i,      s = sum_i |dL_i|,
 
 after which wealth drops by the factor ``(1 - eps * s)`` and the post-trade
-weights equal ``u`` exactly.
+weights equal ``u`` exactly. The target, band widths, frictionless rate and
+tracking-error form at each step come from the one geometry function of
+:mod:`rebalfreq.merton`, with a constant covariance formed once per block.
 
 Randomness is counter-based: path ``k`` always draws its Gaussian increments
 from a Philox stream keyed by ``(seed, k)`` (or ``(seed, k // 2)`` with a
@@ -27,14 +29,15 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import AssumptionError, ConvergenceError, DomainError, ParameterError
 from .frequency import DiscretizationRule
-from .markets import evaluate_coefficients
-from .merton import merton_state
+from .markets import _check_finite
+from .merton import _constant_block, _geometry, merton_state
 
 __all__ = [
     "SimulationConfig",
@@ -153,10 +156,14 @@ def frictionless_benchmark(label="frictionless_sim"):
 # no-trade band widths
 # ---------------------------------------------------------------------------
 
-def _halfwidths(beta, Sigma_diag, gamma, epsilon, scale=1.0):
-    """Per-asset band half-widths ``(1.5 eps |beta^i|^2 / (gamma Sigma_ii))^(1/3)``."""
-    row2 = np.sum(beta * beta, axis=-1)
-    return scale * (1.5 * epsilon / gamma * row2 / Sigma_diag) ** (1.0 / 3.0)
+def _halfwidths(st, gamma, epsilon):
+    """Per-asset band half-widths ``(1.5 eps |beta^i|^2 / (gamma Sigma_ii))^(1/3)``.
+
+    ``st`` is the :class:`~rebalfreq.merton.MertonState` at the states.
+    """
+    row2 = np.sum(st.beta * st.beta, axis=-1)
+    diag = np.diagonal(st.Sigma, axis1=-2, axis2=-1)
+    return (1.5 * epsilon / gamma * row2 / diag) ** (1.0 / 3.0)
 
 
 def move_based_halfwidth_1d(model, y, gamma, epsilon, allow_flagged=False):
@@ -182,13 +189,10 @@ def pasted_halfwidths(model, y, gamma, epsilon, allow_flagged=False):
         raise ParameterError("cost rate must be positive")
     st = merton_state(model, y, gamma)
     if not allow_flagged and not np.all(st.assumption_ok):
-        from .errors import AssumptionError
-
         raise AssumptionError(
             "target weights short or leverage; pass allow_flagged=True to proceed"
         )
-    diag = np.diagonal(st.Sigma, axis1=-2, axis2=-1)
-    return _halfwidths(st.beta, diag, gamma, epsilon)
+    return _halfwidths(st, gamma, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +340,17 @@ def _state_step(model, g0, y, b, z, dt):
     return _reflect(y + b * dt + shock * np.sqrt(dt), model.support)
 
 
+def _log_returns(mu, sigma, z, dt):
+    """Asset log increments over one step, coefficients at the left endpoint.
+
+    Contractions use fixed-order einsum loops (not BLAS) so results are
+    bitwise independent of batch size and identical between the engine
+    and the single-path API.
+    """
+    rownorm2 = np.einsum("nmd,nmd->nm", sigma, sigma)
+    return (mu - 0.5 * rownorm2) * dt + np.einsum("nmd,nd->nm", sigma, z) * np.sqrt(dt)
+
+
 def _state_paths(model, y0, normals, dt, out):
     """Fill ``out`` ``(B, n_steps + 1, p)`` with state paths started at ``y0``.
 
@@ -385,9 +400,11 @@ def simulate_market_path(model, config, path_index):
     z = source.draw(n_steps)
     states = np.empty((1, n_steps + 1, model.p))
     _state_paths(model, y0, np.swapaxes(z, 0, 1), config.dt, states)
-    kernel = _Kernel(model, config.gamma, False, y0)
-    logret = kernel.log_returns(kernel.bundle(states[0, :-1]), z[0], config.dt)
-    return times, states[0], logret
+    left = states[0, :-1]
+    model.check_support(left)
+    mu, sigma = model.mu(left), model.sigma(left)
+    _check_finite(mu, sigma)
+    return times, states[0], _log_returns(mu, sigma, z[0], config.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -434,141 +451,26 @@ class PathRecords:
 
 
 # ---------------------------------------------------------------------------
-# model kernel: batched coefficient shortcuts for the hot loop
-# ---------------------------------------------------------------------------
-
-class _StepBundle:
-    """All state-dependent quantities at one grid point.
-
-    ``Sigma_t`` / ``sigma_t`` are ``None`` for constant-covariance models,
-    in which case the kernel's constant matrices apply.
-    """
-
-    __slots__ = ("mu", "b", "w_star", "f_rate", "beta", "sigma_t", "Sigma_t",
-                 "Sigma_diag_t", "_kernel")
-
-    def __init__(self, kernel, mu, b, w_star, f_rate, beta,
-                 sigma_t=None, Sigma_t=None, Sigma_diag_t=None):
-        self._kernel = kernel
-        self.mu = mu
-        self.b = b
-        self.w_star = w_star
-        self.f_rate = f_rate
-        self.beta = beta
-        self.sigma_t = sigma_t
-        self.Sigma_t = Sigma_t
-        self.Sigma_diag_t = Sigma_diag_t
-
-    def quad(self, err, idx=None):
-        """Tracking-error form ``err' Sigma err`` (optionally on a path subset)."""
-        if self.Sigma_t is None:
-            return self._kernel._quad_const(err)
-        sig = self.Sigma_t if idx is None else self.Sigma_t[idx]
-        return np.einsum("nm,nmk,nk->n", err, sig, err)
-
-
-class _Kernel:
-    """Batched coefficient shortcuts for the hot loop.
-
-    Models with state-independent diffusion (all built-in families) get
-    closed-form fast paths fed by one ``fused_coeffs`` sweep per step;
-    anything else falls back to full per-step evaluation through
-    :func:`rebalfreq.merton.merton_state`.
-    """
-
-    def __init__(self, model, gamma, need_beta, y0):
-        self.model = model
-        self.gamma = gamma
-        self.p, self.m, self.d = model.p, model.m, model.d
-        self.fast = model.constant_sigma
-        self.need_beta = need_beta
-        coefs = evaluate_coefficients(model, y0[None])
-        self.sigma = coefs.sigma[0]
-        self.Sigma = coefs.Sigma[0]
-        self.Sigma_inv = coefs.Sigma_inv[0]
-        self.Sigma_diag = np.diag(self.Sigma).copy()
-        self.rownorm2 = np.sum(self.sigma * self.sigma, axis=1)
-        self.g0 = coefs.g[0]
-        self.winv = self.Sigma_inv.T / gamma
-        if self.p == 0:
-            self.mu0 = coefs.mu[0]
-            self.w0 = self.Sigma_inv @ self.mu0 / gamma
-            sbar = self.w0 @ self.sigma
-            self.beta0 = -self.w0[:, None] * (self.sigma - sbar[None, :])
-            self.f0 = 0.5 * float(self.mu0 @ self.w0)
-
-    def bundle(self, y):
-        """Evaluate everything the engine needs at the states ``y``."""
-        B = len(y)
-        if self.p == 0:
-            w = np.broadcast_to(self.w0, (B, self.m))
-            beta = (
-                np.broadcast_to(self.beta0, (B, self.m, self.d))
-                if self.need_beta
-                else None
-            )
-            mu = np.broadcast_to(self.mu0, (B, self.m))
-            return _StepBundle(self, mu, None, w, np.full(B, self.f0), beta)
-        if self.fast:
-            mu_t, dmu, b = self.model.fused_coeffs(y)
-            w = np.einsum("nk,ki->ni", mu_t, self.winv)
-            f = 0.5 * np.einsum("nm,nm->n", mu_t, w)
-            beta = None
-            if self.need_beta:
-                dw = np.einsum("ik,nkp->nip", self.Sigma_inv / self.gamma, dmu)
-                sigma_tilde = np.einsum("nip,pd->nid", dw, self.g0)
-                sbar = np.einsum("nm,md->nd", w, self.sigma)
-                beta = sigma_tilde - w[:, :, None] * (self.sigma[None] - sbar[:, None, :])
-            return _StepBundle(self, mu_t, b, w, f, beta)
-        ms = merton_state(self.model, y, self.gamma)
-        diag = np.diagonal(ms.Sigma, axis1=-2, axis2=-1)
-        coefs = evaluate_coefficients(self.model, y)
-        return _StepBundle(
-            self, coefs.mu, coefs.b, ms.w_star, ms.f_rate, ms.beta,
-            sigma_t=coefs.sigma, Sigma_t=ms.Sigma, Sigma_diag_t=diag,
-        )
-
-    def log_returns(self, cur, z, dt):
-        """Asset log increments over one step, coefficients at the left endpoint.
-
-        Contractions use fixed-order einsum loops (not BLAS) so results are
-        bitwise independent of batch size and identical between the engine
-        and the single-path API.
-        """
-        sqrt_dt = np.sqrt(dt)
-        if self.fast:
-            shock = np.einsum("nd,md->nm", z, self.sigma)
-            return (cur.mu - 0.5 * self.rownorm2) * dt + shock * sqrt_dt
-        sig_t = cur.sigma_t
-        rn2 = np.sum(sig_t * sig_t, axis=2)
-        return (cur.mu - 0.5 * rn2) * dt + np.einsum("nmd,nd->nm", sig_t, z) * sqrt_dt
-
-    def state_step(self, cur, y, z, dt):
-        if self.p == 0:
-            return y
-        return _state_step(self.model, self.g0 if self.fast else None, y, cur.b, z, dt)
-
-    def _quad_const(self, err):
-        if self.m == 1:
-            return self.Sigma[0, 0] * err[:, 0] ** 2
-        return np.einsum("nm,mk,nk->n", err, self.Sigma, err)
-
-
-# ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
-def _run_block(model, kernel, config, strategies, lo, hi, record_upto):
+def _quad(err, Sigma):
+    """Tracking-error form ``err' Sigma err`` per path."""
+    return np.einsum("nm,nmk,nk->n", err, Sigma, err)
+
+
+def _run_block(model, config, strategies, lo, hi, record_upto):
     n_steps = config.n_steps
     dt, eps, gamma = config.dt, config.epsilon, config.gamma
     B = hi - lo
     n_rec = max(0, min(record_upto, hi) - lo) if lo < record_upto else 0
 
     source = _BlockNormals(config.seed, lo, hi, model.d, config.antithetic)
-    y0 = _default_y0(model, config.y0)
-    y = np.tile(y0, (B, 1)) if model.p else np.zeros((B, 0))
-    cur = kernel.bundle(y)
-    wst = np.ascontiguousarray(cur.w_star)
+    y = np.tile(_default_y0(model, config.y0), (B, 1))
+    const = _constant_block(model, y)
+    g0 = model.g(y[:1])[0] if model.constant_sigma else None
+    cur = _geometry(model, y, gamma, const)
+    wst = cur.w_star
 
     records = None
     if n_rec:
@@ -613,18 +515,16 @@ def _run_block(model, kernel, config, strategies, lo, hi, record_upto):
     for step in range(n_steps):
         z = source.step(n_steps - step)
         t1 = (step + 1) * dt
-        growth = np.exp(kernel.log_returns(cur, z, dt))
-        y_new = kernel.state_step(cur, y, z, dt)
-        mk = kernel.bundle(y_new)
+        growth = np.exp(_log_returns(cur.mu, cur.sigma, z, dt))
+        if model.p:
+            y_new = _state_step(model, g0, y, cur.b, z, dt)
+            mk = _geometry(model, y_new, gamma, const)
+        else:  # the state never moves
+            y_new, mk = y, cur
         wst_new = mk.w_star
         fric += 0.5 * (cur.f_rate + mk.f_rate) * dt
         if n_rec:
             records.growth[:, step] = growth[:n_rec]
-
-        deltas = None
-        if kernel.need_beta and eps > 0:
-            diag = mk.Sigma_diag_t if mk.Sigma_diag_t is not None else kernel.Sigma_diag
-            deltas = _halfwidths(mk.beta, diag, gamma, eps)
 
         for s in strategies:
             st = states[s.label]
@@ -647,7 +547,7 @@ def _run_block(model, kernel, config, strategies, lo, hi, record_upto):
                 vi, v[:, None], out=np.zeros_like(vi), where=v[:, None] > 0
             )
             err = wst_new - w_pre
-            f_pre = mk.quad(err)
+            f_pre = _quad(err, mk.Sigma)
             st["de"] += np.where(active, 0.5 * (st["f_post"] + f_pre) * dt, 0.0)
             st["f_post"] = np.where(active, f_pre, 0.0)
 
@@ -664,7 +564,7 @@ def _run_block(model, kernel, config, strategies, lo, hi, record_upto):
                 u = wst_new
             else:  # band policies: pasted, and move as its one-asset case
                 if eps > 0:
-                    delta = deltas * s.halfwidth_scale
+                    delta = _halfwidths(mk, gamma, eps) * s.halfwidth_scale
                 else:
                     delta = np.zeros((B, model.m))
                 asset_mask = np.abs(err) > delta
@@ -700,7 +600,7 @@ def _run_block(model, kernel, config, strategies, lo, hi, record_upto):
                 vi[idx] = w_post * v_new[:, None]
                 st["V0"][idx] = v_new * (1.0 - w_post.sum(axis=1))
                 v[idx] = v_new
-                st["f_post"][idx] = mk.quad(wst_new[idx] - w_post, idx)
+                st["f_post"][idx] = _quad(wst_new[idx] - w_post, mk.Sigma[idx])
                 if s.kind == "time":
                     waits = np.broadcast_to(
                         np.asarray(s.rule.waiting_time(y_new[idx], eps), dtype=float),
@@ -750,25 +650,15 @@ def _run_block(model, kernel, config, strategies, lo, hi, record_upto):
     return out, records
 
 
-def _block_worker(model, config, strategies, lo, hi, record_paths):
-    need_beta = any(s.kind in ("move", "pasted") for s in strategies)
-    kernel = _Kernel(model, config.gamma, need_beta, _default_y0(model, config.y0))
-    return _run_block(model, kernel, config, strategies, lo, hi, record_paths)
-
-
-def _block_worker_star(args):
-    return _block_worker(*args)
-
-
 def run_strategies(model, config, strategies, record_paths=0):
     """Simulate several strategies on shared market draws.
 
     Returns ``(outcomes, records)`` where ``outcomes`` maps each strategy
     label to a :class:`StrategyOutcome` with per-path arrays in path order,
     and ``records`` holds full ledgers for the first ``record_paths`` paths
-    of every block (``None`` if zero). Blocks are distributed over worker
-    processes when ``n_workers > 1``; results are bit-identical for any
-    worker count and block size.
+    of the run, merged from the blocks in path order (``None`` if zero).
+    Blocks are distributed over worker processes when ``n_workers > 1``;
+    results are bit-identical for any worker count and block size.
     """
     labels = [s.label for s in strategies]
     if len(set(labels)) != len(labels):
@@ -783,8 +673,8 @@ def run_strategies(model, config, strategies, record_paths=0):
         block += 1
     bounds = [(lo, min(lo + block, config.n_paths)) for lo in range(0, config.n_paths, block)]
 
+    run_block = partial(_run_block, model, config, strategies, record_upto=record_paths)
     if config.n_workers > 1 and len(bounds) > 1:
-        args = [(model, config, strategies, lo, hi, record_paths) for lo, hi in bounds]
         try:
             ctx = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(
@@ -793,12 +683,9 @@ def run_strategies(model, config, strategies, record_paths=0):
         except (OSError, ValueError):  # fork unavailable: fall back to threads
             pool = ThreadPoolExecutor(max_workers=config.n_workers)
         with pool:
-            results = list(pool.map(_block_worker_star, args))
+            results = list(pool.map(run_block, *zip(*bounds)))
     else:
-        results = [
-            _block_worker(model, config, strategies, lo, hi, record_paths)
-            for lo, hi in bounds
-        ]
+        results = [run_block(lo, hi) for lo, hi in bounds]
 
     outcomes = {}
     for label in labels:

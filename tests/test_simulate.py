@@ -311,6 +311,32 @@ def test_default_coefficient_sweep_matches_fused(ko1d):
             )
 
 
+def test_engine_bits_independent_of_covariance_declaration():
+    # the constant-covariance fast path and the per-state path form the
+    # geometry, the returns and the tracking error with the same arithmetic
+    class GenericCovariance(TruncatedKimOmbergModel):
+        @property
+        def constant_sigma(self):
+            return False
+
+    cfg = small_config(horizon=1.0, n_paths=16, allow_flagged=True)
+    for kw, band in (
+        (dict(vol=[0.1428]), move_based()),
+        (dict(vol=[0.1428, 0.1428], correlation=[[1.0, 0.6], [0.6, 1.0]]), pasted_move_based()),
+    ):
+        runs = []
+        for cls in (TruncatedKimOmbergModel, GenericCovariance):
+            model = cls(**kw, **KO_PARAMS)
+            rule = optimal_rule(model, GAMMA, allow_flagged=True)
+            strategies = [band, time_based(rule, label="time"), buy_and_hold()]
+            runs.append(run_strategies(model, cfg, strategies)[0])
+        for label in (band.label, "time", "buy_hold"):
+            for field in ("rel_sum", "tac", "de", "n_trades", "frictionless_path"):
+                np.testing.assert_array_equal(
+                    getattr(runs[0][label], field), getattr(runs[1][label], field)
+                )
+
+
 def test_bit_reproducibility_workers_blocks(ko1d):
     base = dict(horizon=20.0, dt=1.0 / 250.0, n_paths=600, epsilon=EPS,
                 gamma=GAMMA, seed=3, allow_flagged=True)
