@@ -37,7 +37,7 @@ from .frequency import (
 )
 from .markets import finite_difference_jacobians, jacobians
 from .merton import l21_norm, merton_state
-from .simulate import _default_y0, run_strategies, simulate_state_grid
+from .simulate import _default_y0, simulate_state_grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,25 +152,23 @@ def _apply_overrides(run, args):
 def cmd_simulate(args):
     run = load_config(args.config)
     sim = _apply_overrides(run, args)
-    reports = run_table_cell(run.model, sim, run.strategies)
+    k = args.dump_paths
+    if k < 0:
+        raise InputError("--dump-paths must be nonnegative")
+    result = run_table_cell(run.model, sim, run.strategies, record_paths=k)
+    reports, records = result if k else (result, None)
     out_path = args.out or run.output
     _emit(rows_to_csv(reports), out_path)
-    if args.dump_paths:
+    if k:
         if not out_path:
             raise InputError("--dump-paths requires --out (or config.output)")
-        _dump_paths(run, sim, args.dump_paths, out_path + ".paths.csv")
+        _dump_paths(run, records, out_path + ".paths.csv")
     return 0
 
 
-def _dump_paths(run, sim, k, path):
-    from .evaluate import _build_strategy, _cell_predictions
-
-    names = [n for n in run.strategies if n != "frictionless"]
-    if not names:
+def _dump_paths(run, records, path):
+    if all(n == "frictionless" for n in run.strategies):
         raise InputError("path dumps need at least one simulated strategy")
-    rule, _ = _cell_predictions(run.model, sim, names)
-    strategies = [_build_strategy(n, run.model, sim, rule) for n in names]
-    _, records = run_strategies(run.model, sim, strategies, record_paths=int(k))
     lines = ["strategy,path,time,wealth," + ",".join(f"weight_{i+1}" for i in range(run.model.m))]
     for label in records.wealth:
         w = records.wealth[label]

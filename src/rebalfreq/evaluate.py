@@ -19,7 +19,7 @@ mean-reverting counterparts); :func:`table_runner` runs them end to end.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -213,9 +213,10 @@ def expansion_check(model, gamma, config, alphas, epsilons, allow_flagged=False)
 
     For each waiting-time exponent ``alpha``, reruns the time-based strategy
     built on the adaptive optimal profile across the ``epsilons`` grid (same
-    seeds) and compares ``E[TAC] / eps^(1 - alpha/2)`` and ``E[DE] /
-    eps^alpha`` to the limiting constants computed by the frequency module.
-    Reports fitted log-log slopes (expected ``1 - alpha/2`` and ``alpha``).
+    seeds; one run per ``eps`` holds every exponent) and compares ``E[TAC] /
+    eps^(1 - alpha/2)`` and ``E[DE] / eps^alpha`` to the limiting constants
+    computed by the frequency module. Reports fitted log-log slopes
+    (expected ``1 - alpha/2`` and ``alpha``).
     """
     rule0 = optimal_rule(model, gamma, allow_flagged=allow_flagged)
     limits = lemma_constants(
@@ -228,27 +229,17 @@ def expansion_check(model, gamma, config, alphas, epsilons, allow_flagged=False)
         seed=config.seed,
         allow_flagged=allow_flagged,
     )
+    strategies = [time_based(rule0.with_alpha(a), label=f"time_{i}") for i, a in enumerate(alphas)]
+    runs = []
+    for eps in epsilons:
+        cfg = replace(config, epsilon=eps, gamma=gamma, allow_flagged=allow_flagged)
+        runs.append(run_strategies(model, cfg, strategies)[0])
     rows = []
     summaries = []
-    for alpha in alphas:
-        rule = rule0.with_alpha(alpha)
+    for alpha, strategy in zip(alphas, strategies):
         tacs, des = [], []
-        for eps in epsilons:
-            cfg = SimulationConfig(
-                horizon=config.horizon,
-                dt=config.dt,
-                n_paths=config.n_paths,
-                epsilon=eps,
-                gamma=gamma,
-                y0=config.y0,
-                seed=config.seed,
-                antithetic=config.antithetic,
-                block_size=config.block_size,
-                n_workers=config.n_workers,
-                allow_flagged=allow_flagged,
-            )
-            outcomes, _ = run_strategies(model, cfg, [time_based(rule, label="time")])
-            out = outcomes["time"]
+        for eps, outcomes in zip(epsilons, runs):
+            out = outcomes[strategy.label]
             tac, de = float(out.tac.mean()), float(out.de.mean())
             tacs.append(tac)
             des.append(de)
@@ -426,21 +417,19 @@ def _cell_predictions(model, config, names):
     return rule, preds
 
 
-def run_table_cell(model, config, strategy_names, label_suffix=""):
-    """Run one model's strategy battery and return report rows."""
+def run_table_cell(model, config, strategy_names, label_suffix="", record_paths=0):
+    """Run one model's strategy battery and return report rows.
+
+    With ``record_paths > 0`` returns ``(reports, records)``, as :func:`run_strategy` does.
+    """
     rule, predictions = _cell_predictions(model, config, strategy_names)
     sims = [
         _build_strategy(n, model, config, rule)
         for n in strategy_names
         if n != "frictionless"
-    ]
-    if sims:
-        outcomes, _ = run_strategies(model, config, sims)
-        sample = outcomes[sims[0].label]
-    else:
-        bench = frictionless_benchmark()
-        outcomes, _ = run_strategies(model, config, [bench])
-        sample = outcomes[bench.label]
+    ] or [frictionless_benchmark()]
+    outcomes, records = run_strategies(model, config, sims, record_paths)
+    sample = outcomes[sims[0].label]
     fr_analytic = predictions["frictionless"]
     reports = []
     for name in strategy_names:
@@ -456,7 +445,7 @@ def run_table_cell(model, config, strategy_names, label_suffix=""):
             )
         rep.strategy = rep.strategy + label_suffix
         reports.append(rep)
-    return reports
+    return (reports, records) if record_paths else reports
 
 
 def table_runner(

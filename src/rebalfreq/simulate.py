@@ -20,14 +20,13 @@ from a Philox stream keyed by ``(seed, k)`` (or ``(seed, k // 2)`` with a
 sign flip for antithetic pairs), so results are independent of how paths are
 chunked into blocks or spread across workers, and any single path can be
 reproduced bit-for-bit in isolation. Aggregation happens in fixed block
-order. Strategies passed to one run share the same market draws, which makes
-head-to-head comparisons and common-random-number differences sharp.
+order. Strategies of one run share the market draws, which sharpens their
+comparison, and one ledger of arrays stacked over (strategy, path).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -226,26 +225,33 @@ def rebalance_solve(d, w_star, epsilon, tol=1e-14, max_iter=200):
 def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
     """Vectorised fixed point over paths; only ``traded`` assets move.
 
+    ``epsilon`` is the cost rate, one value or one per path, and may be zero.
     Post-trade weights equal ``u`` on the traded set; untraded positions
     keep their dollar value. Convergence is judged path by path and each
     path's value freezes the moment it converges, so a path's result never
     depends on which other paths share the batch. Returns ``(DeltaL, s)``
-    with shapes ``(B, m)`` and ``(B,)``; ``epsilon`` must be positive.
+    with shapes ``(B, m)`` and ``(B,)``; a zero-cost path pays nothing
+    whatever it trades, so it is not iterated and its ``s`` is 0.
     """
-    if np.any(epsilon * np.abs(np.where(traded, u, 0.0)).sum(axis=1) >= 1.0):
-        raise ParameterError("need eps * sum|targets| < 1 for a well-posed rebalance")
-    s = np.abs(np.where(traded, u - w_pre, 0.0)).sum(axis=1)
-    done = np.zeros(len(s), dtype=bool)
-    for _ in range(max_iter):
-        dl = u * (1.0 - epsilon * s)[:, None] - w_pre
-        s_new = np.abs(np.where(traded, dl, 0.0)).sum(axis=1)
-        converged = np.abs(s_new - s) < tol
-        s = np.where(done, s, s_new)
-        done |= converged
-        if done.all():
-            break
-    else:
-        raise ConvergenceError("trade-size fixed point did not converge")
+    epsilon = np.full(len(u), epsilon, dtype=float)
+    s = np.zeros(len(u))
+    paid = np.flatnonzero(epsilon > 0)
+    if paid.size:
+        e, up, wp, tp = epsilon[paid], u[paid], w_pre[paid], traded[paid]
+        if np.any(e * np.abs(np.where(tp, up, 0.0)).sum(axis=1) >= 1.0):
+            raise ParameterError("need eps * sum|targets| < 1 for a well-posed rebalance")
+        sp = np.abs(np.where(tp, up - wp, 0.0)).sum(axis=1)
+        done = np.zeros(len(sp), dtype=bool)
+        for _ in range(max_iter):
+            s_new = np.abs(np.where(tp, up * (1.0 - e * sp)[:, None] - wp, 0.0)).sum(axis=1)
+            converged = np.abs(s_new - sp) < tol
+            sp = np.where(done, sp, s_new)
+            done |= converged
+            if done.all():
+                break
+        else:
+            raise ConvergenceError("trade-size fixed point did not converge")
+        s[paid] = sp
     dl = np.where(traded, u * (1.0 - epsilon * s)[:, None] - w_pre, 0.0)
     return dl, s
 
@@ -454,200 +460,129 @@ class PathRecords:
 # the engine
 # ---------------------------------------------------------------------------
 
-def _quad(err, Sigma):
-    """Tracking-error form ``err' Sigma err`` per path."""
-    return np.einsum("nm,nmk,nk->n", err, Sigma, err)
+def _rows(a):
+    """Flat-row view ``(S * B, ...)`` of a C-contiguous stacked ledger array."""
+    return a.reshape((-1,) + a.shape[2:])
 
 
 def _run_block(model, config, strategies, lo, hi, record_upto):
-    n_steps = config.n_steps
+    """Paths ``lo .. hi - 1`` of all ``S`` strategies on shared draws, as stacked
+    ``(S, B)`` and ``(S, B, m)`` ledgers that trades index by flat row
+    ``strategy * B + path``; returns the ledgers, frictionless rates and records.
+    """
+    n_steps, m = config.n_steps, model.m
     dt, eps, gamma = config.dt, config.epsilon, config.gamma
-    B = hi - lo
-    n_rec = max(0, min(record_upto, hi) - lo) if lo < record_upto else 0
+    S, B = len(strategies), hi - lo
+    n_rec = max(0, min(record_upto, hi) - lo)
+    band = np.array([s.kind in ("move", "pasted") for s in strategies])
+    fric = np.array([s.kind == "frictionless" for s in strategies])
+    to_edge = band & np.array([s.trade_to == "boundary" for s in strategies]) & (eps > 0)
+    scale = np.array([s.halfwidth_scale for s in strategies])[:, None, None]
+    rate = np.repeat(np.where(fric, 0.0, eps), B)
+    timed = [(k, s.rule) for k, s in enumerate(strategies) if s.kind == "time"]
 
     source = _BlockNormals(config.seed, lo, hi, model.d, config.antithetic)
     y = np.tile(_default_y0(model, config.y0), (B, 1))
     const = _constant_block(model, y)
     g0 = model.g(y[:1])[0] if model.constant_sigma else None
     cur = _geometry(model, y, gamma, const)
-    wst = cur.w_star
 
-    records = None
+    Vi = np.repeat(cur.w_star[None], S, axis=0)
+    V0, V = 1.0 - Vi.sum(axis=2), np.ones((S, B))
+    rel, rel2, tac, de, f_post = (np.zeros((S, B)) for _ in range(5))
+    n_trades = np.zeros((S, B), dtype=np.int64)
+    failed = np.zeros((S, B), dtype=bool)
+    traded = np.ones((S, B, m), dtype=bool)  # band rows are set at each step
+    next_t = np.full((S, B), np.inf)
+    for k, rule in timed:
+        next_t[k] = rule.waiting_time(y, eps)
+    fric_rate = np.zeros(B)
+
+    rec = None
     if n_rec:
-        records = PathRecords(
-            times=np.linspace(0.0, config.horizon, n_steps + 1),
-            growth=np.empty((n_rec, n_steps, model.m)),
-        )
-
-    states = {}
-    for s in strategies:
-        vi = wst * 1.0
-        st = {
-            "V0": 1.0 - vi.sum(axis=1),
-            "Vi": vi,
-            "V": np.ones(B),
-            "rel": np.zeros(B),
-            "rel2": np.zeros(B),
-            "tac": np.zeros(B),
-            "de": np.zeros(B),
-            "ntr": np.zeros(B, dtype=np.int64),
-            "failed": np.zeros(B, dtype=bool),
-            "f_post": np.zeros(B),
+        rec = {
+            "growth": np.empty((n_rec, n_steps, m)),
+            "wealth": np.ones((S, n_rec, n_steps + 1)),
+            "positions": np.repeat(Vi[:, :n_rec, None], n_steps + 1, axis=2),
+            "w_pre_min": Vi[:, :n_rec].copy(),
+            "w_pre_max": Vi[:, :n_rec].copy(),
+            "trades": [[] for _ in strategies],
         }
-        if s.kind == "time":
-            wait0 = np.broadcast_to(
-                np.asarray(s.rule.waiting_time(y, eps), dtype=float), (B,)
-            )
-            st["next_t"] = wait0.copy()
-        states[s.label] = st
-        if n_rec:
-            records.wealth[s.label] = np.empty((n_rec, n_steps + 1))
-            records.wealth[s.label][:, 0] = 1.0
-            records.weights[s.label] = np.empty((n_rec, n_steps + 1, model.m))
-            records.weights[s.label][:, 0] = wst[:n_rec]
-            records.w_pre_min[s.label] = wst[:n_rec].copy()
-            records.w_pre_max[s.label] = wst[:n_rec].copy()
-            records.trades[s.label] = []
-
-    fric = np.zeros(B)
-    horizon_cut = config.horizon - 1e-9
 
     for step in range(n_steps):
         z = source.step(n_steps - step)
         t1 = (step + 1) * dt
         growth = np.exp(_log_returns(cur.mu, cur.sigma, z, dt))
-        if model.p:
-            y_new = _state_step(model, g0, y, cur.b, z, dt)
-            mk = _geometry(model, y_new, gamma, const)
-        else:  # the state never moves
-            y_new, mk = y, cur
-        wst_new = mk.w_star
-        fric += 0.5 * (cur.f_rate + mk.f_rate) * dt
-        if n_rec:
-            records.growth[:, step] = growth[:n_rec]
+        prev = cur
+        if model.p:  # else the state never moves
+            y = _state_step(model, g0, y, cur.b, z, dt)
+            cur = _geometry(model, y, gamma, const)
+        fric_rate += 0.5 * (prev.f_rate + cur.f_rate) * dt
 
-        for s in strategies:
-            st = states[s.label]
-            active = ~st["failed"]
-            v_old = st["V"]
-            vi = st["Vi"]
-            vi *= growth
-            v = st["V0"] + vi.sum(axis=1)
-            dead = active & (v <= 0.0)
-            if dead.any():
-                st["failed"] |= dead
-                st["V0"] = np.where(dead, 0.0, st["V0"])
-                vi[dead] = 0.0
-                v = np.where(dead, 0.0, v)
-                active = ~st["failed"]
-            x = np.divide(v, v_old, out=np.ones_like(v), where=v_old > 0) - 1.0
-            st["rel"] += x
-            st["rel2"] += x * x
-            w_pre = np.divide(
-                vi, v[:, None], out=np.zeros_like(vi), where=v[:, None] > 0
-            )
-            err = wst_new - w_pre
-            f_pre = _quad(err, mk.Sigma)
-            st["de"] += np.where(active, 0.5 * (st["f_post"] + f_pre) * dt, 0.0)
-            st["f_post"] = np.where(active, f_pre, 0.0)
+        Vi *= growth
+        v_old, V = V, V0 + Vi.sum(axis=2)
+        dead = ~failed & (V <= 0.0)
+        if dead.any():
+            failed |= dead
+            V0[dead], Vi[dead], V[dead] = 0.0, 0.0, 0.0
+        active = ~failed
+        x = np.divide(V, v_old, out=np.ones_like(V), where=v_old > 0) - 1.0
+        rel += x
+        rel2 += x * x
+        w_pre = np.divide(Vi, V[..., None], out=np.zeros_like(Vi), where=V[..., None] > 0)
+        err = cur.w_star - w_pre
+        f_pre = np.einsum("snm,nmk,snk->sn", err, cur.Sigma, err)
+        de += np.where(active, 0.5 * (f_post + f_pre) * dt, 0.0)
+        f_post = np.where(active, f_pre, 0.0)
 
-            # trigger detection and trade targets
-            asset_mask = None
-            u = None
-            if s.kind == "buy_hold":
-                trig = None
-            elif s.kind == "frictionless":
-                trig = active
-                u = wst_new
-            elif s.kind == "time":
-                trig = active & (t1 >= st["next_t"] - 1e-9 * dt) & (t1 < horizon_cut)
-                u = wst_new
-            else:  # band policies: pasted, and move as its one-asset case
-                if eps > 0:
-                    delta = _halfwidths(mk, gamma, eps) * s.halfwidth_scale
-                else:
-                    delta = np.zeros((B, model.m))
-                asset_mask = np.abs(err) > delta
-                trig = active & asset_mask.any(axis=1) & (t1 < horizon_cut)
-                if s.trade_to == "boundary" and eps > 0:
-                    u = wst_new - np.sign(err) * delta
-                else:
-                    u = wst_new
+        # triggers: frictionless every step, time rules on schedule, bands on exit
+        due = t1 >= next_t - 1e-9 * dt
+        if band.any():
+            hw = _halfwidths(cur, gamma, eps) if eps > 0 else np.zeros((B, m))
+            over = np.abs(err[band]) > hw * scale[band]
+            traded[band] = over
+            due[band] |= over.any(axis=2)
+        trig = active & (fric[:, None] | due & (t1 < config.horizon - 1e-9))
 
-            if trig is not None and trig.any():
-                idx = np.flatnonzero(trig)
-                eps_eff = 0.0 if s.kind == "frictionless" else eps
-                uu = np.ascontiguousarray(u[idx])
-                tm = (
-                    asset_mask[idx]
-                    if asset_mask is not None
-                    else np.ones((len(idx), model.m), dtype=bool)
-                )
-                if eps_eff == 0.0:
-                    w_post = np.where(tm, uu, w_pre[idx])
-                    sz = np.zeros(len(idx))
-                    dl = w_post - w_pre[idx]
-                else:
-                    dl, sz = _rebalance_batch(w_pre[idx], uu, eps_eff, tm)
-                    shrink = 1.0 - eps_eff * sz
-                    w_post = np.where(tm, uu, w_pre[idx] / shrink[:, None])
-                cost = eps_eff * sz
-                v_new = v[idx] * (1.0 - cost)
-                st["rel"][idx] -= cost
-                st["rel2"][idx] += cost * cost
-                st["tac"][idx] += cost
-                st["ntr"][idx] += 1
-                vi[idx] = w_post * v_new[:, None]
-                st["V0"][idx] = v_new * (1.0 - w_post.sum(axis=1))
-                v[idx] = v_new
-                st["f_post"][idx] = _quad(wst_new[idx] - w_post, mk.Sigma[idx])
-                if s.kind == "time":
-                    waits = np.broadcast_to(
-                        np.asarray(s.rule.waiting_time(y_new[idx], eps), dtype=float),
-                        (len(idx),),
-                    )
-                    st["next_t"][idx] += np.maximum(waits, 0.0)
-                if n_rec:
-                    rec_sel = idx[idx < n_rec]
-                    for r in rec_sel:
-                        pos = int(np.searchsorted(idx, r))
-                        records.trades[s.label].append(
-                            (step + 1, lo + int(r), dl[pos].copy(), float(sz[pos]))
-                        )
-            st["V"] = v
+        flat = np.flatnonzero(trig)
+        if flat.size:
+            si, bi = np.divmod(flat, B)
+            u = cur.w_star[bi]
+            if to_edge.any():  # trade back to the band edge
+                edge = np.flatnonzero(to_edge[si])
+                u[edge] -= np.sign(_rows(err)[flat[edge]]) * (hw[bi[edge]] * scale[si[edge], 0])
+            tm, w, row_rate = _rows(traded)[flat], _rows(w_pre)[flat], rate[flat]
+            dl, sz = _rebalance_batch(w, u, row_rate, tm)
+            cost = row_rate * sz
+            keep = 1.0 - cost
+            w_post = np.where(tm, u, w / keep[:, None])
+            v_new = _rows(V)[flat] * keep
+            _rows(rel)[flat] -= cost
+            _rows(rel2)[flat] += cost * cost
+            _rows(tac)[flat] += cost
+            _rows(n_trades)[flat] += 1
+            _rows(Vi)[flat] = w_post * v_new[:, None]
+            _rows(V0)[flat] = v_new * (1.0 - w_post.sum(axis=1))
+            _rows(V)[flat] = v_new
+            gap = cur.w_star[bi] - w_post
+            _rows(f_post)[flat] = np.einsum("nm,nmk,nk->n", gap, cur.Sigma[bi], gap)
+            for k, rule in timed:
+                mine = si == k
+                if mine.any():
+                    wait = rule.waiting_time(y[bi[mine]], eps)
+                    _rows(next_t)[flat[mine]] += np.maximum(wait, 0.0)
             if n_rec:
-                records.wealth[s.label][:, step + 1] = v[:n_rec]
-                w_now = np.divide(
-                    vi[:n_rec],
-                    v[:n_rec, None],
-                    out=np.zeros((n_rec, model.m)),
-                    where=v[:n_rec, None] > 0,
-                )
-                records.weights[s.label][:, step + 1] = w_now
-                records.w_pre_min[s.label] = np.minimum(
-                    records.w_pre_min[s.label], w_pre[:n_rec]
-                )
-                records.w_pre_max[s.label] = np.maximum(
-                    records.w_pre_max[s.label], w_pre[:n_rec]
-                )
-        y = y_new
-        cur = mk
+                for j in np.flatnonzero(bi < n_rec):
+                    trade = (step + 1, lo + int(bi[j]), dl[j].copy(), float(sz[j]))
+                    rec["trades"][si[j]].append(trade)
+        if n_rec:
+            rec["growth"][:, step] = growth[:n_rec]
+            rec["wealth"][:, :, step + 1] = V[:, :n_rec]
+            rec["positions"][:, :, step + 1] = Vi[:, :n_rec]
+            np.minimum(rec["w_pre_min"], w_pre[:, :n_rec], out=rec["w_pre_min"])
+            np.maximum(rec["w_pre_max"], w_pre[:, :n_rec], out=rec["w_pre_max"])
 
-    fric /= config.horizon
-    out = {}
-    for s in strategies:
-        st = states[s.label]
-        out[s.label] = StrategyOutcome(
-            label=s.label,
-            rel_sum=st["rel"],
-            rel_sq_sum=st["rel2"],
-            tac=st["tac"],
-            de=st["de"],
-            n_trades=st["ntr"],
-            failed=st["failed"],
-            frictionless_path=fric,
-        )
-    return out, records
+    return (rel, rel2, tac, de, n_trades, failed), fric_rate / config.horizon, rec
 
 
 def run_strategies(model, config, strategies, record_paths=0):
@@ -657,8 +592,9 @@ def run_strategies(model, config, strategies, record_paths=0):
     label to a :class:`StrategyOutcome` with per-path arrays in path order,
     and ``records`` holds full ledgers for the first ``record_paths`` paths
     of the run, merged from the blocks in path order (``None`` if zero).
-    Blocks are distributed over worker processes when ``n_workers > 1``;
-    results are bit-identical for any worker count and block size.
+    Blocks are distributed over worker processes (default start method)
+    when ``n_workers > 1``; results are bit-identical for any worker count,
+    block size and set of companion strategies.
     """
     labels = [s.label for s in strategies]
     if len(set(labels)) != len(labels):
@@ -675,48 +611,41 @@ def run_strategies(model, config, strategies, record_paths=0):
 
     run_block = partial(_run_block, model, config, strategies, record_upto=record_paths)
     if config.n_workers > 1 and len(bounds) > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(
-                max_workers=min(config.n_workers, len(bounds)), mp_context=ctx
-            )
-        except (OSError, ValueError):  # fork unavailable: fall back to threads
-            pool = ThreadPoolExecutor(max_workers=config.n_workers)
-        with pool:
+        with ProcessPoolExecutor(max_workers=min(config.n_workers, len(bounds))) as pool:
             results = list(pool.map(run_block, *zip(*bounds)))
     else:
         results = [run_block(lo, hi) for lo, hi in bounds]
 
-    outcomes = {}
-    for label in labels:
-        parts = [r[0][label] for r in results]
-        outcomes[label] = StrategyOutcome(
-            label=label,
-            rel_sum=np.concatenate([p.rel_sum for p in parts]),
-            rel_sq_sum=np.concatenate([p.rel_sq_sum for p in parts]),
-            tac=np.concatenate([p.tac for p in parts]),
-            de=np.concatenate([p.de for p in parts]),
-            n_trades=np.concatenate([p.n_trades for p in parts]),
-            failed=np.concatenate([p.failed for p in parts]),
-            frictionless_path=np.concatenate([p.frictionless_path for p in parts]),
-        )
-    records = _merge_records([r[1] for r in results if r[1] is not None])
-    return outcomes, records
+    ledger = [np.concatenate(parts, axis=1) for parts in zip(*(r[0] for r in results))]
+    fric = np.concatenate([r[1] for r in results])
+    outcomes = {
+        label: StrategyOutcome(label, *(a[k] for a in ledger), fric)
+        for k, label in enumerate(labels)
+    }
+    return outcomes, _merge_records(config, labels, [r[2] for r in results if r[2] is not None])
 
 
-def _merge_records(parts):
-    """Join the blocks' path records in path order (``None`` if there are none).
+def _merge_records(config, labels, parts):
+    """Join the blocks' stacked records in path order and split them by label.
 
+    Weights are positions over wealth (zero where wealth is not positive).
     Trades are listed by step, then path, as one block lists them, so the
     records do not depend on the block size.
     """
     if not parts:
         return None
-    merged = PathRecords(parts[0].times, np.concatenate([r.growth for r in parts]))
-    for label in parts[0].wealth:
-        for name in ("wealth", "weights", "w_pre_min", "w_pre_max"):
-            getattr(merged, name)[label] = np.concatenate([getattr(r, name)[label] for r in parts])
-        trades = (t for r in parts for t in r.trades[label])
+    times = np.linspace(0.0, config.horizon, config.n_steps + 1)
+    merged = PathRecords(times, np.concatenate([r["growth"] for r in parts]))
+    cat = {
+        name: np.concatenate([r[name] for r in parts], axis=1)
+        for name in ("wealth", "positions", "w_pre_min", "w_pre_max")
+    }
+    pos, wealth = cat.pop("positions"), cat["wealth"][..., None]
+    cat["weights"] = np.divide(pos, wealth, out=np.zeros_like(pos), where=wealth > 0)
+    for name, stacked in cat.items():
+        getattr(merged, name).update(zip(labels, stacked))
+    for k, label in enumerate(labels):
+        trades = (t for r in parts for t in r["trades"][k])
         merged.trades[label] = sorted(trades, key=lambda t: t[:2])
     return merged
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rebalfreq import cli
+from rebalfreq import cli, evaluate, simulate
 
 KO1D_CONFIG = """\
 model:
@@ -58,3 +58,36 @@ def test_unread_flag_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["tc", "--config", ko1d_config(tmp_path), "--paths", "10"])
     assert exc.value.code == 1
+
+
+def test_dump_paths_reuses_table_run(tmp_path, monkeypatch):
+    calls = {"simulate_state_grid": 0, "run_strategies": 0}
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        real = getattr(simulate, name)
+        for module in (simulate, evaluate, cli):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    path = tmp_path / "ko1d.yaml"
+    path.write_text(KO1D_CONFIG + "strategies: [frictionless, time_constant, buy_hold]\n")
+    out = tmp_path / "sim.csv"
+    assert cli.main(["simulate", "--config", str(path), "--dump-paths", "3", "--out", str(out)]) == 0
+    assert calls == {"simulate_state_grid": 1, "run_strategies": 1}
+    lines = (tmp_path / "sim.csv.paths.csv").read_text().splitlines()
+    assert lines[0] == "strategy,path,time,wealth,weight_1"
+    # two simulated strategies, three paths, 251 grid times each
+    assert len(lines) == 1 + 2 * 3 * 251
+
+
+def test_negative_dump_paths_rejected(tmp_path):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--config", ko1d_config(tmp_path), "--dump-paths", "-1", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert not out.exists()

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,9 +29,8 @@ from rebalfreq import (
     simulate_state_grid,
     time_based,
 )
-from rebalfreq import simulate
 from rebalfreq.frequency import DiscretizationRule
-from rebalfreq.simulate import _rebalance_batch
+from rebalfreq.simulate import StrategyOutcome, _rebalance_batch
 
 from conftest import EPS, GAMMA, KO_PARAMS
 
@@ -395,21 +397,66 @@ def test_records_cover_every_block(ko1d):
             np.testing.assert_array_equal(dl, dl2)
 
 
-def test_worker_error_raised_without_thread_rerun(monkeypatch):
-    built = []
-
-    class SpyThreadPool(simulate.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", SpyThreadPool)
+def test_worker_error_raised_without_thread_rerun():
     leveraged = BlackScholesModel(mu=[0.2], vol=[0.16])  # w* = 1.5625
     cfg = small_config(horizon=0.2, n_paths=8, block_size=4, n_workers=2)
     rule = optimal_rule(leveraged, GAMMA)  # raises once a worker evaluates it
     with pytest.raises(AssumptionError):
         run_strategies(leveraged, cfg, [time_based(rule, label="time")])
-    assert built == []
+
+
+def test_block_arguments_survive_pickling(ko1d):
+    # worker processes started without fork receive every block argument pickled
+    cfg = small_config(horizon=0.2, n_paths=16, block_size=8, allow_flagged=True)
+    strategies = [
+        time_based(optimal_rule(ko1d, GAMMA, allow_flagged=True), label="time_adaptive"),
+        time_based(DiscretizationRule("constant", 0.05), label="time_constant"),
+        move_based(),
+        buy_and_hold(),
+        frictionless_benchmark(),
+    ]
+    args = (ko1d, cfg, strategies)
+    run, rerun = run_strategies(*args)[0], run_strategies(*pickle.loads(pickle.dumps(args)))[0]
+    assert list(rerun) == list(run)
+    for label, out in run.items():
+        for f in dataclasses.fields(StrategyOutcome):
+            np.testing.assert_array_equal(getattr(out, f.name), getattr(rerun[label], f.name))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_strategy_bits_independent_of_companions(ko1d, ko2d):
+    cases = [
+        (ko1d, [move_based(), move_based("target", 0.5, label="move_t")]),
+        (ko2d(0.6), [pasted_move_based(), pasted_move_based("target", 2.0, label="pasted_t")]),
+    ]
+    for eps in (0.01, 0.0):
+        for model, bands in cases:
+            cfg = small_config(horizon=1.0, n_paths=64, block_size=32, epsilon=eps,
+                               antithetic=True, allow_flagged=True)
+            rule = optimal_rule(model, GAMMA, allow_flagged=True)
+            strategies = bands + [time_based(rule, label="time"), buy_and_hold(),
+                                  frictionless_benchmark()]
+            together, rec = run_strategies(model, cfg, strategies, record_paths=40)
+            for s in strategies:
+                alone, rec1 = run_strategies(model, cfg, [s], record_paths=40)
+                for f in dataclasses.fields(StrategyOutcome):
+                    _same_bits(getattr(together[s.label], f.name), getattr(alone[s.label], f.name))
+                _same_bits(rec.times, rec1.times)
+                _same_bits(rec.growth, rec1.growth)
+                for name in ("wealth", "weights", "w_pre_min", "w_pre_max"):
+                    _same_bits(getattr(rec, name)[s.label], getattr(rec1, name)[s.label])
+                trades, trades1 = rec.trades[s.label], rec1.trades[s.label]
+                assert [t[:2] for t in trades] == [t[:2] for t in trades1]
+                for t, t1 in zip(trades, trades1):
+                    _same_bits(t[2], t1[2])
+                    assert type(t[3]) is float and t[3] == t1[3]
+            frictionless = rec.trades["frictionless_sim"]
+            assert len(frictionless) == 40 * cfg.n_steps
+            assert all(t[3] == 0.0 for t in frictionless)
 
 
 # ---------------------------------------------------------------------------
