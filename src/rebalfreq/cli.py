@@ -20,20 +20,13 @@ import numpy as np
 from . import __version__
 from .config import load_config
 from .errors import InputError, RebalfreqError
-from .evaluate import (
-    CSV_HEADER,
-    _fmt,
-    figure_rows,
-    rows_to_csv,
-    run_table_cell,
-    table_runner,
-)
+from .evaluate import _fmt, figure_rows, rows_to_csv, run_table_cell, table_runner
 from .frequency import (
+    _GRID_PATHS,
+    _rate_grid,
     check_nondegeneracy,
-    constant_rule,
     cost_breakdown,
     optimal_rule,
-    total_cost,
 )
 from .markets import finite_difference_jacobians, jacobians
 from .merton import l21_norm, merton_state
@@ -65,6 +58,14 @@ def _sample_states(run, n=100):
     return flat[idx]
 
 
+def _rate_grid_of(run, y0):
+    """``N`` and ``D`` on the run's state grid, as the table predictions use it."""
+    sim = run.simulation
+    return _rate_grid(
+        run.model, sim.gamma, sim.horizon, y0, _GRID_PATHS, sim.dt, sim.seed, sim.allow_flagged
+    )
+
+
 def cmd_frequency(args):
     run = load_config(args.config)
     sim = _apply_overrides(run, args)
@@ -84,15 +85,7 @@ def cmd_frequency(args):
     lines.append(f"loss_rate_annualized,{_fmt(eps23 * float(parts.tc_rate))}")
     lines.append(f"loss_rate_percent,{format(100 * eps23 * float(parts.tc_rate), '.4g')}")
     if run.model.p > 0:
-        crule = constant_rule(
-            run.model,
-            sim.gamma,
-            sim.horizon,
-            y0=y0,
-            dt=sim.dt,
-            seed=sim.seed,
-            allow_flagged=sim.allow_flagged,
-        )
+        crule = _rate_grid_of(run, y0).constant_rule()
         cwait = float(crule.waiting_time(y0, sim.epsilon))
         lines.append(f"constant_A_star,{_fmt(crule.A)}")
         lines.append(f"constant_waiting_time_years,{format(cwait, '.4g')}")
@@ -105,19 +98,8 @@ def cmd_tc(args):
     run = load_config(args.config)
     sim = _apply_overrides(run, args)
     y0 = _default_y0(run.model, sim.y0)
-    kw = dict(
-        horizon_T=sim.horizon,
-        y0=y0,
-        dt=sim.dt,
-        seed=sim.seed,
-        allow_flagged=sim.allow_flagged,
-    )
-    tc_opt = total_cost(run.model, sim.gamma, rule=None, **kw)
-    crule = constant_rule(
-        run.model, sim.gamma, sim.horizon, y0=y0, dt=sim.dt, seed=sim.seed,
-        allow_flagged=sim.allow_flagged,
-    )
-    tc_const = total_cost(run.model, sim.gamma, rule=crule, **kw)
+    grid = _rate_grid_of(run, y0)
+    tc_opt, tc_const = grid.total_cost(), grid.total_cost(grid.constant_rule())
     parts = cost_breakdown(run.model, sim.gamma, y0, allow_flagged=sim.allow_flagged)
     split = float(parts.tac_rate / parts.de_rate)
     eps23 = sim.epsilon ** (2.0 / 3.0)
@@ -134,19 +116,21 @@ def cmd_tc(args):
     return 0
 
 
+def _given_flags(args, min_paths=1):
+    """The run flags given on the command line, as ``n_paths``, ``seed`` and
+    ``epsilon`` keyword arguments; flags not given are left out."""
+    names = {"paths": "n_paths", "seed": "seed", "epsilon": "epsilon"}
+    kw = {key: getattr(args, flag, None) for flag, key in names.items()}
+    kw = {key: value for key, value in kw.items() if value is not None}
+    if kw.get("n_paths", min_paths) < min_paths:
+        raise InputError(f"--paths must be at least {min_paths}, got {kw['n_paths']}")
+    return kw
+
+
 def _apply_overrides(run, args):
-    sim = run.simulation
-    changes = {}
-    if getattr(args, "paths", None):
-        changes["n_paths"] = int(args.paths)
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = int(args.seed)
-    if getattr(args, "epsilon", None) is not None:
-        changes["epsilon"] = float(args.epsilon)
-    if changes:
-        sim = dataclasses.replace(sim, **changes)
-        run.simulation = sim
-    return sim
+    """Apply the given run flags to ``run.simulation`` and return it."""
+    run.simulation = dataclasses.replace(run.simulation, **_given_flags(args))
+    return run.simulation
 
 
 def cmd_simulate(args):
@@ -184,14 +168,7 @@ def _dump_paths(run, records, path):
 
 
 def cmd_table(args):
-    kw = {}
-    if args.paths:
-        kw["n_paths"] = int(args.paths)
-    if args.seed is not None:
-        kw["seed"] = int(args.seed)
-    if args.epsilon is not None:
-        kw["epsilon"] = float(args.epsilon)
-    reports = table_runner(args.table, **kw)
+    reports = table_runner(args.table, **_given_flags(args))
     _emit(rows_to_csv(reports), args.out)
     return 0
 
@@ -199,11 +176,7 @@ def cmd_table(args):
 def cmd_figure(args):
     if args.figure != 1:
         raise InputError("only figure 1 is available")
-    rows = figure_rows(
-        n_paths=int(args.paths) if args.paths else 0,
-        seed=int(args.seed) if args.seed is not None else 7,
-        epsilon=float(args.epsilon) if args.epsilon is not None else 0.01,
-    )
+    rows = figure_rows(**_given_flags(args, min_paths=0))  # 0 paths: analytic
     lines = ["rho,A_star_years,F_hat"]
     for r in rows:
         lines.append(f"{_fmt(r['rho'])},{_fmt(r['A_star_years'])},{_fmt(r['F_hat'])}")

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from .errors import InputError, RebalfreqError
+from .errors import InputError
 from .markets import model_from_config
 from .simulate import SimulationConfig
 
@@ -25,31 +25,24 @@ KNOWN_STRATEGIES = (
     "pasted",
 )
 
-_MODEL_KEYS = {
-    "kind",
-    "mu",
-    "vol",
-    "correlation",
-    "correlation_file",
-    "mean_reversion",
-    "long_run_mean",
-    "state_vol",
-    "state_correlation",
-    "cutoff_low",
-    "cutoff_high",
-    "cutoff_width",
-}
-_SIM_KEYS = {
-    "horizon",
-    "dt",
-    "n_paths",
-    "epsilon",
-    "gamma",
-    "y0",
-    "seed",
-    "antithetic",
-    "n_workers",
-    "allow_flagged",
+
+def _vector(value):
+    return None if value is None else np.atleast_1d(np.asarray(value, dtype=float))
+
+
+# Each simulation key and the type it is read as; SimulationConfig states
+# which keys are required and the defaults of the others.
+_SIM_TYPES = {
+    "horizon": float,
+    "dt": float,
+    "n_paths": int,
+    "epsilon": float,
+    "gamma": float,
+    "y0": _vector,
+    "seed": int,
+    "antithetic": bool,
+    "n_workers": int,
+    "allow_flagged": bool,
 }
 _TOP_KEYS = {"model", "simulation", "strategies", "output"}
 
@@ -66,7 +59,7 @@ class RunConfig:
 
 
 def _reject_unknown(mapping, allowed, where):
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(set(mapping).difference(allowed))
     if unknown:
         raise InputError(
             f"unknown key{'s' if len(unknown) > 1 else ''} in {where}: "
@@ -77,9 +70,13 @@ def _reject_unknown(mapping, allowed, where):
 def load_config(path):
     """Parse and validate a YAML run configuration.
 
-    Unknown keys are rejected with their dotted location; YAML syntax errors
-    report the line number. The parsed structure uses plain scalars/lists
-    only, so a dump/parse round trip is lossless.
+    The ``model`` section is read by :func:`~rebalfreq.markets.model_from_config`,
+    which owns the keys of each model kind. Each ``simulation`` key is read
+    with its type from one table; the required keys and the defaults of the
+    others are those of :class:`~rebalfreq.simulate.SimulationConfig`.
+    Unknown keys, missing keys and values of the wrong type are
+    :class:`InputError`, unknown keys with their dotted location; YAML
+    syntax errors report the line number.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -95,12 +92,9 @@ def load_config(path):
     _reject_unknown(raw, _TOP_KEYS, "config")
     if "model" not in raw or "simulation" not in raw:
         raise InputError("config requires 'model' and 'simulation' sections")
-    if not isinstance(raw["model"], dict):
-        raise InputError("config.model must be a mapping")
     if not isinstance(raw["simulation"], dict):
         raise InputError("config.simulation must be a mapping")
-    _reject_unknown(raw["model"], _MODEL_KEYS, "model")
-    _reject_unknown(raw["simulation"], _SIM_KEYS, "simulation")
+    _reject_unknown(raw["simulation"], _SIM_TYPES, "simulation")
 
     try:
         model = model_from_config(
@@ -108,33 +102,20 @@ def load_config(path):
         )
     except InputError:
         raise
-    except RebalfreqError as exc:
+    except (TypeError, ValueError) as exc:
         # bad parameter values in the file are input errors, not runtime ones
         raise InputError(f"invalid model settings: {exc}") from exc
 
-    sim_raw = dict(raw["simulation"])
-    missing = [k for k in ("horizon", "dt", "n_paths", "epsilon", "gamma") if k not in sim_raw]
+    sim_raw = raw["simulation"]
+    required = [f.name for f in fields(SimulationConfig) if f.default is MISSING]
+    missing = [k for k in required if k not in sim_raw]
     if missing:
         raise InputError(
             "simulation section missing keys: "
             + ", ".join(f"simulation.{k}" for k in missing)
         )
-    y0 = sim_raw.get("y0")
-    if y0 is not None:
-        y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     try:
-        sim = SimulationConfig(
-            horizon=float(sim_raw["horizon"]),
-            dt=float(sim_raw["dt"]),
-            n_paths=int(sim_raw["n_paths"]),
-            epsilon=float(sim_raw["epsilon"]),
-            gamma=float(sim_raw["gamma"]),
-            y0=y0,
-            seed=int(sim_raw.get("seed", 0)),
-            antithetic=bool(sim_raw.get("antithetic", False)),
-            n_workers=int(sim_raw.get("n_workers", 1)),
-            allow_flagged=bool(sim_raw.get("allow_flagged", False)),
-        )
+        sim = SimulationConfig(**{k: _SIM_TYPES[k](v) for k, v in sim_raw.items()})
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid simulation settings: {exc}") from exc
 

@@ -33,12 +33,11 @@ from .errors import (
     ParameterError,
 )
 from .frequency import (
-    DiscretizationRule,
+    _GRID_PATHS,
     _rate_grid,
     bs1d_closed_forms,
     lemma_constants,
     optimal_rule,
-    total_cost,
 )
 from .markets import BlackScholesModel, TruncatedKimOmbergModel
 from .merton import merton_state
@@ -144,33 +143,23 @@ def frictionless_report(outcome, config, analytic=None, label="frictionless"):
     row is then exact with zero standard error. Otherwise the plug-in rate
     is averaged over the simulated state paths.
     """
-    if analytic is not None:
-        return StrategyReport(
-            strategy=label,
-            F_hat=float(analytic),
-            stderr=0.0,
-            mean_tac=0.0,
-            mean_de=0.0,
-            mean_trades=0.0,
-            frictionless_rate=float(analytic),
-            implied_loss=0.0,
-            n_paths=len(outcome.frictionless_path),
-            n_failed=0,
-            asymptotic_prediction=float(analytic),
-        )
     vals = outcome.frictionless_path
+    if analytic is None:
+        rate, stderr = float(vals.mean()), _stderr(vals, config.antithetic)
+    else:
+        rate, stderr = float(analytic), 0.0
     return StrategyReport(
         strategy=label,
-        F_hat=float(vals.mean()),
-        stderr=_stderr(vals, config.antithetic),
+        F_hat=rate,
+        stderr=stderr,
         mean_tac=0.0,
         mean_de=0.0,
         mean_trades=0.0,
-        frictionless_rate=float(vals.mean()),
+        frictionless_rate=rate,
         implied_loss=0.0,
         n_paths=len(vals),
         n_failed=0,
-        asymptotic_prediction=None,
+        asymptotic_prediction=None if analytic is None else rate,
     )
 
 
@@ -216,7 +205,9 @@ def expansion_check(model, gamma, config, alphas, epsilons, allow_flagged=False)
     seeds; one run per ``eps`` holds every exponent) and compares ``E[TAC] /
     eps^(1 - alpha/2)`` and ``E[DE] / eps^alpha`` to the limiting constants
     computed by the frequency module. Reports fitted log-log slopes
-    (expected ``1 - alpha/2`` and ``alpha``).
+    (expected ``1 - alpha/2`` and ``alpha``). Raises
+    :class:`ParameterError` naming the exponent and cost rate when a run
+    has no trade within the horizon, as no slope fits through zero costs.
     """
     rule0 = optimal_rule(model, gamma, allow_flagged=allow_flagged)
     limits = lemma_constants(
@@ -241,6 +232,11 @@ def expansion_check(model, gamma, config, alphas, epsilons, allow_flagged=False)
         for eps, outcomes in zip(epsilons, runs):
             out = outcomes[strategy.label]
             tac, de = float(out.tac.mean()), float(out.de.mean())
+            if tac <= 0.0:
+                raise ParameterError(
+                    f"no trade within the horizon at exponent alpha={alpha:.6g} and "
+                    f"eps={eps:.6g}: no slope fits through zero costs"
+                )
             tacs.append(tac)
             des.append(de)
             rows.append(
@@ -274,12 +270,42 @@ def expansion_check(model, gamma, config, alphas, epsilons, allow_flagged=False)
 # benchmark tables
 # ---------------------------------------------------------------------------
 
+# Settings shared by the benchmark tables and figure 1.
+_GAMMA = 5.0
+_DT = 1.0 / 250.0
+_HORIZON = 20.0
+_N_WORKERS = 2
+_SEED = 7
+_EPSILON = 0.01
+
 _BARBERIS = {
     "long_run_mean": 0.056,
     "state_vol": 0.0368,
     "mean_reversion": 0.2712,
     "state_correlation": -0.9351,
 }
+
+
+def _bs2d(rho):
+    """Two identical constant-coefficient assets with correlation ``rho``."""
+    return BlackScholesModel(
+        mu=[0.08, 0.08], vol=[0.16, 0.16], correlation=[[1.0, rho], [rho, 1.0]]
+    )
+
+
+def _run_config(n_paths, seed, epsilon, horizon, n_workers, allow_flagged):
+    """Simulation settings of a table cell or figure point (antithetic draws)."""
+    return SimulationConfig(
+        horizon=horizon,
+        dt=_DT,
+        n_paths=n_paths,
+        epsilon=epsilon,
+        gamma=_GAMMA,
+        seed=seed,
+        antithetic=True,
+        n_workers=n_workers,
+        allow_flagged=allow_flagged,
+    )
 
 
 def _table_spec(table_id):
@@ -303,17 +329,7 @@ def _table_spec(table_id):
         }
     if table_id == 3:
         return {
-            "models": [
-                (
-                    f"[rho={rho}]",
-                    BlackScholesModel(
-                        mu=[0.08, 0.08],
-                        vol=[0.16, 0.16],
-                        correlation=[[1.0, rho], [rho, 1.0]],
-                    ),
-                )
-                for rho in (0.3, 0.6, 0.9)
-            ],
+            "models": [(f"[rho={rho}]", _bs2d(rho)) for rho in (0.3, 0.6, 0.9)],
             "strategies": ["frictionless", "time_adaptive", "buy_hold"],
             "default_paths": 20_000,
         }
@@ -368,9 +384,6 @@ def _analytic_frictionless(model, gamma):
 # is then left blank; any other error is a fault and propagates.
 _NOT_APPLICABLE = (AssumptionError, DegenerateTargetError, DomainError, DegenerateCovarianceError)
 
-# State paths behind the time-based rule and predictions of a table cell.
-_GRID_PATHS = 2000
-
 
 def _cell_predictions(model, config, names):
     """The ``time_constant`` rule and the prediction of each strategy.
@@ -399,7 +412,7 @@ def _cell_predictions(model, config, names):
         else:
             base = fr if fr is not None else grid.mean_integral(grid.f_rate) / config.horizon
             if "time_constant" in names:
-                rule = DiscretizationRule(kind="constant", A=grid.constant_a())
+                rule = grid.constant_rule()
             for name in timed:
                 cost = grid.total_cost(rule if name == "time_constant" else None)
                 preds[name] = base - eps23 * cost / config.horizon
@@ -449,91 +462,51 @@ def run_table_cell(model, config, strategy_names, label_suffix="", record_paths=
 
 
 def table_runner(
-    table_id,
-    n_paths=None,
-    seed=7,
-    epsilon=0.01,
-    gamma=5.0,
-    horizon=20.0,
-    dt=1.0 / 250.0,
-    n_workers=2,
-    antithetic=True,
+    table_id, n_paths=None, seed=_SEED, epsilon=_EPSILON, horizon=_HORIZON, n_workers=_N_WORKERS
 ):
     """Reproduce one of the four benchmark tables; returns report rows.
 
-    Defaults use desk-scale path counts (tens of thousands) rather than the
-    million-path runs behind the published three-digit values; widen
-    tolerances accordingly. Tables 2 and 4 run with the no-leverage flag
+    ``n_paths=None`` runs the table's default path count, a desk-scale one
+    (tens of thousands) rather than the million-path runs behind the
+    published three-digit values; widen tolerances accordingly. Risk
+    aversion 5, step 1/250 and antithetic draws are fixed; ``n_workers``
+    never changes results. Tables 2 and 4 run with the no-leverage flag
     overridden, since the mean-reverting benchmark's default cutoffs leave
     the target leveraged in the far tails.
     """
     spec = _table_spec(int(table_id))
-    n = int(n_paths) if n_paths else spec["default_paths"]
+    n = spec["default_paths"] if n_paths is None else int(n_paths)
     reports = []
     for suffix, model in spec["models"]:
-        config = SimulationConfig(
-            horizon=horizon,
-            dt=dt,
-            n_paths=n,
-            epsilon=epsilon,
-            gamma=gamma,
-            seed=seed,
-            antithetic=antithetic,
-            n_workers=n_workers,
-            allow_flagged=model.p > 0,
-        )
+        config = _run_config(n, seed, epsilon, horizon, n_workers, allow_flagged=model.p > 0)
         reports.extend(run_table_cell(model, config, spec["strategies"], suffix))
     return reports
 
 
-def figure_rows(
-    rho_grid=None,
-    epsilon=0.01,
-    gamma=5.0,
-    mu=0.08,
-    vol=0.16,
-    n_paths=0,
-    seed=7,
-    horizon=20.0,
-    dt=1.0 / 250.0,
-    n_workers=2,
-):
-    """Waiting time and performance across correlations (two identical assets).
+def figure_rows(rho_grid=None, epsilon=_EPSILON, n_paths=0, seed=_SEED):
+    """Waiting time and performance across correlations (table 3's two assets).
 
-    Returns rows ``(rho, A_star_years, F_hat)``; ``F_hat`` is the asymptotic
-    prediction unless ``n_paths > 0``, in which case the optimal time-based
-    rule is simulated per correlation on shared seeds. The sweep allows
-    leveraged targets: with the default parameters the weights sum to
+    Returns rows ``(rho, A_star_years, F_hat)``. ``F_hat`` is the
+    asymptotic prediction of the optimal time-based rule (the
+    ``time_adaptive`` prediction of a table cell) unless ``n_paths > 0``, in
+    which case it is that cell's Monte Carlo estimate, on shared seeds
+    across correlations. Risk aversion, step and horizon are the tables'.
+    The sweep allows leveraged targets: the weights sum to
     ``1.25/(1+rho) > 1`` below ``rho = 0.25``.
     """
     if rho_grid is None:
         rho_grid = np.concatenate([np.arange(0.05, 0.96, 0.05), [0.999]])
+    # with n_paths = 0 nothing is run; the config then only needs a valid count
+    config = _run_config(n_paths or 2, seed, epsilon, _HORIZON, _N_WORKERS, allow_flagged=True)
     rows = []
     for rho in rho_grid:
-        model = BlackScholesModel(
-            mu=[mu, mu], vol=[vol, vol], correlation=[[1.0, rho], [rho, 1.0]]
-        )
-        rule = optimal_rule(model, gamma, allow_flagged=True)
-        wait = float(rule.waiting_time(np.zeros(0), epsilon))
-        fr = _analytic_frictionless(model, gamma)
+        model = _bs2d(rho)
+        rule = optimal_rule(model, _GAMMA, allow_flagged=True)
         if n_paths:
-            config = SimulationConfig(
-                horizon=horizon,
-                dt=dt,
-                n_paths=int(n_paths),
-                epsilon=epsilon,
-                gamma=gamma,
-                seed=seed,
-                antithetic=True,
-                n_workers=n_workers,
-            )
-            outcomes, _ = run_strategies(model, config, [time_based(rule, label="time")])
-            f_hat = float(
-                estimate_objective(outcomes["time"], config, frictionless_rate=fr).F_hat
-            )
+            f_hat = run_table_cell(model, config, ["time_adaptive"])[0].F_hat
         else:
-            tc = total_cost(model, gamma, rule=None, horizon_T=horizon, allow_flagged=True)
-            f_hat = fr - epsilon ** (2.0 / 3.0) * tc / horizon
+            f_hat = _cell_predictions(model, config, ["time_adaptive"])[1]["time_adaptive"]
+        wait = float(rule.waiting_time(np.zeros(0), epsilon))
         rows.append({"rho": float(rho), "A_star_years": wait, "F_hat": f_hat})
     return rows
 

@@ -47,6 +47,9 @@ ALPHA = 2.0 / 3.0
 
 _SQRT_2_PI = np.sqrt(2.0 / np.pi)
 
+# Default number of simulated state paths behind expectations over the state.
+_GRID_PATHS = 2000
+
 
 @dataclass(frozen=True)
 class DiscretizationRule:
@@ -185,9 +188,10 @@ class _RateGrid:
             raise ParameterError("rule values must be positive")
         return a
 
-    def constant_a(self):
-        """Best state-independent ``A``: ``(E[int N dt] / E[int D dt])^(2/3)``."""
-        return float((self.mean_integral(self.n) / self.mean_integral(self.d)) ** (2.0 / 3.0))
+    def constant_rule(self):
+        """Best state-independent rule: ``A = (E[int N dt] / E[int D dt])^(2/3)``."""
+        a = (self.mean_integral(self.n) / self.mean_integral(self.d)) ** (2.0 / 3.0)
+        return DiscretizationRule(kind="constant", A=float(a))
 
     def total_cost(self, rule=None):
         """Leading-order total cost of ``rule`` (``None``: pointwise optimal)."""
@@ -224,7 +228,7 @@ def constant_rule(
     gamma,
     horizon_T,
     y0=None,
-    n_paths=2000,
+    n_paths=_GRID_PATHS,
     dt=1.0 / 250.0,
     seed=0,
     allow_flagged=False,
@@ -236,8 +240,7 @@ def constant_rule(
     :func:`optimal_rule` evaluated anywhere) and Monte Carlo estimates over
     ``n_paths`` simulated state paths started at ``y0`` otherwise.
     """
-    grid = _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged)
-    return DiscretizationRule(kind="constant", A=grid.constant_a())
+    return _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged).constant_rule()
 
 
 def total_cost(
@@ -246,7 +249,7 @@ def total_cost(
     rule=None,
     horizon_T=20.0,
     y0=None,
-    n_paths=2000,
+    n_paths=_GRID_PATHS,
     dt=1.0 / 250.0,
     seed=0,
     allow_flagged=False,
@@ -269,7 +272,7 @@ def lemma_constants(
     rule,
     horizon_T,
     y0=None,
-    n_paths=2000,
+    n_paths=_GRID_PATHS,
     dt=1.0 / 250.0,
     seed=0,
     allow_flagged=False,

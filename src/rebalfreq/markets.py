@@ -20,6 +20,7 @@ Models are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -550,49 +551,52 @@ def _load_correlation_file(path):
     return np.atleast_2d(corr)
 
 
+# Required and optional keys of each model kind, besides ``kind``; they are
+# the keyword arguments of the kind's class, with ``correlation_file`` read
+# into ``correlation``.
+_MODEL_KINDS = {
+    "black_scholes": (BlackScholesModel, ("mu", "vol"), ("correlation", "correlation_file")),
+    "kim_omberg": (
+        TruncatedKimOmbergModel,
+        ("vol", "mean_reversion", "long_run_mean", "state_vol", "state_correlation"),
+        ("correlation", "correlation_file", "cutoff_low", "cutoff_high", "cutoff_width"),
+    ),
+}
+
+
 def model_from_config(cfg, base_dir=None):
     """Build a market model from a configuration mapping.
 
     Expected keys: ``kind`` (``black_scholes`` or ``kim_omberg``), per-asset
-    ``mu`` (Black-Scholes only) and ``vol``, and either ``correlation``
-    (nested lists) or ``correlation_file`` (CSV path, resolved against
-    ``base_dir``). Kim-Omberg models additionally take ``mean_reversion``,
-    ``long_run_mean``, ``state_vol``, ``state_correlation``, and optional
-    ``cutoff_low`` / ``cutoff_high`` / ``cutoff_width``.
+    ``mu`` (Black-Scholes only) and ``vol``, and optionally either
+    ``correlation`` (nested lists) or ``correlation_file`` (CSV path,
+    resolved against ``base_dir``). Kim-Omberg models additionally take
+    ``mean_reversion``, ``long_run_mean``, ``state_vol``,
+    ``state_correlation``, and optional ``cutoff_low`` / ``cutoff_high`` /
+    ``cutoff_width``. A missing required key, a key the kind does not read
+    (such as ``mu`` for ``kim_omberg``), and both correlation keys at once
+    are :class:`InputError`.
     """
     if not isinstance(cfg, dict):
         raise InputError("model section must be a mapping")
     kind = cfg.get("kind")
-    correlation = cfg.get("correlation")
-    if correlation is None and "correlation_file" in cfg:
-        import os
-
-        path = cfg["correlation_file"]
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
+        raise InputError(f"unknown model.kind: {kind!r} (expected black_scholes or kim_omberg)")
+    cls, required, optional = _MODEL_KINDS[kind]
+    unread = sorted(set(cfg) - {"kind", *required, *optional})
+    if unread:
+        raise InputError(f"{kind} models do not read " + ", ".join(f"model.{k}" for k in unread))
+    missing = [k for k in required if k not in cfg]
+    if missing:
+        raise InputError(f"{kind} model missing keys: " + ", ".join(f"model.{k}" for k in missing))
+    kwargs = {k: v for k, v in cfg.items() if k != "kind"}
+    if "correlation_file" in kwargs:
+        if kwargs.get("correlation") is not None:
+            raise InputError("give model.correlation or model.correlation_file, not both")
+        path = kwargs.pop("correlation_file")
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         if not os.path.exists(path):
             raise _missing_matrix_error(path)
-        correlation = _load_correlation_file(path)
-    if kind == "black_scholes":
-        if "mu" not in cfg or "vol" not in cfg:
-            raise InputError("black_scholes model requires keys model.mu and model.vol")
-        return BlackScholesModel(cfg["mu"], cfg["vol"], correlation)
-    if kind == "kim_omberg":
-        required = ["vol", "mean_reversion", "long_run_mean", "state_vol", "state_correlation"]
-        missing = [k for k in required if k not in cfg]
-        if missing:
-            raise InputError(
-                "kim_omberg model missing keys: " + ", ".join(f"model.{k}" for k in missing)
-            )
-        return TruncatedKimOmbergModel(
-            cfg["vol"],
-            cfg["mean_reversion"],
-            cfg["long_run_mean"],
-            cfg["state_vol"],
-            cfg["state_correlation"],
-            correlation=correlation,
-            cutoff_low=cfg.get("cutoff_low"),
-            cutoff_high=cfg.get("cutoff_high"),
-            cutoff_width=cfg.get("cutoff_width"),
-        )
-    raise InputError(f"unknown model.kind: {kind!r} (expected black_scholes or kim_omberg)")
+        kwargs["correlation"] = _load_correlation_file(path)
+    return cls(**kwargs)

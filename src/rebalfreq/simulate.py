@@ -566,6 +566,10 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
             _rows(V)[flat] = v_new
             gap = cur.w_star[bi] - w_post
             _rows(f_post)[flat] = np.einsum("nm,nmk,nk->n", gap, cur.Sigma[bi], gap)
+            broke = flat[keep <= 0.0]  # the trade cost all the wealth: the path fails
+            if broke.size:
+                _rows(failed)[broke] = True
+                _rows(V0)[broke], _rows(Vi)[broke], _rows(V)[broke] = 0.0, 0.0, 0.0
             for k, rule in timed:
                 mine = si == k
                 if mine.any():

@@ -91,3 +91,51 @@ def test_negative_dump_paths_rejected(tmp_path):
     argv = ["simulate", "--config", ko1d_config(tmp_path), "--dump-paths", "-1", "--out", str(out)]
     assert cli.main(argv) == 1
     assert not out.exists()
+
+
+def test_tc_builds_one_state_grid(tmp_path, monkeypatch):
+    calls = []
+    real = simulate.simulate_state_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_state_grid", counting)
+    out = tmp_path / "tc.csv"
+    assert cli.main(["tc", "--config", ko1d_config(tmp_path), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+    assert float(rows["tc_optimal"]) <= float(rows["tc_constant"])
+
+
+@pytest.mark.parametrize("paths", ["0", "-4"])
+def test_simulate_rejects_nonpositive_paths(tmp_path, paths, capsys):
+    argv = ["simulate", "--config", ko1d_config(tmp_path), "--paths", paths]
+    assert cli.main(argv) == 1
+    assert "--paths" in capsys.readouterr().err
+
+
+def spy_table_runner(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "table_runner", lambda *args, **kw: calls.append((args, kw)) or [])
+    return calls
+
+
+def test_table_rejects_zero_paths_before_running(monkeypatch, capsys):
+    calls = spy_table_runner(monkeypatch)
+    assert cli.main(["table", "--table", "1", "--paths", "0"]) == 1
+    assert calls == []
+    assert "--paths" in capsys.readouterr().err
+
+
+def test_table_passes_only_given_flags(monkeypatch):
+    calls = spy_table_runner(monkeypatch)
+    assert cli.main(["table", "--table", "2", "--paths", "6", "--seed", "0"]) == 0
+    assert calls == [((2,), {"n_paths": 6, "seed": 0})]
+
+
+def test_figure_rejects_negative_paths(tmp_path):
+    out = tmp_path / "figure.csv"
+    assert cli.main(["figure", "--figure", "1", "--paths", "-2", "--out", str(out)]) == 1
+    assert not out.exists()

@@ -1,0 +1,100 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from rebalfreq import InputError, SimulationConfig, cli, load_config
+
+MODELS = {
+    "black_scholes": "  kind: black_scholes\n  mu: [0.08]\n  vol: [0.16]\n",
+    "kim_omberg": (
+        "  kind: kim_omberg\n  vol: [0.1428]\n  mean_reversion: 0.2712\n"
+        "  long_run_mean: 0.056\n  state_vol: 0.0368\n  state_correlation: -0.9351\n"
+    ),
+}
+REQUIRED_SIM = "  horizon: 1.0\n  dt: 0.004\n  n_paths: 8\n  epsilon: 0.01\n  gamma: 5.0\n"
+
+
+def write_config(tmp_path, kind="black_scholes", model_extra="", sim_extra=""):
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "model:\n" + MODELS[kind] + model_extra + "simulation:\n" + REQUIRED_SIM + sim_extra
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "kind, extra, key",
+    [
+        ("kim_omberg", "  mu: [0.08]\n", "model.mu"),
+        ("black_scholes", "  mean_reversion: 0.2712\n", "model.mean_reversion"),
+        ("black_scholes", "  cutoff_low: 0.0\n", "model.cutoff_low"),
+    ],
+)
+def test_model_key_the_kind_does_not_read_rejected(tmp_path, capsys, kind, extra, key):
+    path = write_config(tmp_path, kind, model_extra=extra)
+    with pytest.raises(InputError, match=key):
+        load_config(path)
+    assert cli.main(["validate", "--config", path]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_both_correlation_keys_rejected(tmp_path):
+    (tmp_path / "corr.csv").write_text("1.0\n")
+    extra = "  correlation: [[1.0]]\n  correlation_file: corr.csv\n"
+    with pytest.raises(InputError, match="not both"):
+        load_config(write_config(tmp_path, model_extra=extra))
+
+
+def test_model_keys_of_each_kind_accepted(tmp_path):
+    bs = load_config(write_config(tmp_path, "black_scholes", "  correlation: [[1.0]]\n"))
+    assert bs.model.p == 0
+    ko = load_config(write_config(tmp_path, "kim_omberg", "  cutoff_width: 0.005\n"))
+    assert ko.model.p == 1
+
+
+def test_omitted_simulation_keys_take_config_defaults(tmp_path):
+    sim = load_config(write_config(tmp_path)).simulation
+    expected = SimulationConfig(horizon=1.0, dt=0.004, n_paths=8, epsilon=0.01, gamma=5.0)
+    assert dataclasses.asdict(sim) == dataclasses.asdict(expected)
+
+
+def test_given_simulation_keys_read_with_their_types(tmp_path):
+    extra = "  y0: 0.05\n  seed: 3\n  antithetic: true\n  n_workers: 2\n  allow_flagged: true\n"
+    sim = load_config(write_config(tmp_path, "kim_omberg", sim_extra=extra)).simulation
+    assert (sim.seed, sim.antithetic, sim.n_workers, sim.allow_flagged) == (3, True, 2, True)
+    np.testing.assert_array_equal(sim.y0, [0.05])
+
+
+def test_unknown_simulation_key_rejected(tmp_path):
+    with pytest.raises(InputError, match=r"simulation\.block_size"):
+        load_config(write_config(tmp_path, sim_extra="  block_size: 64\n"))
+
+
+def test_missing_simulation_key_named(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("model:\n" + MODELS["black_scholes"] + "simulation:\n  horizon: 1.0\n")
+    with pytest.raises(InputError, match=r"simulation\.dt, simulation\.n_paths"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "kind, old, new",
+    [
+        ("black_scholes", "n_paths: 8", "n_paths: many"),
+        ("black_scholes", "gamma: 5.0", "gamma: [5.0, 6.0]"),
+        ("kim_omberg", "state_vol: 0.0368", "state_vol: high"),
+    ],
+)
+def test_wrongly_typed_value_rejected(tmp_path, kind, old, new):
+    path = write_config(tmp_path, kind)
+    text = open(path).read()
+    assert old in text
+    open(path, "w").write(text.replace(old, new))
+    with pytest.raises(InputError, match="invalid"):
+        load_config(path)
+
+
+def test_wrongly_typed_initial_state_rejected(tmp_path):
+    with pytest.raises(InputError, match="invalid"):
+        load_config(write_config(tmp_path, "kim_omberg", sim_extra="  y0: [a, b]\n"))

@@ -180,3 +180,10 @@ def test_expansion_check_quick(bs1d):
     assert abs(last["de_scaled"] - s["de_limit"]) / s["de_limit"] < 0.1
     # the cost constant is twice gamma/2 times the tracking constant
     assert s["tac_limit"] == pytest.approx(GAMMA * s["de_limit"], rel=1e-12)
+
+
+def test_expansion_check_rejects_runs_without_trades(bs1d):
+    # at exponent 1/2 the first trade falls after a one-year horizon
+    cfg = config(horizon=1.0, n_paths=64)
+    with pytest.raises(ParameterError, match="alpha=0.5"):
+        expansion_check(bs1d, GAMMA, cfg, alphas=[0.5], epsilons=[0.02, 0.01, 0.005])

@@ -570,6 +570,22 @@ def test_failed_paths_recorded_and_excluded():
     assert np.isfinite(rep.F_hat)
 
 
+def test_trade_that_takes_all_wealth_fails_the_path():
+    # 22x leverage: a rebalance after a fall costs more than the wealth left,
+    # so the path fails at that trade and records no negative wealth
+    model = BlackScholesModel(mu=[2.0], vol=[0.30])
+    cfg = SimulationConfig(
+        horizon=2.0, dt=1.0 / 250.0, n_paths=128, epsilon=0.01, gamma=1.0, seed=0
+    )
+    strat = time_based(DiscretizationRule(kind="constant", A=0.5), label="time")
+    out, rec = run_strategy(model, cfg, strat, record_paths=128)
+    assert out.failed.any()
+    assert np.all(rec.wealth["time"] >= 0.0)
+    dead = out.failed
+    assert np.all(rec.wealth["time"][dead, -1] == 0.0)
+    assert np.all(rec.weights["time"][dead, -1] == 0.0)
+
+
 def test_antithetic_estimate_consistent(bs1d):
     plain = small_config(n_paths=2048, antithetic=False)
     anti = small_config(n_paths=2048, antithetic=True)
