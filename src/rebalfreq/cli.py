@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .config import load_config
-from .errors import InputError, RebalfreqError
-from .evaluate import _fmt, figure_rows, rows_to_csv, run_table_cell, table_runner
+from .errors import InputError, ParameterError, RebalfreqError
+from .evaluate import _fmt, _run_config, figure_rows, rows_to_csv, run_table_cell, table_runner
 from .frequency import (
     _GRID_PATHS,
     _rate_grid,
@@ -116,20 +116,25 @@ def cmd_tc(args):
     return 0
 
 
-def _given_flags(args, min_paths=1):
+def _given_flags(args, base, min_paths=1):
     """The run flags given on the command line, as ``n_paths``, ``seed`` and
-    ``epsilon`` keyword arguments; flags not given are left out."""
+    ``epsilon`` keyword arguments; flags not given are left out. A value that
+    SimulationConfig rejects on ``base``, the config they override, is an input error."""
     names = {"paths": "n_paths", "seed": "seed", "epsilon": "epsilon"}
     kw = {key: getattr(args, flag, None) for flag, key in names.items()}
     kw = {key: value for key, value in kw.items() if value is not None}
     if kw.get("n_paths", min_paths) < min_paths:
         raise InputError(f"--paths must be at least {min_paths}, got {kw['n_paths']}")
+    try:  # figure's --paths 0 runs no paths, so base's count stands in for it
+        dataclasses.replace(base, **dict(kw, n_paths=kw.get("n_paths") or base.n_paths))
+    except ParameterError as exc:
+        raise InputError(f"invalid flag value: {exc}") from exc
     return kw
 
 
 def _apply_overrides(run, args):
     """Apply the given run flags to ``run.simulation`` and return it."""
-    run.simulation = dataclasses.replace(run.simulation, **_given_flags(args))
+    run.simulation = dataclasses.replace(run.simulation, **_given_flags(args, run.simulation))
     return run.simulation
 
 
@@ -168,7 +173,7 @@ def _dump_paths(run, records, path):
 
 
 def cmd_table(args):
-    reports = table_runner(args.table, **_given_flags(args))
+    reports = table_runner(args.table, **_given_flags(args, _run_config()))
     _emit(rows_to_csv(reports), args.out)
     return 0
 
@@ -176,7 +181,7 @@ def cmd_table(args):
 def cmd_figure(args):
     if args.figure != 1:
         raise InputError("only figure 1 is available")
-    rows = figure_rows(**_given_flags(args, min_paths=0))  # 0 paths: analytic
+    rows = figure_rows(**_given_flags(args, _run_config(), min_paths=0))  # 0 paths: analytic
     lines = ["rho,A_star_years,F_hat"]
     for r in rows:
         lines.append(f"{_fmt(r['rho'])},{_fmt(r['A_star_years'])},{_fmt(r['F_hat'])}")

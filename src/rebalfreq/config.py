@@ -58,6 +58,18 @@ class RunConfig:
     output: Optional[str]
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, except that a key repeated in one mapping is an error."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [k for k, _ in node.value if isinstance(k, yaml.ScalarNode)]
+        for i, k in enumerate(keys):
+            if any((k.tag, k.value) == (j.tag, j.value) for j in keys[:i]):
+                where = f"{k.start_mark.name} (line {k.start_mark.line + 1})"
+                raise InputError(f"repeated key {k.value!r} in {where}")
+        return super().construct_mapping(node, deep)
+
+
 def _reject_unknown(mapping, allowed, where):
     unknown = sorted(set(mapping).difference(allowed))
     if unknown:
@@ -74,13 +86,14 @@ def load_config(path):
     which owns the keys of each model kind. Each ``simulation`` key is read
     with its type from one table; the required keys and the defaults of the
     others are those of :class:`~rebalfreq.simulate.SimulationConfig`.
+    Integer and boolean keys take only integers and ``true``/``false``.
     Unknown keys, missing keys and values of the wrong type are
-    :class:`InputError`, unknown keys with their dotted location; YAML
-    syntax errors report the line number.
+    :class:`InputError`, with their dotted location; YAML syntax errors and
+    a key repeated in one mapping report the line number.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
     except FileNotFoundError as exc:
         raise InputError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
@@ -115,6 +128,10 @@ def load_config(path):
             + ", ".join(f"simulation.{k}" for k in missing)
         )
     try:
+        for key, value in sim_raw.items():
+            kind = _SIM_TYPES[key]
+            if kind in (int, bool) and type(value) is not kind:  # taken as is, never coerced
+                raise TypeError(f"simulation.{key} must be {kind.__name__}, got {value!r}")
         sim = SimulationConfig(**{k: _SIM_TYPES[k](v) for k, v in sim_raw.items()})
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid simulation settings: {exc}") from exc

@@ -293,8 +293,11 @@ def _bs2d(rho):
     )
 
 
-def _run_config(n_paths, seed, epsilon, horizon, n_workers, allow_flagged):
-    """Simulation settings of a table cell or figure point (antithetic draws)."""
+def _run_config(
+    n_paths=2, seed=_SEED, epsilon=_EPSILON, horizon=_HORIZON, n_workers=1, allow_flagged=True
+):
+    """Simulation settings of a table cell or figure point (antithetic draws);
+    without arguments, the ones the CLI checks table and figure flags on."""
     return SimulationConfig(
         horizon=horizon,
         dt=_DT,

@@ -125,11 +125,6 @@ def _rate_parts(st, gamma, allow_flagged):
     return _SQRT_2_PI * norm, 0.5 * gamma * quad
 
 
-def _a_star(model, gamma, y, allow_flagged=False):
-    n, d = rate_parts(model, gamma, y, allow_flagged)
-    return (n / d) ** (2.0 / 3.0)
-
-
 @dataclass(frozen=True)
 class _AdaptiveProfile:
     """Picklable callable ``y -> A*(y)`` (lets rules cross process boundaries)."""
@@ -139,7 +134,8 @@ class _AdaptiveProfile:
     allow_flagged: bool = False
 
     def __call__(self, y):
-        return _a_star(self.model, self.gamma, y, self.allow_flagged)
+        n, d = rate_parts(self.model, self.gamma, y, self.allow_flagged)
+        return (n / d) ** (2.0 / 3.0)
 
 
 def optimal_rule(model, gamma, allow_flagged=False):

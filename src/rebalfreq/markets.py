@@ -206,7 +206,7 @@ class Coefficients(NamedTuple):
 
 
 def _validate_correlation(corr, m):
-    corr = np.asarray(corr, dtype=float)
+    corr = np.eye(m) if corr is None else np.asarray(corr, dtype=float)
     if corr.shape != (m, m):
         raise ParameterError(f"correlation matrix must be {m}x{m}, got {corr.shape}")
     if not np.allclose(corr, corr.T, atol=1e-12):
@@ -242,8 +242,6 @@ class BlackScholesModel(MarketModel):
         self.m = len(mu)
         self.d = self.m
         self.p = 0
-        if correlation is None:
-            correlation = np.eye(self.m)
         self.correlation, chol = _validate_correlation(correlation, self.m)
         self._mu = mu
         self.vol = vol
@@ -332,8 +330,6 @@ class TruncatedKimOmbergModel(MarketModel):
         self.state_vol = float(state_vol)
         self.eta = float(state_correlation)
 
-        if correlation is None:
-            correlation = np.eye(self.m)
         self.correlation, chol = _validate_correlation(correlation, self.m)
         self.sigma_const = np.zeros((self.m, self.d))
         self.sigma_const[:, : self.m] = vol[:, None] * chol
@@ -361,15 +357,10 @@ class TruncatedKimOmbergModel(MarketModel):
                 if stat_sd > 0
                 else 0.05 * (np.max(np.atleast_1d(cutoff_high)) - np.min(np.atleast_1d(cutoff_low)))
             )
-        self.cutoff_low = np.broadcast_to(
-            np.asarray(cutoff_low, dtype=float), (self.m,)
-        ).copy()
-        self.cutoff_high = np.broadcast_to(
-            np.asarray(cutoff_high, dtype=float), (self.m,)
-        ).copy()
-        self.cutoff_width = np.broadcast_to(
-            np.asarray(cutoff_width, dtype=float), (self.m,)
-        ).copy()
+        self.cutoff_low, self.cutoff_high, self.cutoff_width = (
+            np.broadcast_to(np.asarray(v, dtype=float), (self.m,)).copy()
+            for v in (cutoff_low, cutoff_high, cutoff_width)
+        )
         for lo, hi, xi in zip(self.cutoff_low, self.cutoff_high, self.cutoff_width):
             if xi <= 0:
                 raise ParameterError("cutoff_width must be positive")
@@ -536,21 +527,6 @@ def jacobians(model, y):
     return dmu, dsig
 
 
-def _missing_matrix_error(path):
-    return InputError(
-        f"correlation matrix file not found: {path!r}; supply a CSV matrix "
-        "via model.correlation_file (comma-separated, one row per line)"
-    )
-
-
-def _load_correlation_file(path):
-    try:
-        corr = np.loadtxt(path, delimiter=",")
-    except OSError as exc:
-        raise _missing_matrix_error(path) from exc
-    return np.atleast_2d(corr)
-
-
 # Required and optional keys of each model kind, besides ``kind``; they are
 # the keyword arguments of the kind's class, with ``correlation_file`` read
 # into ``correlation``.
@@ -596,7 +572,11 @@ def model_from_config(cfg, base_dir=None):
         path = kwargs.pop("correlation_file")
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        if not os.path.exists(path):
-            raise _missing_matrix_error(path)
-        kwargs["correlation"] = _load_correlation_file(path)
+        try:
+            kwargs["correlation"] = np.atleast_2d(np.loadtxt(path, delimiter=","))
+        except OSError as exc:
+            raise InputError(
+                f"correlation matrix file not found: {path!r}; supply a CSV matrix "
+                "via model.correlation_file (comma-separated, one row per line)"
+            ) from exc
     return cls(**kwargs)

@@ -144,13 +144,14 @@ def _geometry(model, y, gamma, const):
         c = evaluate_coefficients(model, y)
         dmu, dsig = jacobians(model, y)
         mu, b, sigma, g, Sigma, Sigma_inv = c.mu, c.b, c.sigma, c.g, c.Sigma, c.Sigma_inv
+        a = Sigma_inv / gamma
     else:
         model.check_support(y)
         mu, dmu, b = model.fused_coeffs(y)
         _check_finite(mu)
         dsig = None
         sigma, g, Sigma, Sigma_inv = const
-    a = Sigma_inv / gamma
+        a = np.broadcast_to(Sigma_inv[:1] / gamma, Sigma_inv.shape)  # one division, not n
     # w* = (Sigma^{-1} / gamma) mu, and by the chain rule
     #   dw*/dy_j = (Sigma^{-1} / gamma) (dmu/dy_j - gamma (dSigma/dy_j) w*)
     w = np.einsum("nik,nk->ni", a, mu)

@@ -21,7 +21,7 @@ sign flip for antithetic pairs), so results are independent of how paths are
 chunked into blocks or spread across workers, and any single path can be
 reproduced bit-for-bit in isolation. Aggregation happens in fixed block
 order. Strategies of one run share the market draws, which sharpens their
-comparison, and one ledger of arrays stacked over (strategy, path).
+comparison, and one ledger of arrays stacked over (strategy, path), paths last.
 """
 
 from __future__ import annotations
@@ -349,9 +349,9 @@ def _state_step(model, g0, y, b, z, dt):
 def _log_returns(mu, sigma, z, dt):
     """Asset log increments over one step, coefficients at the left endpoint.
 
-    Contractions use fixed-order einsum loops (not BLAS) so results are
-    bitwise independent of batch size and identical between the engine
-    and the single-path API.
+    Contractions are two-operand, fixed-order einsum loops (not BLAS), so
+    results are bitwise independent of batch size and identical between the
+    engine and the single-path API.
     """
     rownorm2 = np.einsum("nmd,nmd->nm", sigma, sigma)
     return (mu - 0.5 * rownorm2) * dt + np.einsum("nmd,nd->nm", sigma, z) * np.sqrt(dt)
@@ -461,14 +461,29 @@ class PathRecords:
 # ---------------------------------------------------------------------------
 
 def _rows(a):
-    """Flat-row view ``(S * B, ...)`` of a C-contiguous stacked ledger array."""
-    return a.reshape((-1,) + a.shape[2:])
+    """Flat-row view ``(S * B,)`` of a C-contiguous ``(S, B)`` ledger array."""
+    return a.reshape(-1)
+
+
+def _quad_form(x, Sigma):
+    """``x' Sigma x`` for ``x`` ``(..., m, n)`` and ``Sigma`` ``(n, m, m)``, paths last.
+
+    Sums ``(x_i Sigma_ik) x_k`` in the ``(i, k)`` order of ``np.einsum("snm,nmk,snk->sn")``,
+    bit for bit, but keeps that order for one or two rows, where einsum's shifts at m = 2.
+    """
+    m = Sigma.shape[-1]
+    terms = (x[..., i, :] * Sigma[:, i, k] * x[..., k, :] for i in range(m) for k in range(m))
+    out = next(terms)  # x_0^2 Sigma_00 is never -0.0, so 0.0 + it is itself
+    for term in terms:
+        out += term
+    return out
 
 
 def _run_block(model, config, strategies, lo, hi, record_upto):
     """Paths ``lo .. hi - 1`` of all ``S`` strategies on shared draws, as stacked
-    ``(S, B)`` and ``(S, B, m)`` ledgers that trades index by flat row
-    ``strategy * B + path``; returns the ledgers, frictionless rates and records.
+    ``(S, B)`` and ``(S, m, B)`` ledgers, paths last so that ufuncs and asset sums
+    (bitwise as paths-first for ``m < 8``) run along contiguous memory; trades use
+    rows ``strategy * B + path``. Returns the ledgers, frictionless rates and records.
     """
     n_steps, m = config.n_steps, model.m
     dt, eps, gamma = config.dt, config.epsilon, config.gamma
@@ -487,12 +502,12 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     g0 = model.g(y[:1])[0] if model.constant_sigma else None
     cur = _geometry(model, y, gamma, const)
 
-    Vi = np.repeat(cur.w_star[None], S, axis=0)
-    V0, V = 1.0 - Vi.sum(axis=2), np.ones((S, B))
+    Vi = np.repeat(cur.w_star.T[None], S, axis=0)
+    V0, V = 1.0 - Vi.sum(axis=1), np.ones((S, B))
     rel, rel2, tac, de, f_post = (np.zeros((S, B)) for _ in range(5))
     n_trades = np.zeros((S, B), dtype=np.int64)
     failed = np.zeros((S, B), dtype=bool)
-    traded = np.ones((S, B, m), dtype=bool)  # band rows are set at each step
+    traded = np.ones((S, m, B), dtype=bool)  # band rows are set at each step
     next_t = np.full((S, B), np.inf)
     for k, rule in timed:
         next_t[k] = rule.waiting_time(y, eps)
@@ -500,12 +515,13 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
 
     rec = None
     if n_rec:
+        vi_rec = Vi[:, :, :n_rec].transpose(0, 2, 1)  # live view; records put paths before assets
         rec = {
             "growth": np.empty((n_rec, n_steps, m)),
             "wealth": np.ones((S, n_rec, n_steps + 1)),
-            "positions": np.repeat(Vi[:, :n_rec, None], n_steps + 1, axis=2),
-            "w_pre_min": Vi[:, :n_rec].copy(),
-            "w_pre_max": Vi[:, :n_rec].copy(),
+            "positions": np.repeat(vi_rec[:, :, None], n_steps + 1, axis=2),
+            "w_pre_min": vi_rec.copy(),
+            "w_pre_max": vi_rec.copy(),
             "trades": [[] for _ in strategies],
         }
 
@@ -519,29 +535,29 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
             cur = _geometry(model, y, gamma, const)
         fric_rate += 0.5 * (prev.f_rate + cur.f_rate) * dt
 
-        Vi *= growth
-        v_old, V = V, V0 + Vi.sum(axis=2)
+        Vi *= growth.T
+        v_old, V = V, V0 + Vi.sum(axis=1)
         dead = ~failed & (V <= 0.0)
         if dead.any():
             failed |= dead
-            V0[dead], Vi[dead], V[dead] = 0.0, 0.0, 0.0
+            V0[dead], Vi.transpose(0, 2, 1)[dead], V[dead] = 0.0, 0.0, 0.0
         active = ~failed
         x = np.divide(V, v_old, out=np.ones_like(V), where=v_old > 0) - 1.0
         rel += x
         rel2 += x * x
-        w_pre = np.divide(Vi, V[..., None], out=np.zeros_like(Vi), where=V[..., None] > 0)
-        err = cur.w_star - w_pre
-        f_pre = np.einsum("snm,nmk,snk->sn", err, cur.Sigma, err)
+        w_pre = np.divide(Vi, V[:, None], out=np.zeros_like(Vi), where=V[:, None] > 0)
+        err = cur.w_star.T - w_pre
+        f_pre = _quad_form(err, cur.Sigma)
         de += np.where(active, 0.5 * (f_post + f_pre) * dt, 0.0)
         f_post = np.where(active, f_pre, 0.0)
 
         # triggers: frictionless every step, time rules on schedule, bands on exit
         due = t1 >= next_t - 1e-9 * dt
         if band.any():
-            hw = _halfwidths(cur, gamma, eps) if eps > 0 else np.zeros((B, m))
+            hw = _halfwidths(cur, gamma, eps).T if eps > 0 else np.zeros((m, B))
             over = np.abs(err[band]) > hw * scale[band]
             traded[band] = over
-            due[band] |= over.any(axis=2)
+            due[band] |= over.any(axis=1)
         trig = active & (fric[:, None] | due & (t1 < config.horizon - 1e-9))
 
         flat = np.flatnonzero(trig)
@@ -550,8 +566,9 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
             u = cur.w_star[bi]
             if to_edge.any():  # trade back to the band edge
                 edge = np.flatnonzero(to_edge[si])
-                u[edge] -= np.sign(_rows(err)[flat[edge]]) * (hw[bi[edge]] * scale[si[edge], 0])
-            tm, w, row_rate = _rows(traded)[flat], _rows(w_pre)[flat], rate[flat]
+                se, be = si[edge], bi[edge]
+                u[edge] -= np.sign(err[se, :, be]) * (hw[:, be].T * scale[se, 0])
+            tm, w, row_rate = traded[si, :, bi], w_pre[si, :, bi], rate[flat]
             dl, sz = _rebalance_batch(w, u, row_rate, tm)
             cost = row_rate * sz
             keep = 1.0 - cost
@@ -561,15 +578,15 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
             _rows(rel2)[flat] += cost * cost
             _rows(tac)[flat] += cost
             _rows(n_trades)[flat] += 1
-            _rows(Vi)[flat] = w_post * v_new[:, None]
+            Vi[si, :, bi] = w_post * v_new[:, None]
             _rows(V0)[flat] = v_new * (1.0 - w_post.sum(axis=1))
             _rows(V)[flat] = v_new
             gap = cur.w_star[bi] - w_post
-            _rows(f_post)[flat] = np.einsum("nm,nmk,nk->n", gap, cur.Sigma[bi], gap)
+            _rows(f_post)[flat] = _quad_form(gap.T, cur.Sigma[bi])
             broke = flat[keep <= 0.0]  # the trade cost all the wealth: the path fails
             if broke.size:
                 _rows(failed)[broke] = True
-                _rows(V0)[broke], _rows(Vi)[broke], _rows(V)[broke] = 0.0, 0.0, 0.0
+                _rows(V0)[broke], Vi[broke // B, :, broke % B], _rows(V)[broke] = 0.0, 0.0, 0.0
             for k, rule in timed:
                 mine = si == k
                 if mine.any():
@@ -582,9 +599,10 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
         if n_rec:
             rec["growth"][:, step] = growth[:n_rec]
             rec["wealth"][:, :, step + 1] = V[:, :n_rec]
-            rec["positions"][:, :, step + 1] = Vi[:, :n_rec]
-            np.minimum(rec["w_pre_min"], w_pre[:, :n_rec], out=rec["w_pre_min"])
-            np.maximum(rec["w_pre_max"], w_pre[:, :n_rec], out=rec["w_pre_max"])
+            rec["positions"][:, :, step + 1] = vi_rec
+            w_rec = w_pre[:, :, :n_rec].transpose(0, 2, 1)
+            np.minimum(rec["w_pre_min"], w_rec, out=rec["w_pre_min"])
+            np.maximum(rec["w_pre_max"], w_rec, out=rec["w_pre_max"])
 
     return (rel, rel2, tac, de, n_trades, failed), fric_rate / config.horizon, rec
 

@@ -139,3 +139,25 @@ def test_figure_rejects_negative_paths(tmp_path):
     out = tmp_path / "figure.csv"
     assert cli.main(["figure", "--figure", "1", "--paths", "-2", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--table", "1", "--paths", "4", "--epsilon", "0.7"], "epsilon"),
+        (["table", "--table", "1", "--paths", "3"], "even n_paths"),
+        (["figure", "--figure", "1", "--seed", "-1"], "seed"),
+    ],
+)
+def test_table_flags_failing_config_checks_are_input_errors(monkeypatch, capsys, argv, message):
+    calls = spy_table_runner(monkeypatch)
+    monkeypatch.setattr(cli, "figure_rows", lambda **kw: calls.append(kw) or [])
+    assert cli.main(argv) == 1
+    assert calls == []
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["frequency", "simulate", "validate"])
+def test_config_flags_failing_config_checks_are_input_errors(tmp_path, capsys, command):
+    assert cli.main([command, "--config", ko1d_config(tmp_path), "--seed", "-1"]) == 1
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err

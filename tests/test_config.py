@@ -98,3 +98,32 @@ def test_wrongly_typed_value_rejected(tmp_path, kind, old, new):
 def test_wrongly_typed_initial_state_rejected(tmp_path):
     with pytest.raises(InputError, match="invalid"):
         load_config(write_config(tmp_path, "kim_omberg", sim_extra="  y0: [a, b]\n"))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "n_paths: 63.9",
+        "n_paths: true",
+        "seed: 7.0",
+        "n_workers: '2'",
+        'antithetic: "no"',
+        "antithetic: 1",
+        "allow_flagged: yes please",
+    ],
+)
+def test_integer_and_boolean_keys_not_coerced(tmp_path, line):
+    key = line.split(":")[0]
+    sim = REQUIRED_SIM if key != "n_paths" else REQUIRED_SIM.replace("  n_paths: 8\n", "")
+    path = tmp_path / "run.yaml"
+    path.write_text("model:\n" + MODELS["black_scholes"] + "simulation:\n" + sim + f"  {line}\n")
+    with pytest.raises(InputError, match=rf"simulation\.{key}"):
+        load_config(str(path))
+
+
+def test_repeated_key_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, "kim_omberg", model_extra="  mean_reversion: 5.0\n")
+    with pytest.raises(InputError, match=r"repeated key 'mean_reversion'.*line 8"):
+        load_config(path)
+    assert cli.main(["validate", "--config", path]) == 1
+    assert "mean_reversion" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from rebalfreq import (
     time_based,
 )
 from rebalfreq.frequency import DiscretizationRule
-from rebalfreq.simulate import StrategyOutcome, _rebalance_batch
+from rebalfreq.simulate import StrategyOutcome, _quad_form, _rebalance_batch
 
 from conftest import EPS, GAMMA, KO_PARAMS
 
@@ -224,6 +224,46 @@ def test_self_financing_reconciliation(which, bs1d, ko1d):
         recon = reconcile_wealth(model, cfg, records, label, w0)
         sim = records.wealth[label][:, -1]
         assert np.max(np.abs(recon - sim) / sim) < 1e-10
+
+
+@pytest.mark.parametrize("which", ["bs2d", "ko2d"])
+def test_self_financing_reconciliation_multi_asset(which, bs2d, ko2d):
+    model = bs2d(0.6) if which == "bs2d" else ko2d(0.6)
+    cfg = small_config(n_paths=64, allow_flagged=True)
+    strategies = [
+        time_based(optimal_rule(model, GAMMA, allow_flagged=True), label="time"),
+        pasted_move_based(),
+    ]
+    _, records = run_strategies(model, cfg, strategies, record_paths=64)
+    y0 = np.zeros(0) if model.p == 0 else np.array([model.long_run_mean])
+    w0 = merton_state(model, y0, GAMMA).w_star
+    for label in ("time", "pasted"):
+        assert records.trades[label]
+        recon = reconcile_wealth(model, cfg, records, label, w0)
+        sim = records.wealth[label][:, -1]
+        assert np.max(np.abs(recon - sim) / sim) < 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("per_path", [True, False])
+def test_quad_form_equals_einsum(m, per_path):
+    # einsum's own summation order shifts for one or two rows at m = 2, so
+    # the comparison runs on three rows and more
+    rng = np.random.default_rng(m)
+    for n, scale in [(3, 1e-8), (7, 1.0), (129, 1e-3), (2048, 10.0)]:
+        a = rng.standard_normal((n, m, m))
+        Sigma = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(m)
+        if not per_path:
+            Sigma = np.broadcast_to(Sigma[:1], Sigma.shape)
+        err = scale * rng.standard_normal((3, n, m))
+        got = _quad_form(err.transpose(0, 2, 1), Sigma)
+        np.testing.assert_array_equal(got, np.einsum("snm,nmk,snk->sn", err, Sigma, err))
+        gap = err[1]
+        got = _quad_form(gap.T, np.ascontiguousarray(Sigma))
+        np.testing.assert_array_equal(got, np.einsum("nm,nmk,nk->n", gap, Sigma, gap))
+        # a row's value does not depend on the rows beside it
+        one = [_quad_form(gap[j:j + 1].T, np.ascontiguousarray(Sigma[j:j + 1])) for j in range(3)]
+        np.testing.assert_array_equal(np.concatenate(one), got[:3])
 
 
 def test_post_trade_weights_exact(bs1d):
