@@ -86,7 +86,10 @@ def load_config(path):
     which owns the keys of each model kind. Each ``simulation`` key is read
     with its type from one table; the required keys and the defaults of the
     others are those of :class:`~rebalfreq.simulate.SimulationConfig`.
-    Integer and boolean keys take only integers and ``true``/``false``.
+    Integer and boolean keys take only integers and ``true``/``false``, and
+    float keys only numbers: ``horizon: 2`` reads as 2.0, but ``true``, a
+    quoted ``'0.01'`` and ``1e-2`` (a string in YAML 1.1; write ``1.0e-2``)
+    are rejected.
     Unknown keys, missing keys and values of the wrong type are
     :class:`InputError`, with their dotted location; YAML syntax errors and
     a key repeated in one mapping report the line number.
@@ -130,7 +133,8 @@ def load_config(path):
     try:
         for key, value in sim_raw.items():
             kind = _SIM_TYPES[key]
-            if kind in (int, bool) and type(value) is not kind:  # taken as is, never coerced
+            taken = {int: (int,), bool: (bool,), float: (int, float)}.get(kind)
+            if taken and type(value) not in taken:  # taken as is, never coerced
                 raise TypeError(f"simulation.{key} must be {kind.__name__}, got {value!r}")
         sim = SimulationConfig(**{k: _SIM_TYPES[k](v) for k, v in sim_raw.items()})
     except (TypeError, ValueError) as exc:

@@ -127,15 +127,22 @@ def _rate_parts(st, gamma, allow_flagged):
 
 @dataclass(frozen=True)
 class _AdaptiveProfile:
-    """Picklable callable ``y -> A*(y)`` (lets rules cross process boundaries)."""
+    """Picklable callable ``y -> A*(y)`` (lets rules cross process boundaries).
+
+    :meth:`of_state` reads ``A*`` off a :class:`~rebalfreq.merton.MertonState` of this model
+    and gamma, such as the engine's step geometry; it raises as :func:`rate_parts` does.
+    """
 
     model: object
     gamma: float
     allow_flagged: bool = False
 
-    def __call__(self, y):
-        n, d = rate_parts(self.model, self.gamma, y, self.allow_flagged)
+    def of_state(self, st):
+        n, d = _rate_parts(st, self.gamma, self.allow_flagged)
         return (n / d) ** (2.0 / 3.0)
+
+    def __call__(self, y):
+        return self.of_state(merton_state(self.model, y, self.gamma))
 
 
 def optimal_rule(model, gamma, allow_flagged=False):

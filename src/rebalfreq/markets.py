@@ -91,11 +91,13 @@ def _cutoff_fast(y, y_min, y_max, xi):
     """The map of :func:`smooth_cutoff` on a float array, without its checks.
 
     Starts from the identity and patches only the off-interior subsets, so
-    the common case (state well inside the bands) costs a copy plus masks.
-    Parameter validation is the caller's job.
+    the common case (state well inside the bands) costs a copy, and no
+    masks when every state is. Parameter validation is the caller's job.
     """
     value = y.copy()
     deriv = np.ones_like(y)
+    if y.size and y.min() >= y_min + xi and y.max() <= y_max - xi:
+        return value, deriv
     below = y <= y_min
     if below.any():
         value[below] = y_min + 0.5 * xi
@@ -376,16 +378,15 @@ class TruncatedKimOmbergModel(MarketModel):
         return True
 
     def _cutoffs(self, y):
-        """Per-asset (value, derivative) of the truncated state, batched."""
-        vals = np.empty((len(y), self.m))
-        ders = np.empty((len(y), self.m))
-        for i in range(self.m):
-            v, s = _cutoff_fast(
-                y[:, 0], self.cutoff_low[i], self.cutoff_high[i], self.cutoff_width[i]
-            )
-            vals[:, i] = v
-            ders[:, i] = s
-        return vals, ders
+        """Per-asset (value, derivative) of the truncated state: ``(n, m)`` views
+        of arrays with the states last. Assets with the same bands share one
+        evaluation."""
+        vals, ders = np.empty((self.m, len(y))), np.empty((self.m, len(y)))
+        first = {}
+        for i, band in enumerate(zip(self.cutoff_low, self.cutoff_high, self.cutoff_width)):
+            j = first.setdefault(band, i)
+            vals[i], ders[i] = (vals[j], ders[j]) if j < i else _cutoff_fast(y[:, 0], *band)
+        return vals.T, ders.T
 
     def fused_coeffs(self, y):
         """One-sweep evaluation of ``(mu, dmu/dy, b)`` for the hot loop.

@@ -18,6 +18,7 @@ All of these are formed in one function, ``_geometry``, which both
 :func:`merton_state` and the simulation engine call. For a ``constant_sigma``
 model it takes ``sigma``, ``g``, ``Sigma`` and ``Sigma^{-1}`` formed at one
 state: :func:`merton_state` forms them per call, the engine per path block.
+Sums over the small axes run in one fixed order (:func:`_fixed_sum`).
 """
 
 from __future__ import annotations
@@ -45,6 +46,29 @@ __all__ = [
 
 class AssumptionWarning(UserWarning):
     """Raised (as a warning) when target weights short or leverage."""
+
+
+def _fixed_sum(terms, lanes=1):
+    """Sum ``terms`` (new arrays, summed into) in einsum's order, whatever the layout.
+
+    Lane ``j`` adds every ``lanes``-th term from the ``j``-th, then the lanes are added:
+    ``lanes=2`` is numpy's two-lane (x86-64-v2) loop over an innermost summed axis, ``lanes=1``
+    its loop over an outer one. A sum of -0.0 terms stays -0.0, where einsum's is +0.0.
+    """
+    acc = []
+    for j, term in enumerate(terms):
+        if j < lanes:
+            acc.append(term)
+        else:
+            acc[j % lanes] += term
+    for part in acc[1:]:
+        acc[0] += part
+    return acc[0]
+
+
+def _last(x):
+    """``x`` ``(n, ...)`` states last, or one ``(..., 1)`` column if broadcast over states."""
+    return x[0][..., None] if x.strides[0] == 0 and x.size else x.transpose(*range(1, x.ndim), 0)
 
 
 def l21_norm(a):
@@ -93,9 +117,11 @@ class MertonState:
         total = w.sum(axis=-1)
         return np.all((w >= 0.0) & (w < 1.0), axis=-1) & (total > 0.0) & (total <= 1.0)
 
-    @property
-    def beta_l21(self):
-        return l21_norm(self.beta)
+    def rows(self, idx):
+        """The states ``idx`` of a batch: an index array, or an int for one state."""
+        return MertonState(
+            **{k: v if k == "gamma" or v is None else v[idx] for k, v in vars(self).items()}
+        )
 
 
 def merton_state(model, y, gamma):
@@ -109,9 +135,7 @@ def merton_state(model, y, gamma):
         raise ParameterError(f"risk aversion must be positive, got gamma={gamma}")
     batch, batched = _as_batch(y, model.p)
     st = _geometry(model, batch, gamma, _constant_block(model, batch))
-    if batched:
-        return st
-    return MertonState(**{k: v if k == "gamma" else v[0] for k, v in vars(st).items()})
+    return st if batched else st.rows(0)
 
 
 def _constant_block(model, y):
@@ -128,7 +152,7 @@ def _constant_block(model, y):
     )
 
 
-def _geometry(model, y, gamma, const):
+def _geometry(model, y, gamma, const, with_beta=True):
     """The :class:`MertonState` at the states ``y`` ``(n, p)``: the one formula.
 
     ``const`` is :func:`_constant_block` of the model at these ``n``
@@ -136,35 +160,45 @@ def _geometry(model, y, gamma, const):
     evaluated per state, in one ``fused_coeffs`` sweep, and Sigma has no
     Jacobian; otherwise every coefficient is evaluated and Sigma inverted
     at each state. The support and finiteness checks run at every state
-    either way. Contractions are fixed-order einsum loops, so a state's
-    result depends neither on the batch it sits in nor on which of the two
-    ways it was evaluated.
+    either way. Both share one formula, summed in einsum's order with the
+    states last and a constant read as one column, so a state's result
+    depends neither on its batch nor on the way it was evaluated. Fields are
+    views of states-last arrays; ``with_beta=False`` leaves ``sigma_tilde``
+    and ``beta`` out (``None``).
     """
+    m = model.m
     if const is None:
         c = evaluate_coefficients(model, y)
         dmu, dsig = jacobians(model, y)
         mu, b, sigma, g, Sigma, Sigma_inv = c.mu, c.b, c.sigma, c.g, c.Sigma, c.Sigma_inv
-        a = Sigma_inv / gamma
     else:
         model.check_support(y)
         mu, dmu, b = model.fused_coeffs(y)
         _check_finite(mu)
         dsig = None
         sigma, g, Sigma, Sigma_inv = const
-        a = np.broadcast_to(Sigma_inv[:1] / gamma, Sigma_inv.shape)  # one division, not n
+    a, mu_, sig = _last(Sigma_inv) / gamma, _last(mu), _last(sigma)  # last axis n or 1
     # w* = (Sigma^{-1} / gamma) mu, and by the chain rule
     #   dw*/dy_j = (Sigma^{-1} / gamma) (dmu/dy_j - gamma (dSigma/dy_j) w*)
-    w = np.einsum("nik,nk->ni", a, mu)
-    if dsig is not None:
-        dmu = dmu - gamma * np.einsum("nklp,nl->nkp", dsig, w)
-    dw = np.einsum("nik,nkp->nip", a, dmu)
-    sigma_tilde = np.einsum("nip,npd->nid", dw, g)
-
-    sbar = np.einsum("nm,nmd->nd", w, sigma)
-    beta = sigma_tilde - w[:, :, None] * (sigma - sbar[:, None, :])
-    f_rate = 0.5 * np.einsum("nm,nm->n", mu, w)
+    w = _fixed_sum((a[:, k] * mu_[k] for k in range(m)), 2)
+    f_rate = 0.5 * _fixed_sum((mu_[k] * w[k] for k in range(m)), 2)
+    sigma_tilde = beta = None
+    if with_beta:
+        dmu = _last(dmu)
+        if dsig is not None:
+            dsig = _last(dsig)
+            dmu = dmu - gamma * _fixed_sum((dsig[:, k] * w[k] for k in range(m)), 2)
+        if model.p:
+            dw, g = _fixed_sum((a[:, k, None] * dmu[k] for k in range(m)), 2), _last(g)
+            st = _fixed_sum(dw[:, j, None] * g[j] for j in range(model.p))
+        else:
+            st = np.zeros(sig.shape[:2] + w.shape[1:])
+        beta = sig - _fixed_sum(w[k] * sig[k] for k in range(m))  # then in place, so a large
+        beta *= w[:, None]  # state grid has no temporary beyond beta itself
+        beta = np.subtract(st, beta, out=beta)
+        sigma_tilde, beta = st.transpose(2, 0, 1), beta.transpose(2, 0, 1)
     return MertonState(
-        y=y, gamma=gamma, w_star=w, Sigma=Sigma, Sigma_inv=Sigma_inv,
+        y=y, gamma=gamma, w_star=w.T, Sigma=Sigma, Sigma_inv=Sigma_inv,
         sigma_tilde=sigma_tilde, beta=beta, f_rate=f_rate, mu=mu, sigma=sigma, b=b,
     )
 

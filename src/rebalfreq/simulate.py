@@ -29,14 +29,15 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 from typing import Optional
 
 import numpy as np
 
 from .errors import AssumptionError, ConvergenceError, DomainError, ParameterError
-from .frequency import DiscretizationRule
-from .markets import _check_finite
-from .merton import _constant_block, _geometry, merton_state
+from .frequency import DiscretizationRule, _AdaptiveProfile
+from .markets import _as_batch, _check_finite
+from .merton import _constant_block, _fixed_sum, _geometry, _last, merton_state
 
 __all__ = [
     "SimulationConfig",
@@ -158,10 +159,12 @@ def frictionless_benchmark(label="frictionless_sim"):
 def _halfwidths(st, gamma, epsilon):
     """Per-asset band half-widths ``(1.5 eps |beta^i|^2 / (gamma Sigma_ii))^(1/3)``.
 
-    ``st`` is the :class:`~rebalfreq.merton.MertonState` at the states.
+    ``st`` is the :class:`~rebalfreq.merton.MertonState` at ``n`` states; the
+    widths are ``(m, n)``, with one diagonal of a constant covariance.
     """
-    row2 = np.sum(st.beta * st.beta, axis=-1)
-    diag = np.diagonal(st.Sigma, axis1=-2, axis2=-1)
+    beta = _last(st.beta)
+    row2 = _fixed_sum(beta[:, j] * beta[:, j] for j in range(beta.shape[1]))
+    diag = np.diagonal(_last(st.Sigma)).T
     return (1.5 * epsilon / gamma * row2 / diag) ** (1.0 / 3.0)
 
 
@@ -186,12 +189,13 @@ def pasted_halfwidths(model, y, gamma, epsilon, allow_flagged=False):
     """
     if epsilon <= 0:
         raise ParameterError("cost rate must be positive")
-    st = merton_state(model, y, gamma)
+    batch, batched = _as_batch(y, model.p)
+    st = merton_state(model, batch, gamma)
     if not allow_flagged and not np.all(st.assumption_ok):
         raise AssumptionError(
             "target weights short or leverage; pass allow_flagged=True to proceed"
         )
-    return _halfwidths(st, gamma, epsilon)
+    return _halfwidths(st, gamma, epsilon).T[... if batched else 0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +304,11 @@ class _BlockNormals:
         return buf
 
     def step(self, n_left):
-        """Normals for the next time step, shape ``(B, d)``."""
+        """Normals for the next time step, paths last: a contiguous ``(d, B)``."""
         if self._buf is None or self._pos >= self._buf.shape[1]:
             self._buf = self.draw(min(self.chunk, n_left))
             self._pos = 0
-        z = self._buf[:, self._pos, :]
+        z = np.ascontiguousarray(self._buf[:, self._pos, :].T)
         self._pos += 1
         return z
 
@@ -326,6 +330,8 @@ def _reflect(y, support):
     if support is None:
         return y
     lo, hi = support[:, 0], support[:, 1]
+    if np.all(y.min(axis=0) >= lo) and np.all(y.max(axis=0) <= hi):
+        return y
     y = np.where(y < lo, 2.0 * lo - y, y)
     y = np.where(y > hi, 2.0 * hi - y, y)
     if np.any(y < lo) or np.any(y > hi):
@@ -334,33 +340,32 @@ def _reflect(y, support):
 
 
 def _state_step(model, g0, y, b, z, dt):
-    """One Euler step of the state with drift ``b``, reflected at the support.
+    """One Euler step of the states ``y`` with drift ``b`` and draws ``z`` ``(d, n)``, reflected.
 
     ``g0`` is the state diffusion of a constant-covariance model, whose ``g``
     is constant too; with ``None`` it is evaluated at ``y``.
     """
-    if g0 is not None:
-        shock = np.einsum("nd,pd->np", z, g0)
-    else:
-        shock = np.einsum("npd,nd->np", model.g(y), z)
-    return _reflect(y + b * dt + shock * np.sqrt(dt), model.support)
+    g = _last(model.g(y)) if g0 is None else g0[..., None]
+    shock = _fixed_sum((g[:, j] * z[j] for j in range(len(z))), 2)
+    return _reflect(y + b * dt + shock.T * np.sqrt(dt), model.support)
 
 
 def _log_returns(mu, sigma, z, dt):
-    """Asset log increments over one step, coefficients at the left endpoint.
+    """Asset log increments ``(m, n)`` over one step, coefficients at the left endpoint.
 
-    Contractions are two-operand, fixed-order einsum loops (not BLAS), so
-    results are bitwise independent of batch size and identical between the
-    engine and the single-path API.
+    Paths last (``sigma`` may be a constant ``(m, d, 1)``); sums run in einsum's fixed order,
+    so results are bitwise independent of batch size and equal in the engine and the
+    single-path API.
     """
-    rownorm2 = np.einsum("nmd,nmd->nm", sigma, sigma)
-    return (mu - 0.5 * rownorm2) * dt + np.einsum("nmd,nd->nm", sigma, z) * np.sqrt(dt)
+    rownorm2 = _fixed_sum((sigma[:, j] * sigma[:, j] for j in range(len(z))), 2)
+    shock = _fixed_sum((sigma[:, j] * z[j] for j in range(len(z))), 2)
+    return (mu - 0.5 * rownorm2) * dt + shock * np.sqrt(dt)
 
 
 def _state_paths(model, y0, normals, dt, out):
     """Fill ``out`` ``(B, n_steps + 1, p)`` with state paths started at ``y0``.
 
-    ``normals`` yields the ``(B, d)`` increments of one step at a time.
+    ``normals`` yields the ``(d, B)`` increments of one step at a time.
     """
     y = np.tile(y0, (len(out), 1))
     out[:, 0] = y
@@ -405,12 +410,12 @@ def simulate_market_path(model, config, path_index):
     source = _BlockNormals(config.seed, path_index, path_index + 1, model.d, config.antithetic)
     z = source.draw(n_steps)
     states = np.empty((1, n_steps + 1, model.p))
-    _state_paths(model, y0, np.swapaxes(z, 0, 1), config.dt, states)
+    _state_paths(model, y0, z[0, :, :, None], config.dt, states)
     left = states[0, :-1]
     model.check_support(left)
     mu, sigma = model.mu(left), model.sigma(left)
     _check_finite(mu, sigma)
-    return times, states[0], _log_returns(mu, sigma, z[0], config.dt)
+    return times, states[0], _log_returns(_last(mu), _last(sigma), z[0].T, config.dt).T
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +476,8 @@ def _quad_form(x, Sigma):
     Sums ``(x_i Sigma_ik) x_k`` in the ``(i, k)`` order of ``np.einsum("snm,nmk,snk->sn")``,
     bit for bit, but keeps that order for one or two rows, where einsum's shifts at m = 2.
     """
-    m = Sigma.shape[-1]
-    terms = (x[..., i, :] * Sigma[:, i, k] * x[..., k, :] for i in range(m) for k in range(m))
-    out = next(terms)  # x_0^2 Sigma_00 is never -0.0, so 0.0 + it is itself
-    for term in terms:
-        out += term
-    return out
+    S, ik = _last(Sigma), product(range(Sigma.shape[-1]), repeat=2)
+    return _fixed_sum(x[..., i, :] * S[i, k] * x[..., k, :] for i, k in ik)
 
 
 def _run_block(model, config, strategies, lo, hi, record_upto):
@@ -495,13 +496,28 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     scale = np.array([s.halfwidth_scale for s in strategies])[:, None, None]
     rate = np.repeat(np.where(fric, 0.0, eps), B)
     timed = [(k, s.rule) for k, s in enumerate(strategies) if s.kind == "time"]
+    # time rules whose A* is read off the step's geometry; beta is formed only if read
+    profiled = {k for k, r in timed if isinstance(r.A, _AdaptiveProfile)
+                and r.A.model is model and r.A.gamma == gamma}
+    with_beta = band.any() or bool(profiled)
 
     source = _BlockNormals(config.seed, lo, hi, model.d, config.antithetic)
     y = np.tile(_default_y0(model, config.y0), (B, 1))
     const = _constant_block(model, y)
     g0 = model.g(y[:1])[0] if model.constant_sigma else None
-    cur = _geometry(model, y, gamma, const)
 
+    def market(y):
+        """The geometry at ``y``, and the ``(m, B)`` band half-widths if a band reads them."""
+        st = _geometry(model, y, gamma, const, with_beta)
+        return st, _halfwidths(st, gamma, eps) if band.any() and eps > 0 else np.zeros((m, B))
+
+    def waits(k, rule, rows):
+        """Waiting times of time rule ``k`` after trades on the paths ``rows``."""
+        if k in profiled:
+            return eps**rule.alpha * rule.A.of_state(cur.rows(rows))
+        return rule.waiting_time(y[rows], eps)
+
+    cur, hw = market(y)
     Vi = np.repeat(cur.w_star.T[None], S, axis=0)
     V0, V = 1.0 - Vi.sum(axis=1), np.ones((S, B))
     rel, rel2, tac, de, f_post = (np.zeros((S, B)) for _ in range(5))
@@ -510,7 +526,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     traded = np.ones((S, m, B), dtype=bool)  # band rows are set at each step
     next_t = np.full((S, B), np.inf)
     for k, rule in timed:
-        next_t[k] = rule.waiting_time(y, eps)
+        next_t[k] = waits(k, rule, slice(None))
     fric_rate = np.zeros(B)
 
     rec = None
@@ -528,14 +544,14 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     for step in range(n_steps):
         z = source.step(n_steps - step)
         t1 = (step + 1) * dt
-        growth = np.exp(_log_returns(cur.mu, cur.sigma, z, dt))
+        growth = np.exp(_log_returns(_last(cur.mu), _last(cur.sigma), z, dt))
         prev = cur
         if model.p:  # else the state never moves
             y = _state_step(model, g0, y, cur.b, z, dt)
-            cur = _geometry(model, y, gamma, const)
+            cur, hw = market(y)
         fric_rate += 0.5 * (prev.f_rate + cur.f_rate) * dt
 
-        Vi *= growth.T
+        Vi *= growth
         v_old, V = V, V0 + Vi.sum(axis=1)
         dead = ~failed & (V <= 0.0)
         if dead.any():
@@ -546,7 +562,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
         rel += x
         rel2 += x * x
         w_pre = np.divide(Vi, V[:, None], out=np.zeros_like(Vi), where=V[:, None] > 0)
-        err = cur.w_star.T - w_pre
+        err = _last(cur.w_star) - w_pre
         f_pre = _quad_form(err, cur.Sigma)
         de += np.where(active, 0.5 * (f_post + f_pre) * dt, 0.0)
         f_post = np.where(active, f_pre, 0.0)
@@ -554,7 +570,6 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
         # triggers: frictionless every step, time rules on schedule, bands on exit
         due = t1 >= next_t - 1e-9 * dt
         if band.any():
-            hw = _halfwidths(cur, gamma, eps).T if eps > 0 else np.zeros((m, B))
             over = np.abs(err[band]) > hw * scale[band]
             traded[band] = over
             due[band] |= over.any(axis=1)
@@ -590,14 +605,13 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
             for k, rule in timed:
                 mine = si == k
                 if mine.any():
-                    wait = rule.waiting_time(y[bi[mine]], eps)
-                    _rows(next_t)[flat[mine]] += np.maximum(wait, 0.0)
+                    _rows(next_t)[flat[mine]] += np.maximum(waits(k, rule, bi[mine]), 0.0)
             if n_rec:
                 for j in np.flatnonzero(bi < n_rec):
                     trade = (step + 1, lo + int(bi[j]), dl[j].copy(), float(sz[j]))
                     rec["trades"][si[j]].append(trade)
         if n_rec:
-            rec["growth"][:, step] = growth[:n_rec]
+            rec["growth"][:, step] = growth[:, :n_rec].T
             rec["wealth"][:, :, step + 1] = V[:, :n_rec]
             rec["positions"][:, :, step + 1] = vi_rec
             w_rec = w_pre[:, :, :n_rec].transpose(0, 2, 1)

@@ -121,6 +121,27 @@ def test_integer_and_boolean_keys_not_coerced(tmp_path, line):
         load_config(str(path))
 
 
+@pytest.mark.parametrize(
+    "line", ["horizon: true", "epsilon: '0.01'", 'gamma: "5"', "dt: false", "epsilon: 1e-2"]
+)
+def test_float_keys_not_coerced(tmp_path, line):
+    key = line.split(":")[0]
+    sim = "".join(f"{s}\n" for s in REQUIRED_SIM.splitlines() if not s.startswith(f"  {key}:"))
+    path = tmp_path / "run.yaml"
+    path.write_text("model:\n" + MODELS["black_scholes"] + "simulation:\n" + sim + f"  {line}\n")
+    with pytest.raises(InputError, match=rf"simulation\.{key}"):
+        load_config(str(path))
+
+
+def test_float_keys_take_integers(tmp_path):
+    path = tmp_path / "run.yaml"
+    sim = "  horizon: 2\n  dt: 0.004\n  n_paths: 8\n  epsilon: 1.0e-2\n  gamma: 5\n"
+    path.write_text("model:\n" + MODELS["black_scholes"] + "simulation:\n" + sim)
+    got = load_config(str(path)).simulation
+    assert (got.horizon, got.epsilon, got.gamma) == (2.0, 0.01, 5.0)
+    assert all(type(v) is float for v in (got.horizon, got.epsilon, got.gamma))
+
+
 def test_repeated_key_rejected(tmp_path, capsys):
     path = write_config(tmp_path, "kim_omberg", model_extra="  mean_reversion: 5.0\n")
     with pytest.raises(InputError, match=r"repeated key 'mean_reversion'.*line 8"):

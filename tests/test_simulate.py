@@ -30,7 +30,15 @@ from rebalfreq import (
     time_based,
 )
 from rebalfreq.frequency import DiscretizationRule
-from rebalfreq.simulate import StrategyOutcome, _quad_form, _rebalance_batch
+from rebalfreq.markets import evaluate_coefficients, jacobians
+from rebalfreq.merton import _constant_block, _geometry, _last
+from rebalfreq.simulate import (
+    StrategyOutcome,
+    _halfwidths,
+    _log_returns,
+    _quad_form,
+    _rebalance_batch,
+)
 
 from conftest import EPS, GAMMA, KO_PARAMS
 
@@ -264,6 +272,124 @@ def test_quad_form_equals_einsum(m, per_path):
         # a row's value does not depend on the rows beside it
         one = [_quad_form(gap[j:j + 1].T, np.ascontiguousarray(Sigma[j:j + 1])) for j in range(3)]
         np.testing.assert_array_equal(np.concatenate(one), got[:3])
+
+
+def _geometry_models():
+    """Models with m = 1..4 assets and p = 0 and 1, each with a constant covariance
+    and declared per-state (so that Sigma and its Jacobian are evaluated at every state)."""
+
+    class PerStateBS(BlackScholesModel):
+        constant_sigma = property(lambda self: False)
+
+    class PerStateKO(TruncatedKimOmbergModel):
+        constant_sigma = property(lambda self: False)
+
+    for m in (1, 2, 3, 4):
+        corr = 0.4 ** np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        vol = np.linspace(0.12, 0.2, m)
+        # from three assets on, some assets share their cutoff bands and some do not
+        bands = {} if m < 3 else dict(cutoff_low=-0.1, cutoff_high=0.2,
+                                      cutoff_width=[0.02, 0.04, 0.02, 0.03][:m])
+        for bs, ko in ((BlackScholesModel, TruncatedKimOmbergModel), (PerStateBS, PerStateKO)):
+            yield bs(mu=np.linspace(0.05, 0.09, m), vol=vol, correlation=corr)
+            yield ko(vol=vol, correlation=corr, **bands, **KO_PARAMS)
+
+
+def _einsum_market(model, y, z, const, dt=0.004):
+    """The einsum forms of ``_geometry``, ``_log_returns`` and ``_halfwidths``, kept as
+    the oracle: ``(w*, sigma_tilde, beta, f_rate, log returns, half-widths)``, paths first."""
+    if const is None:
+        c = evaluate_coefficients(model, y)
+        dmu, dsig = jacobians(model, y)
+        mu, sigma, g, Sigma, a = c.mu, c.sigma, c.g, c.Sigma, c.Sigma_inv / GAMMA
+    else:
+        mu, dmu, _ = model.fused_coeffs(y)
+        dsig = None
+        sigma, g, Sigma, Sigma_inv = const
+        a = np.broadcast_to(Sigma_inv[:1] / GAMMA, Sigma_inv.shape)
+    # einsum's loop order follows the layout: read mu and its Jacobian paths first
+    mu, dmu = np.ascontiguousarray(mu), np.ascontiguousarray(dmu)
+    w = np.einsum("nik,nk->ni", a, mu)
+    if dsig is not None:
+        dmu = dmu - GAMMA * np.einsum("nklp,nl->nkp", dsig, w)
+    dw = np.einsum("nik,nkp->nip", a, dmu)
+    sigma_tilde = np.einsum("nip,npd->nid", dw, g)
+    sbar = np.einsum("nm,nmd->nd", w, sigma)
+    beta = sigma_tilde - w[:, :, None] * (sigma - sbar[:, None, :])
+    f_rate = 0.5 * np.einsum("nm,nm->n", mu, w)
+    rownorm2 = np.einsum("nmd,nmd->nm", sigma, sigma)
+    logret = (mu - 0.5 * rownorm2) * dt + np.einsum("nmd,nd->nm", sigma, z) * np.sqrt(dt)
+    diag = np.diagonal(Sigma, axis1=-2, axis2=-1)
+    hw = (1.5 * EPS / GAMMA * np.sum(beta * beta, axis=-1) / diag) ** (1.0 / 3.0)
+    return w, sigma_tilde, beta, f_rate, logret, hw
+
+
+def _fixed_order_market(model, y, z, dt=0.004):
+    """What ``_einsum_market`` returns, from the engine's functions at the states ``y``."""
+    st = _geometry(model, y, GAMMA, _constant_block(model, y))
+    logret = _log_returns(_last(st.mu), _last(st.sigma), np.ascontiguousarray(z.T), dt)
+    return st.w_star, st.sigma_tilde, st.beta, st.f_rate, logret.T, _halfwidths(st, GAMMA, EPS).T
+
+
+def test_geometry_equals_einsum_reference():
+    # einsum's own loop order shifts for one or two rows at m >= 3, so each batch is
+    # held to the einsum forms' values in the full batch of 2048 states
+    rng = np.random.default_rng(5)
+    n = 2048
+    for model in _geometry_models():
+        y = np.zeros((n, 0)) if model.p == 0 else rng.normal(0.056, 0.1, (n, 1))
+        z = rng.standard_normal((n, 3, model.d))[:, 1, :]  # a step of the draw buffer
+        ref = _einsum_market(model, y, z, _constant_block(model, y))
+        for lo, hi in ((0, 1), (0, 2), (0, 3), (0, 17), (0, n), (5, 6), (n - 1, n)):
+            got = _fixed_order_market(model, y[lo:hi], z[lo:hi])
+            for g, r in zip(got, ref):
+                np.testing.assert_array_equal(g, r[lo:hi])
+        lean = _geometry(model, y, GAMMA, _constant_block(model, y), with_beta=False)
+        assert lean.beta is None
+        np.testing.assert_array_equal(lean.w_star, ref[0])
+        np.testing.assert_array_equal(lean.f_rate, ref[3])
+
+
+@dataclasses.dataclass(frozen=True)
+class _Wrapped:
+    """A rule value that is not an ``_AdaptiveProfile``: the engine calls it on states."""
+
+    profile: object
+
+    def __call__(self, y):
+        return self.profile(y)
+
+
+def test_adaptive_waits_from_step_geometry(ko1d, ko2d):
+    for model in (ko1d, ko2d(0.6)):
+        cfg = small_config(horizon=2.0, n_paths=64)
+        rule = optimal_rule(model, GAMMA, allow_flagged=True)
+        band = move_based() if model.m == 1 else pasted_move_based()
+        runs = []
+        for r in (rule, DiscretizationRule("adaptive", _Wrapped(rule.A))):
+            strategies = [time_based(r, label="time"), band, buy_and_hold()]
+            runs.append(run_strategies(model, cfg, strategies, record_paths=16))
+        (a, rec_a), (b, rec_b) = runs
+        assert rec_a.trades["time"]
+        for label in a:
+            for f in ("rel_sum", "rel_sq_sum", "tac", "de", "n_trades", "failed"):
+                np.testing.assert_array_equal(getattr(a[label], f), getattr(b[label], f))
+            np.testing.assert_array_equal(rec_a.wealth[label], rec_b.wealth[label])
+            np.testing.assert_array_equal(rec_a.weights[label], rec_b.weights[label])
+            assert len(rec_a.trades[label]) == len(rec_b.trades[label])
+            for ta, tb in zip(rec_a.trades[label], rec_b.trades[label]):
+                assert ta[:2] == tb[:2] and ta[3] == tb[3]
+                np.testing.assert_array_equal(ta[2], tb[2])
+    # without allow_flagged the rule raises at a flagged state it trades at, not at
+    # the flagged states it passes: from y0 = 0.095 (w* = 0.93) the first wait is
+    # about 0.56 years, and most paths leave the (0, 1) box before then
+    cfg = small_config(horizon=0.5, n_paths=64, y0=np.array([0.095]))
+    strategies = [time_based(optimal_rule(ko1d, GAMMA), label="time"), move_based()]
+    run_strategies(ko1d, cfg, strategies)
+    _, grid = simulate_state_grid(ko1d, cfg.horizon, cfg.dt, cfg.n_paths, cfg.y0, cfg.seed)
+    assert not merton_state(ko1d, grid.reshape(-1, 1), GAMMA).assumption_ok.all()
+    with pytest.raises(AssumptionError):
+        run_strategies(ko1d, dataclasses.replace(cfg, horizon=2.0), strategies)
 
 
 def test_post_trade_weights_exact(bs1d):
