@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rebalfreq import (
     AssumptionError,
     BlackScholesModel,
+    DomainError,
     MarketModel,
     ParameterError,
     SimulationConfig,
@@ -38,6 +39,7 @@ from rebalfreq.simulate import (
     _log_returns,
     _quad_form,
     _rebalance_batch,
+    _reflect,
 )
 
 from conftest import EPS, GAMMA, KO_PARAMS
@@ -348,6 +350,16 @@ def test_geometry_equals_einsum_reference():
         assert lean.beta is None
         np.testing.assert_array_equal(lean.w_star, ref[0])
         np.testing.assert_array_equal(lean.f_rate, ref[3])
+
+
+def test_reflect_at_support_box():
+    support = np.array([[0.0, 1.0]])
+    inside = np.array([[0.0], [0.2], [1.0]])
+    np.testing.assert_array_equal(_reflect(inside, support), inside)
+    got = _reflect(np.array([[-0.25], [1.5], [0.5]]), support)
+    np.testing.assert_array_equal(got, [[0.25], [0.5], [0.5]])
+    with pytest.raises(DomainError):
+        _reflect(np.array([[2.5]]), support)
 
 
 @dataclasses.dataclass(frozen=True)

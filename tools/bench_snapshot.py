@@ -76,8 +76,7 @@ def collect(label, root, workloads, seed):
             records.setdefault(name, {})[f"trace{trace}"] = rec
     if len(git_shas) != 1:
         raise SystemExit(f"{label}: records of several commits: {sorted(map(str, git_shas))}")
-    return {"path": os.path.abspath(root), "git_sha": git_shas.pop(), "source_sha256": sha,
-            "records": records}
+    return {"git_sha": git_shas.pop(), "source_sha256": sha, "records": records}
 
 
 def main(argv=None):
