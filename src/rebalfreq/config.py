@@ -86,10 +86,8 @@ def load_config(path):
     which owns the keys of each model kind. Each ``simulation`` key is read
     with its type from one table; the required keys and the defaults of the
     others are those of :class:`~rebalfreq.simulate.SimulationConfig`.
-    Integer and boolean keys take only integers and ``true``/``false``, and
-    float keys only numbers: ``horizon: 2`` reads as 2.0, but ``true``, a
-    quoted ``'0.01'`` and ``1e-2`` (a string in YAML 1.1; write ``1.0e-2``)
-    are rejected.
+    Integer and boolean keys take only integers and ``true``/``false``, float
+    keys only numbers (``horizon: 2`` is 2.0; ``1e-2`` is a string in YAML 1.1).
     Unknown keys, missing keys and values of the wrong type are
     :class:`InputError`, with their dotted location; YAML syntax errors and
     a key repeated in one mapping report the line number.

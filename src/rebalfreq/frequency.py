@@ -127,11 +127,8 @@ def _rate_parts(st, gamma, allow_flagged):
 
 @dataclass(frozen=True)
 class _AdaptiveProfile:
-    """Picklable callable ``y -> A*(y)`` (lets rules cross process boundaries).
-
-    :meth:`of_state` reads ``A*`` off a :class:`~rebalfreq.merton.MertonState` of this model
-    and gamma, such as the engine's step geometry; it raises as :func:`rate_parts` does.
-    """
+    """Picklable callable ``y -> A*(y)`` (lets rules cross process boundaries); :meth:`of_state`
+    reads it off a :class:`~rebalfreq.merton.MertonState` of this model and gamma."""
 
     model: object
     gamma: float

@@ -160,11 +160,10 @@ def _geometry(model, y, gamma, const, with_beta=True):
     evaluated per state, in one ``fused_coeffs`` sweep, and Sigma has no
     Jacobian; otherwise every coefficient is evaluated and Sigma inverted
     at each state. The support and finiteness checks run at every state
-    either way. Both share one formula, summed in einsum's order with the
-    states last and a constant read as one column, so a state's result
-    depends neither on its batch nor on the way it was evaluated. Fields are
-    views of states-last arrays; ``with_beta=False`` leaves ``sigma_tilde``
-    and ``beta`` out (``None``).
+    either way. Both share one formula, summed in einsum's order with the states
+    last, so a state's result depends neither on its batch nor on the way it was
+    evaluated. Fields are views of states-last arrays; ``with_beta=False`` leaves
+    ``sigma_tilde`` and ``beta`` ``None``.
     """
     m = model.m
     if const is None:
@@ -186,8 +185,7 @@ def _geometry(model, y, gamma, const, with_beta=True):
     if with_beta:
         dmu = _last(dmu)
         if dsig is not None:
-            dsig = _last(dsig)
-            dmu = dmu - gamma * _fixed_sum((dsig[:, k] * w[k] for k in range(m)), 2)
+            dmu = dmu - gamma * _fixed_sum((_last(dsig)[:, k] * w[k] for k in range(m)), 2)
         if model.p:
             dw, g = _fixed_sum((a[:, k, None] * dmu[k] for k in range(m)), 2), _last(g)
             st = _fixed_sum(dw[:, j, None] * g[j] for j in range(model.p))

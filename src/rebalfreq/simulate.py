@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import AssumptionError, ConvergenceError, DomainError, ParameterError
 from .frequency import DiscretizationRule, _AdaptiveProfile
-from .markets import _as_batch, _check_finite
+from .markets import _check_finite
 from .merton import _constant_block, _fixed_sum, _geometry, _last, merton_state
 
 __all__ = [
@@ -159,12 +159,10 @@ def frictionless_benchmark(label="frictionless_sim"):
 def _halfwidths(st, gamma, epsilon):
     """Per-asset band half-widths ``(1.5 eps |beta^i|^2 / (gamma Sigma_ii))^(1/3)``.
 
-    ``st`` is the :class:`~rebalfreq.merton.MertonState` at ``n`` states; the
-    widths are ``(m, n)``, with one diagonal of a constant covariance.
+    ``st`` is the :class:`~rebalfreq.merton.MertonState` at the states.
     """
-    beta = _last(st.beta)
-    row2 = _fixed_sum(beta[:, j] * beta[:, j] for j in range(beta.shape[1]))
-    diag = np.diagonal(_last(st.Sigma)).T
+    row2 = _fixed_sum(st.beta[..., j] * st.beta[..., j] for j in range(st.beta.shape[-1]))
+    diag = np.diagonal(st.Sigma, axis1=-2, axis2=-1)
     return (1.5 * epsilon / gamma * row2 / diag) ** (1.0 / 3.0)
 
 
@@ -189,13 +187,12 @@ def pasted_halfwidths(model, y, gamma, epsilon, allow_flagged=False):
     """
     if epsilon <= 0:
         raise ParameterError("cost rate must be positive")
-    batch, batched = _as_batch(y, model.p)
-    st = merton_state(model, batch, gamma)
+    st = merton_state(model, y, gamma)
     if not allow_flagged and not np.all(st.assumption_ok):
         raise AssumptionError(
             "target weights short or leverage; pass allow_flagged=True to proceed"
         )
-    return _halfwidths(st, gamma, epsilon).T[... if batched else 0]
+    return _halfwidths(st, gamma, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +327,6 @@ def _reflect(y, support):
     if support is None:
         return y
     lo, hi = support[:, 0], support[:, 1]
-    if np.all(y.min(axis=0) >= lo) and np.all(y.max(axis=0) <= hi):
-        return y
     y = np.where(y < lo, 2.0 * lo - y, y)
     y = np.where(y > hi, 2.0 * hi - y, y)
     if np.any(y < lo) or np.any(y > hi):
@@ -507,9 +502,9 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     g0 = model.g(y[:1])[0] if model.constant_sigma else None
 
     def market(y):
-        """The geometry at ``y``, and the ``(m, B)`` band half-widths if a band reads them."""
+        """The geometry at ``y`` and the ``(m, B)`` band half-widths (0 if unread or cost-free)."""
         st = _geometry(model, y, gamma, const, with_beta)
-        return st, _halfwidths(st, gamma, eps) if band.any() and eps > 0 else np.zeros((m, B))
+        return st, _halfwidths(st, gamma, eps).T if band.any() and eps > 0 else 0.0
 
     def waits(k, rule, rows):
         """Waiting times of time rule ``k`` after trades on the paths ``rows``."""
@@ -562,7 +557,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
         rel += x
         rel2 += x * x
         w_pre = np.divide(Vi, V[:, None], out=np.zeros_like(Vi), where=V[:, None] > 0)
-        err = _last(cur.w_star) - w_pre
+        err = cur.w_star.T - w_pre
         f_pre = _quad_form(err, cur.Sigma)
         de += np.where(active, 0.5 * (f_post + f_pre) * dt, 0.0)
         f_post = np.where(active, f_pre, 0.0)

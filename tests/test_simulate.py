@@ -30,7 +30,7 @@ from rebalfreq import (
     simulate_state_grid,
     time_based,
 )
-from rebalfreq.frequency import DiscretizationRule
+from rebalfreq.frequency import DiscretizationRule, _rate_parts, rate_parts
 from rebalfreq.markets import evaluate_coefficients, jacobians
 from rebalfreq.merton import _constant_block, _geometry, _last
 from rebalfreq.simulate import (
@@ -330,7 +330,7 @@ def _fixed_order_market(model, y, z, dt=0.004):
     """What ``_einsum_market`` returns, from the engine's functions at the states ``y``."""
     st = _geometry(model, y, GAMMA, _constant_block(model, y))
     logret = _log_returns(_last(st.mu), _last(st.sigma), np.ascontiguousarray(z.T), dt)
-    return st.w_star, st.sigma_tilde, st.beta, st.f_rate, logret.T, _halfwidths(st, GAMMA, EPS).T
+    return st.w_star, st.sigma_tilde, st.beta, st.f_rate, logret.T, _halfwidths(st, GAMMA, EPS)
 
 
 def test_geometry_equals_einsum_reference():
@@ -350,6 +350,37 @@ def test_geometry_equals_einsum_reference():
         assert lean.beta is None
         np.testing.assert_array_equal(lean.w_star, ref[0])
         np.testing.assert_array_equal(lean.f_rate, ref[3])
+
+
+def _einsum_rate_parts(beta, Sigma):
+    """``(N, D)`` of the optimal rule in its einsum form, on a C-contiguous ``beta``."""
+    beta = np.ascontiguousarray(beta)
+    norm = np.sqrt(np.sum(beta * beta, axis=-1)).sum(axis=-1)
+    quad = np.einsum("...md,...mk,...kd->...", beta, Sigma, beta)
+    return np.sqrt(2.0 / np.pi) * norm, 0.5 * GAMMA * quad
+
+
+def test_rate_parts_equal_einsum_reference():
+    # beta is now a view of a paths-last array, and einsum's loop order may follow its
+    # operands' layout: N, D and A* are held to the einsum form on a contiguous beta (the
+    # einsum geometry's value in the full batch) and Sigma as merton_state forms it, for
+    # a batch, for one state, and for rows taken from the engine's step geometry
+    rng = np.random.default_rng(6)
+    n = 64
+    for model in _geometry_models():
+        y = np.zeros((n, 0)) if model.p == 0 else rng.normal(0.056, 0.1, (n, 1))
+        beta = _einsum_market(model, y, np.zeros((n, model.d)), _constant_block(model, y))[2]
+        step = _geometry(model, y, GAMMA, _constant_block(model, y))
+        rule = optimal_rule(model, GAMMA, allow_flagged=True).A
+        for idx in (slice(None), np.arange(3), np.array([40, 7]), np.arange(1, n, 3), 5):
+            n_ref, d_ref = _einsum_rate_parts(beta[idx], merton_state(model, y[idx], GAMMA).Sigma)
+            a_ref = (n_ref / d_ref) ** (2.0 / 3.0)
+            for got in (rate_parts(model, GAMMA, y[idx], True),
+                        _rate_parts(step.rows(idx), GAMMA, True)):
+                np.testing.assert_array_equal(got[0], n_ref)
+                np.testing.assert_array_equal(got[1], d_ref)
+            np.testing.assert_array_equal(rule(y[idx]), a_ref)
+            np.testing.assert_array_equal(rule.of_state(step.rows(idx)), a_ref)
 
 
 def test_reflect_at_support_box():
