@@ -210,16 +210,8 @@ def expansion_check(model, gamma, config, alphas, epsilons, allow_flagged=False)
     has no trade within the horizon, as no slope fits through zero costs.
     """
     rule0 = optimal_rule(model, gamma, allow_flagged=allow_flagged)
-    limits = lemma_constants(
-        model,
-        gamma,
-        rule0,
-        config.horizon,
-        y0=config.y0,
-        dt=config.dt,
-        seed=config.seed,
-        allow_flagged=allow_flagged,
-    )
+    limits = lemma_constants(model, gamma, rule0, config.horizon, y0=config.y0, dt=config.dt,
+                             seed=config.seed, allow_flagged=allow_flagged)
     strategies = [time_based(rule0.with_alpha(a), label=f"time_{i}") for i, a in enumerate(alphas)]
     runs = []
     for eps in epsilons:

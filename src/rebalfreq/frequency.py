@@ -223,16 +223,8 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged):
     return _RateGrid(states, n, d, st.f_rate, weights)
 
 
-def constant_rule(
-    model,
-    gamma,
-    horizon_T,
-    y0=None,
-    n_paths=_GRID_PATHS,
-    dt=1.0 / 250.0,
-    seed=0,
-    allow_flagged=False,
-):
+def constant_rule(model, gamma, horizon_T, y0=None, n_paths=_GRID_PATHS, dt=1.0 / 250.0, seed=0,
+                  allow_flagged=False):
     """Best state-independent rule over ``[0, T]``.
 
     ``A* = (E[int N dt] / E[int D dt])^(2/3)``; the expectations are exact
@@ -243,17 +235,8 @@ def constant_rule(
     return _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged).constant_rule()
 
 
-def total_cost(
-    model,
-    gamma,
-    rule=None,
-    horizon_T=20.0,
-    y0=None,
-    n_paths=_GRID_PATHS,
-    dt=1.0 / 250.0,
-    seed=0,
-    allow_flagged=False,
-):
+def total_cost(model, gamma, rule=None, horizon_T=20.0, y0=None, n_paths=_GRID_PATHS,
+               dt=1.0 / 250.0, seed=0, allow_flagged=False):
     """Leading-order total cost ``TC`` over ``[0, T]`` (eps-free).
 
     With ``rule=None`` the pointwise-optimal rule is assumed and the minimal
@@ -266,17 +249,8 @@ def total_cost(
     return grid.total_cost(rule)
 
 
-def lemma_constants(
-    model,
-    gamma,
-    rule,
-    horizon_T,
-    y0=None,
-    n_paths=_GRID_PATHS,
-    dt=1.0 / 250.0,
-    seed=0,
-    allow_flagged=False,
-):
+def lemma_constants(model, gamma, rule, horizon_T, y0=None, n_paths=_GRID_PATHS, dt=1.0 / 250.0,
+                    seed=0, allow_flagged=False):
     """Limiting constants of the small-cost expansions under a given rule.
 
     Returns ``(tac_constant, de_constant)`` where expected transaction costs

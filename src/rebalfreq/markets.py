@@ -139,6 +139,11 @@ def _as_batch(y, p):
     return arr.reshape(-1, p), True
 
 
+def _n_states(y, p):
+    """The number of states in a state argument."""
+    return len(_as_batch(y, p)[0])
+
+
 class MarketModel:
     """Base class for asset/state coefficient functions.
 
@@ -207,6 +212,22 @@ class Coefficients(NamedTuple):
     Sigma_inv: np.ndarray
 
 
+class _ConstantVolatility(MarketModel):
+    """A model whose ``sigma`` and ``g`` are its constant ``sigma_const`` and ``g_const``."""
+
+    has_analytic_jacobians = True
+    constant_sigma = True
+
+    def sigma(self, y):
+        return np.broadcast_to(self.sigma_const, (_n_states(y, self.p), self.m, self.d)).copy()
+
+    def g(self, y):
+        return np.broadcast_to(self.g_const, (_n_states(y, self.p), self.p, self.d)).copy()
+
+    def dsigma_dy(self, y):
+        return np.zeros((_n_states(y, self.p), self.m, self.m, self.p))
+
+
 def _validate_correlation(corr, m):
     corr = np.eye(m) if corr is None else np.asarray(corr, dtype=float)
     if corr.shape != (m, m):
@@ -224,15 +245,13 @@ def _validate_correlation(corr, m):
     return corr, chol
 
 
-class BlackScholesModel(MarketModel):
+class BlackScholesModel(_ConstantVolatility):
     """Constant expected returns and volatilities; no state variable.
 
     The diffusion matrix is built as ``diag(vol) @ L`` with ``L`` the lower
     Cholesky factor of the correlation matrix, so asset 1 loads only on the
     first Brownian factor, asset 2 on the first two, and so on.
     """
-
-    has_analytic_jacobians = True
 
     def __init__(self, mu, vol, correlation=None):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
@@ -249,37 +268,19 @@ class BlackScholesModel(MarketModel):
         self.vol = vol
         self.sigma_const = vol[:, None] * chol
         self.Sigma_const = self.sigma_const @ self.sigma_const.T
-
-    @property
-    def constant_sigma(self):
-        return True
+        self.g_const = np.zeros((0, self.d))
 
     def mu(self, y):
-        batch, _ = _as_batch(y, 0)
-        return np.broadcast_to(self._mu, (len(batch), self.m)).copy()
-
-    def sigma(self, y):
-        batch, _ = _as_batch(y, 0)
-        return np.broadcast_to(self.sigma_const, (len(batch), self.m, self.d)).copy()
+        return np.broadcast_to(self._mu, (_n_states(y, 0), self.m)).copy()
 
     def b(self, y):
-        batch, _ = _as_batch(y, 0)
-        return np.zeros((len(batch), 0))
-
-    def g(self, y):
-        batch, _ = _as_batch(y, 0)
-        return np.zeros((len(batch), 0, self.d))
+        return np.zeros((_n_states(y, 0), 0))
 
     def dmu_dy(self, y):
-        batch, _ = _as_batch(y, 0)
-        return np.zeros((len(batch), self.m, 0))
-
-    def dsigma_dy(self, y):
-        batch, _ = _as_batch(y, 0)
-        return np.zeros((len(batch), self.m, self.m, 0))
+        return np.zeros((_n_states(y, 0), self.m, 0))
 
 
-class TruncatedKimOmbergModel(MarketModel):
+class TruncatedKimOmbergModel(_ConstantVolatility):
     """Mean-reverting expected returns driven by one shared scalar state.
 
     Each asset's expected excess return is a smooth cutoff of the state
@@ -299,8 +300,6 @@ class TruncatedKimOmbergModel(MarketModel):
     ``cutoff_high`` / ``cutoff_width`` (scalars or per-asset arrays) to
     control the bands, e.g. to enforce weights in (0, 1).
     """
-
-    has_analytic_jacobians = True
 
     def __init__(
         self,
@@ -373,10 +372,6 @@ class TruncatedKimOmbergModel(MarketModel):
             [[np.min(self.cutoff_low) - margin, np.max(self.cutoff_high) + margin]]
         )
 
-    @property
-    def constant_sigma(self):
-        return True
-
     def _cutoffs(self, y):
         """Per-asset (value, derivative) of the truncated state: ``(n, m)`` views
         of arrays with the states last. Assets with the same bands share one
@@ -403,10 +398,6 @@ class TruncatedKimOmbergModel(MarketModel):
         vals, _ = self._cutoffs(batch)
         return vals
 
-    def sigma(self, y):
-        batch, _ = _as_batch(y, 1)
-        return np.broadcast_to(self.sigma_const, (len(batch), self.m, self.d)).copy()
-
     def b(self, y):
         batch, _ = _as_batch(y, 1)
         v, _ = _cutoff_fast(
@@ -414,18 +405,10 @@ class TruncatedKimOmbergModel(MarketModel):
         )
         return (self.mean_reversion * (self.long_run_mean - v))[:, None]
 
-    def g(self, y):
-        batch, _ = _as_batch(y, 1)
-        return np.broadcast_to(self.g_const, (len(batch), 1, self.d)).copy()
-
     def dmu_dy(self, y):
         batch, _ = _as_batch(y, 1)
         _, ders = self._cutoffs(batch)
         return ders[:, :, None]
-
-    def dsigma_dy(self, y):
-        batch, _ = _as_batch(y, 1)
-        return np.zeros((len(batch), self.m, self.m, 1))
 
 
 def _spd_inverse(Sigma):

@@ -219,42 +219,49 @@ def rebalance_solve(d, w_star, epsilon, tol=1e-14, max_iter=200):
     if epsilon == 0.0:
         return d.copy(), 0.0
     traded = np.ones((1, d.size), dtype=bool)
-    dl, s = _rebalance_batch((u - d)[None], u[None], epsilon, traded, tol, max_iter)
-    return dl[0], float(epsilon * s[0])
+    s = _rebalance_batch((u - d)[None], u[None], epsilon, traded, tol, max_iter)[0]
+    return u * (1.0 - epsilon * s) - (u - d), float(epsilon * s)
 
 
 def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
-    """Vectorised fixed point over paths; only ``traded`` assets move.
+    """Trade sizes ``s`` ``(B,)`` of the fixed point over paths; only ``traded`` assets move.
 
     ``epsilon`` is the cost rate, one value or one per path, and may be zero.
-    Post-trade weights equal ``u`` on the traded set; untraded positions
-    keep their dollar value. Convergence is judged path by path and each
-    path's value freezes the moment it converges, so a path's result never
-    depends on which other paths share the batch. Returns ``(DeltaL, s)``
-    with shapes ``(B, m)`` and ``(B,)``; a zero-cost path pays nothing
-    whatever it trades, so it is not iterated and its ``s`` is 0.
+    A trade moves ``DeltaL = u (1 - eps s) - w_pre`` on the traded set, so
+    post-trade weights equal ``u`` there; untraded positions keep their
+    dollar value. Each path's value freezes the moment it converges, so it
+    never depends on the other paths of the batch. A zero-cost path pays
+    nothing, so it is not iterated and its ``s`` is 0. Untraded assets are
+    zeroed in ``u`` and ``w_pre`` once, so each of their terms is ``|0 c - 0|
+    = 0``: for finite inputs, the bits of masking every iterate.
     """
     epsilon = np.full(len(u), epsilon, dtype=float)
     s = np.zeros(len(u))
     paid = np.flatnonzero(epsilon > 0)
     if paid.size:
-        e, up, wp, tp = epsilon[paid], u[paid], w_pre[paid], traded[paid]
-        if np.any(e * np.abs(np.where(tp, up, 0.0)).sum(axis=1) >= 1.0):
+        rows = slice(None) if paid.size == len(u) else paid  # all pay: views, no gathers
+        e, up, wp, tp = epsilon[rows, None], u[rows], w_pre[rows], traded[rows]
+        if not tp.all():
+            up, wp = np.where(tp, up, 0.0), np.where(tp, wp, 0.0)
+
+        def total(a):  # the sum over assets, as a column; one asset's is its column
+            return a if a.shape[1] == 1 else np.add.reduce(a, axis=1, keepdims=True)
+
+        if (e * total(np.abs(up)) >= 1.0).any():
             raise ParameterError("need eps * sum|targets| < 1 for a well-posed rebalance")
-        sp = np.abs(np.where(tp, up - wp, 0.0)).sum(axis=1)
-        done = np.zeros(len(sp), dtype=bool)
+        sp = total(np.abs(up - wp))
+        done = np.zeros(sp.shape, dtype=bool)
         for _ in range(max_iter):
-            s_new = np.abs(np.where(tp, up * (1.0 - e * sp)[:, None] - wp, 0.0)).sum(axis=1)
+            s_new = total(np.abs(up * (1.0 - e * sp) - wp))
             converged = np.abs(s_new - sp) < tol
-            sp = np.where(done, sp, s_new)
+            np.copyto(sp, s_new, where=~done)
             done |= converged
             if done.all():
                 break
         else:
             raise ConvergenceError("trade-size fixed point did not converge")
-        s[paid] = sp
-    dl = np.where(traded, u * (1.0 - epsilon * s)[:, None] - w_pre, 0.0)
-    return dl, s
+        s[rows] = sp[:, 0]
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -269,41 +276,49 @@ class _BlockNormals:
     2)``, mirrored from the previous lane when that lane is in the block.
     Chunked draws continue each path's stream exactly where the previous
     chunk stopped, so chunk size never affects the generated numbers; it
-    only bounds memory.
+    only bounds memory. One Philox serves the block: a lane sets its state
+    (key, counter, buffer, ``buffer_pos``, ``has_uint32``, ``uinteger``, a
+    row of ``_state``) before it draws, a fresh lane that of a newly keyed
+    Philox, and reads it back only when more chunks follow.
     """
 
     def __init__(self, seed, lo, hi, d, antithetic, chunk=512):
         self.d = d
         self.chunk = chunk
-        self._lanes = []  # (generator, flip sign), or None: mirror the previous lane
-        for pi in range(lo, hi):
-            odd = antithetic and pi % 2 == 1
-            if odd and pi > lo:
-                self._lanes.append(None)
-            else:
-                key_index = pi // 2 if antithetic else pi
-                bitgen = np.random.Philox(key=np.array([seed, key_index], dtype=np.uint64))
-                self._lanes.append((np.random.Generator(bitgen), odd))
+        odd = [antithetic and k % 2 == 1 for k in range(lo, hi)]
+        self._flip = [None if o and i else o for i, o in enumerate(odd)]  # None: mirror lane i - 1
+        keys = np.arange(lo, hi, dtype=np.uint64) // (2 if antithetic else 1)
+        self._state = np.zeros((hi - lo, 13), dtype=np.uint64)
+        self._state[:, 0], self._state[:, 1], self._state[:, 10] = seed, keys, 4  # buffer empty
+        self._gen = np.random.Generator(np.random.Philox())
         self._buf = None
         self._pos = 0
 
-    def draw(self, size):
-        """Normals for the next ``size`` steps, shape ``(B, size, d)``."""
-        buf = np.empty((len(self._lanes), size, self.d))
-        for i, lane in enumerate(self._lanes):
-            if lane is None:
+    def draw(self, size, more=False):
+        """Normals for the next ``size`` steps, shape ``(B, size, d)``; ``more``: chunks follow."""
+        buf, bitgen = np.empty((len(self._flip), size, self.d)), self._gen.bit_generator
+        for i, flip in enumerate(self._flip):
+            if flip is None:
                 np.negative(buf[i - 1], out=buf[i])
-            else:
-                gen, flip = lane
-                buf[i] = gen.standard_normal((size, self.d))
-                if flip:
-                    np.negative(buf[i], out=buf[i])
+                continue
+            row = self._state[i]
+            bitgen.state = dict(
+                bit_generator="Philox", state=dict(key=row[:2], counter=row[2:6]), buffer=row[6:10],
+                buffer_pos=int(row[10]), has_uint32=int(row[11]), uinteger=int(row[12]))
+            self._gen.standard_normal(out=buf[i])
+            if flip:
+                np.negative(buf[i], out=buf[i])
+            if more:
+                st = bitgen.state
+                row[2:6], row[6:10] = st["state"]["counter"], st["buffer"]
+                row[10:] = st["buffer_pos"], st["has_uint32"], st["uinteger"]
         return buf
 
     def step(self, n_left):
         """Normals for the next time step, paths last: a contiguous ``(d, B)``."""
         if self._buf is None or self._pos >= self._buf.shape[1]:
-            self._buf = self.draw(min(self.chunk, n_left))
+            size = min(self.chunk, n_left)
+            self._buf = self.draw(size, more=n_left > size)
             self._pos = 0
         z = np.ascontiguousarray(self._buf[:, self._pos, :].T)
         self._pos += 1
@@ -494,7 +509,11 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     # time rules whose A* is read off the step's geometry; beta is formed only if read
     profiled = {k for k, r in timed if isinstance(r.A, _AdaptiveProfile)
                 and r.A.model is model and r.A.gamma == gamma}
-    with_beta = band.any() or bool(profiled)
+    banded, edged = band.any(), to_edge.any()
+    runs = np.flatnonzero(band)
+    if banded and runs[-1] - runs[0] == len(runs) - 1:  # one run of strategies: slice views
+        band = slice(runs[0], runs[-1] + 1)
+    with_beta = banded or bool(profiled)
 
     source = _BlockNormals(config.seed, lo, hi, model.d, config.antithetic)
     y = np.tile(_default_y0(model, config.y0), (B, 1))
@@ -504,7 +523,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     def market(y):
         """The geometry at ``y`` and the ``(m, B)`` band half-widths (0 if unread or cost-free)."""
         st = _geometry(model, y, gamma, const, with_beta)
-        return st, _halfwidths(st, gamma, eps).T if band.any() and eps > 0 else 0.0
+        return st, _halfwidths(st, gamma, eps).T if banded and eps > 0 else 0.0
 
     def waits(k, rule, rows):
         """Waiting times of time rule ``k`` after trades on the paths ``rows``."""
@@ -517,7 +536,6 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     V0, V = 1.0 - Vi.sum(axis=1), np.ones((S, B))
     rel, rel2, tac, de, f_post = (np.zeros((S, B)) for _ in range(5))
     n_trades = np.zeros((S, B), dtype=np.int64)
-    failed = np.zeros((S, B), dtype=bool)
     traded = np.ones((S, m, B), dtype=bool)  # band rows are set at each step
     next_t = np.full((S, B), np.inf)
     for k, rule in timed:
@@ -548,38 +566,41 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
 
         Vi *= growth
         v_old, V = V, V0 + Vi.sum(axis=1)
-        dead = ~failed & (V <= 0.0)
-        if dead.any():
-            failed |= dead
-            V0[dead], Vi.transpose(0, 2, 1)[dead], V[dead] = 0.0, 0.0, 0.0
-        active = ~failed
-        x = np.divide(V, v_old, out=np.ones_like(V), where=v_old > 0) - 1.0
+        failed = V <= 0.0  # a failed path holds no wealth from then on, so it stays in here
+        if lost := failed.any():  # guards: a failed path has no return after it fails, no weights
+            V0[failed], Vi.transpose(0, 2, 1)[failed], V[failed] = 0.0, 0.0, 0.0
+            x = np.divide(V, v_old, out=np.ones_like(V), where=v_old > 0) - 1.0
+            w_pre = np.divide(Vi, V[:, None], out=np.zeros_like(Vi), where=V[:, None] > 0)
+        else:
+            x, w_pre = V / v_old - 1.0, Vi / V[:, None]
         rel += x
         rel2 += x * x
-        w_pre = np.divide(Vi, V[:, None], out=np.zeros_like(Vi), where=V[:, None] > 0)
         err = cur.w_star.T - w_pre
         f_pre = _quad_form(err, cur.Sigma)
-        de += np.where(active, 0.5 * (f_post + f_pre) * dt, 0.0)
-        f_post = np.where(active, f_pre, 0.0)
+        if lost:  # and no tracking error from its failing step on
+            f_pre[failed] = f_post[failed] = 0.0
+        de += 0.5 * (f_post + f_pre) * dt
+        f_post = f_pre
 
         # triggers: frictionless every step, time rules on schedule, bands on exit
         due = t1 >= next_t - 1e-9 * dt
-        if band.any():
+        if banded:
             over = np.abs(err[band]) > hw * scale[band]
             traded[band] = over
             due[band] |= over.any(axis=1)
-        trig = active & (fric[:, None] | due & (t1 < config.horizon - 1e-9))
+        trig = fric[:, None] | due & (t1 < config.horizon - 1e-9)
+        if lost:
+            trig &= ~failed
 
         flat = np.flatnonzero(trig)
         if flat.size:
             si, bi = np.divmod(flat, B)
-            u = cur.w_star[bi]
-            if to_edge.any():  # trade back to the band edge
-                edge = np.flatnonzero(to_edge[si])
-                se, be = si[edge], bi[edge]
-                u[edge] -= np.sign(err[se, :, be]) * (hw[:, be].T * scale[se, 0])
-            tm, w, row_rate = traded[si, :, bi], w_pre[si, :, bi], rate[flat]
-            dl, sz = _rebalance_batch(w, u, row_rate, tm)
+            w_star, w, tm = cur.w_star[bi], w_pre[si, :, bi], traded[si, :, bi]
+            u, row_rate = w_star, rate[flat]
+            if edged:  # trade back to the band edge (err = w_star - w)
+                shift = np.sign(w_star - w) * (hw[:, bi].T * scale[si, 0])
+                u = np.where(to_edge[si, None], w_star - shift, w_star)
+            sz = _rebalance_batch(w, u, row_rate, tm)
             cost = row_rate * sz
             keep = 1.0 - cost
             w_post = np.where(tm, u, w / keep[:, None])
@@ -591,17 +612,17 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
             Vi[si, :, bi] = w_post * v_new[:, None]
             _rows(V0)[flat] = v_new * (1.0 - w_post.sum(axis=1))
             _rows(V)[flat] = v_new
-            gap = cur.w_star[bi] - w_post
-            _rows(f_post)[flat] = _quad_form(gap.T, cur.Sigma[bi])
+            gap = (w_star - w_post).T  # a constant Sigma is read as its broadcast column
+            _rows(f_post)[flat] = _quad_form(gap, cur.Sigma if const else cur.Sigma[bi])
             broke = flat[keep <= 0.0]  # the trade cost all the wealth: the path fails
             if broke.size:
-                _rows(failed)[broke] = True
                 _rows(V0)[broke], Vi[broke // B, :, broke % B], _rows(V)[broke] = 0.0, 0.0, 0.0
             for k, rule in timed:
                 mine = si == k
                 if mine.any():
                     _rows(next_t)[flat[mine]] += np.maximum(waits(k, rule, bi[mine]), 0.0)
             if n_rec:
+                dl = np.where(tm, u * keep[:, None] - w, 0.0)
                 for j in np.flatnonzero(bi < n_rec):
                     trade = (step + 1, lo + int(bi[j]), dl[j].copy(), float(sz[j]))
                     rec["trades"][si[j]].append(trade)
@@ -613,7 +634,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
             np.minimum(rec["w_pre_min"], w_rec, out=rec["w_pre_min"])
             np.maximum(rec["w_pre_max"], w_rec, out=rec["w_pre_max"])
 
-    return (rel, rel2, tac, de, n_trades, failed), fric_rate / config.horizon, rec
+    return (rel, rel2, tac, de, n_trades, V <= 0.0), fric_rate / config.horizon, rec
 
 
 def run_strategies(model, config, strategies, record_paths=0):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rebalfreq import (
     AssumptionError,
+    ConvergenceError,
     BlackScholesModel,
     DomainError,
     MarketModel,
@@ -35,6 +36,7 @@ from rebalfreq.markets import evaluate_coefficients, jacobians
 from rebalfreq.merton import _constant_block, _geometry, _last
 from rebalfreq.simulate import (
     StrategyOutcome,
+    _BlockNormals,
     _halfwidths,
     _log_returns,
     _quad_form,
@@ -128,7 +130,8 @@ def test_rebalance_batch_matches_scalar():
     rng = np.random.default_rng(7)
     u = rng.uniform(0.05, 0.45, size=(32, 3))
     w_pre = u + rng.uniform(-0.2, 0.2, size=(32, 3))
-    dl, s = _rebalance_batch(w_pre, u, 0.01, np.ones((32, 3), dtype=bool))
+    s = _rebalance_batch(w_pre, u, 0.01, np.ones((32, 3), dtype=bool))
+    dl = u * (1.0 - 0.01 * s)[:, None] - w_pre
     for i in range(32):
         dl_i, cost_i = rebalance_solve(u[i] - w_pre[i], u[i], 0.01)
         np.testing.assert_allclose(dl[i], dl_i, atol=1e-13)
@@ -138,6 +141,79 @@ def test_rebalance_batch_matches_scalar():
 def test_rebalance_precondition():
     with pytest.raises(ParameterError):
         rebalance_solve(np.array([0.1, 0.1]), np.array([60.0, 60.0]), 0.01)
+
+
+def _rebalance_loop(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
+    """Reference fixed point: masks the untraded assets in every iterate and gathers the
+    paid rows always. Returns ``(DeltaL, s)``."""
+    epsilon = np.full(len(u), epsilon, dtype=float)
+    s = np.zeros(len(u))
+    paid = np.flatnonzero(epsilon > 0)
+    if paid.size:
+        e, up, wp, tp = epsilon[paid], u[paid], w_pre[paid], traded[paid]
+        if np.any(e * np.abs(np.where(tp, up, 0.0)).sum(axis=1) >= 1.0):
+            raise ParameterError("need eps * sum|targets| < 1 for a well-posed rebalance")
+        sp = np.abs(np.where(tp, up - wp, 0.0)).sum(axis=1)
+        done = np.zeros(len(sp), dtype=bool)
+        for _ in range(max_iter):
+            s_new = np.abs(np.where(tp, up * (1.0 - e * sp)[:, None] - wp, 0.0)).sum(axis=1)
+            converged = np.abs(s_new - sp) < tol
+            sp = np.where(done, sp, s_new)
+            done |= converged
+            if done.all():
+                break
+        else:
+            raise ConvergenceError("trade-size fixed point did not converge")
+        s[paid] = sp
+    dl = np.where(traded, u * (1.0 - epsilon * s)[:, None] - w_pre, 0.0)
+    return dl, s
+
+
+def _iterations(w_pre, u, epsilon, traded):
+    """The fewest iterations after which ``_rebalance_batch`` converges on these rows."""
+    for k in range(1, 50):
+        try:
+            _rebalance_batch(w_pre, u, epsilon, traded, max_iter=k)
+            return k
+        except ConvergenceError:
+            pass
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rebalance_batch_equals_masked_loop(m):
+    rng = np.random.default_rng(m)
+    n = 240
+    u = rng.uniform(0.02, 0.9 / m, (n, m))
+    # gaps from 1e-9 to 0.3, so rows converge after different numbers of iterations
+    w_pre = u + rng.uniform(-1.0, 1.0, (n, m)) * 10.0 ** rng.uniform(-9.0, -0.5, (n, 1))
+    partial = rng.random((n, m)) < 0.6
+    partial[np.arange(n), rng.integers(0, m, n)] = True  # a trade moves at least one asset
+    full = np.ones((n, m), dtype=bool)
+    rates = rng.choice([0.001, 0.01, 0.05], n)
+    mixed = np.where(rng.random(n) < 0.3, 0.0, rates)  # paid rows among zero-cost rows
+    for eps in (0.01, rates, mixed, 0.0):
+        for traded in (full, partial):
+            dl, s = _rebalance_loop(w_pre, u, eps, traded)
+            s_new = _rebalance_batch(w_pre, u, eps, traded)
+            _same_bits(s_new, s)
+            e = np.broadcast_to(eps, (n,))
+            _same_bits(np.where(traded, u * (1.0 - e * s_new)[:, None] - w_pre, 0.0), dl)
+    for i in range(8):  # one row at a time, as rebalance_solve solves it
+        dl_i, cost_i = rebalance_solve(u[i] - w_pre[i], u[i], 0.01)
+        dl, s = _rebalance_loop(w_pre[i:i + 1], u[i:i + 1], 0.01, full[i:i + 1])
+        _same_bits(dl_i, dl[0])
+        assert cost_i == 0.01 * s[0]
+    gaps = np.abs(w_pre - u).sum(axis=1)
+    few, many = (_iterations(w_pre[[i]], u[[i]], 0.05, full[[i]])
+                 for i in (gaps.argmin(), gaps.argmax()))
+    assert few < many
+    with pytest.raises(ConvergenceError):
+        _rebalance_loop(w_pre, u, 0.01, full, max_iter=1)
+    with pytest.raises(ConvergenceError):
+        _rebalance_batch(w_pre, u, 0.01, full, max_iter=1)
+    for solve in (_rebalance_loop, _rebalance_batch):
+        with pytest.raises(ParameterError):
+            solve(w_pre, u + 60.0, mixed, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +229,21 @@ def test_market_path_deterministic(bs1d, ko1d):
         np.testing.assert_array_equal(s1, s2)
         _, _, other = simulate_market_path(model, cfg, 4)
         assert not np.array_equal(r1, other)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("chunk, n_steps", [(3, 11), (512, 600)])
+def test_block_normals_equal_fresh_philox_streams(antithetic, chunk, n_steps):
+    # every lane continues its own stream across chunks; (5, 12) starts at an odd path
+    seed, d = 13, 2
+    for lo, hi in ((0, 6), (5, 12)):
+        source = _BlockNormals(seed, lo, hi, d, antithetic, chunk)
+        z = np.stack([source.step(n_steps - k) for k in range(n_steps)])
+        for i, k in enumerate(range(lo, hi)):
+            key = k // 2 if antithetic else k
+            stream = np.random.Generator(np.random.Philox(key=[seed, key]))
+            ref = stream.standard_normal((n_steps, d))
+            _same_bits(z[:, :, i], -ref if antithetic and k % 2 else ref)
 
 
 def test_bs_terminal_log_price_moments(bs1d):
@@ -793,6 +884,42 @@ def test_trade_that_takes_all_wealth_fails_the_path():
     dead = out.failed
     assert np.all(rec.wealth["time"][dead, -1] == 0.0)
     assert np.all(rec.weights["time"][dead, -1] == 0.0)
+
+
+def test_failed_path_bits_independent_of_blocks_and_companions():
+    # paths fail by growth (33x leverage, never rebalanced) and at a trade (22x leverage)
+    cases = [
+        (BlackScholesModel(mu=[3.0], vol=[0.30]), 0.0, buy_and_hold()),
+        (BlackScholesModel(mu=[2.0], vol=[0.30]), 0.01,
+         time_based(DiscretizationRule(kind="constant", A=0.5), label="time")),
+    ]
+    companions = [frictionless_benchmark(), move_based(), buy_and_hold(label="other")]
+    for model, eps, strat in cases:
+        runs = []
+        for block, others in ((32, []), (128, []), (32, companions)):
+            cfg = SimulationConfig(horizon=2.0, dt=1.0 / 250.0, n_paths=128, epsilon=eps,
+                                   gamma=1.0, seed=5, block_size=block)
+            out, rec = run_strategies(model, cfg, [strat] + others, record_paths=128)
+            runs.append((out[strat.label], rec))
+        (out, rec), label = runs[0], strat.label
+        assert out.failed.any()
+        for out1, rec1 in runs[1:]:
+            for f in dataclasses.fields(StrategyOutcome):
+                _same_bits(getattr(out, f.name), getattr(out1, f.name))
+            for name in ("wealth", "weights", "w_pre_min", "w_pre_max"):
+                _same_bits(getattr(rec, name)[label], getattr(rec1, name)[label])
+            assert [t[:2] + t[3:] for t in rec.trades[label]] == [
+                t[:2] + t[3:] for t in rec1.trades[label]]
+            for t, t1 in zip(rec.trades[label], rec1.trades[label]):
+                _same_bits(t[2], t1[2])
+        if strat.kind == "buy_hold":
+            # weights never traded are the pre-trade weights: the tracking error stops
+            # accruing at a path's failing step, which adds nothing
+            gap = merton_state(model, np.zeros(0), cfg.gamma).w_star - rec.weights[label]
+            f = np.einsum("kti,ij,ktj->kt", gap, model.Sigma_const, gap)
+            alive = rec.wealth[label][:, 1:] > 0.0
+            de = (0.5 * (f[:, :-1] + f[:, 1:]) * cfg.dt * alive).sum(axis=1)
+            np.testing.assert_allclose(out.de, de, rtol=1e-12, atol=0.0)
 
 
 def test_antithetic_estimate_consistent(bs1d):
