@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from rebalfreq import (
     AssumptionError,
-    ConvergenceError,
     BlackScholesModel,
+    ConvergenceError,
     DomainError,
     MarketModel,
     ParameterError,
