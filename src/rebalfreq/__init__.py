@@ -82,76 +82,3 @@ from .evaluate import (
 from .config import RunConfig, load_config
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # errors
-    "RebalfreqError",
-    "ParameterError",
-    "DomainError",
-    "DegenerateCovarianceError",
-    "DegenerateTargetError",
-    "AssumptionError",
-    "ConvergenceError",
-    "InputError",
-    # markets
-    "MarketModel",
-    "BlackScholesModel",
-    "TruncatedKimOmbergModel",
-    "smooth_cutoff",
-    "evaluate_coefficients",
-    "jacobians",
-    "finite_difference_jacobians",
-    "model_from_config",
-    # frictionless target
-    "MertonState",
-    "merton_state",
-    "merton_weights",
-    "merton_diffusion",
-    "beta_matrix",
-    "frictionless_rate",
-    "l21_norm",
-    "tr_beta_sigma_beta",
-    # frequencies
-    "ALPHA",
-    "DiscretizationRule",
-    "CostBreakdown",
-    "Bs1dClosedForms",
-    "optimal_rule",
-    "constant_rule",
-    "total_cost",
-    "cost_breakdown",
-    "rate_parts",
-    "lemma_constants",
-    "bs1d_closed_forms",
-    "schedule_trading_times",
-    "check_nondegeneracy",
-    # simulation
-    "SimulationConfig",
-    "Strategy",
-    "StrategyOutcome",
-    "time_based",
-    "buy_and_hold",
-    "move_based",
-    "pasted_move_based",
-    "frictionless_benchmark",
-    "move_based_halfwidth_1d",
-    "pasted_halfwidths",
-    "rebalance_solve",
-    "simulate_market_path",
-    "simulate_state_grid",
-    "run_strategy",
-    "run_strategies",
-    # evaluation
-    "StrategyReport",
-    "estimate_objective",
-    "frictionless_report",
-    "decomposition_check",
-    "expansion_check",
-    "table_runner",
-    "figure_rows",
-    "rows_to_csv",
-    # config
-    "RunConfig",
-    "load_config",
-]

@@ -59,7 +59,7 @@ def _sample_states(run, n=100):
 
 
 def _rate_grid_of(run, y0):
-    """``N`` and ``D`` on the run's state grid, as the table predictions use it."""
+    """Per-path integrals on the run's state grid, as the table predictions use them."""
     sim = run.simulation
     return _rate_grid(
         run.model, sim.gamma, sim.horizon, y0, _GRID_PATHS, sim.dt, sim.seed, sim.allow_flagged

@@ -385,10 +385,12 @@ def _cell_predictions(model, config, names):
 
     Both time-based predictions, the constant rule and, for state-dependent
     models, the frictionless rate they are measured from come from one
-    evaluation of the state grid. It is dropped on return, so the Monte
-    Carlo workers forked next do not inherit it. A prediction is ``None``
-    where its formula does not apply; the constant rule is ``None`` only
-    when ``time_constant`` is not among ``names``.
+    evaluation of the state grid, reduced block by block to per-path
+    integrals. The grid never holds more than one block of its geometry, so
+    the high-water mark that the Monte Carlo workers forked next inherit
+    stays low. A prediction is ``None`` where its formula does not apply;
+    the constant rule is ``None`` only when ``time_constant`` is not among
+    ``names``.
     """
     fr = _analytic_frictionless(model, config.gamma)
     eps23 = config.epsilon ** (2.0 / 3.0)
@@ -405,7 +407,7 @@ def _cell_predictions(model, config, names):
             if "time_constant" in names:
                 raise
         else:
-            base = fr if fr is not None else grid.mean_integral(grid.f_rate) / config.horizon
+            base = fr if fr is not None else float(grid.f_rate.mean()) / config.horizon
             if "time_constant" in names:
                 rule = grid.constant_rule()
             for name in timed:

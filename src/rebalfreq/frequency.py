@@ -160,67 +160,99 @@ def cost_breakdown(model, gamma, y, A=None, allow_flagged=False):
     return CostBreakdown(tac_rate=n / np.sqrt(A), de_rate=0.5 * d * A)
 
 
+# States per block of the prediction grid: a block's geometry is a few MiB, where the
+# whole grid's reaches gigabytes at T = 20.
+_GRID_BLOCK = 1 << 15
+
+
+def _mean(per_path):
+    return float(per_path.mean())
+
+
 @dataclass(frozen=True)
 class _RateGrid:
-    """``N``, ``D`` and the frictionless rate at every state of a state grid.
+    """Per-path integrals over ``[0, T]`` on a state grid, each ``(n_paths,)``.
 
-    ``states`` is the flat ``(n_states, p)`` array of grid states, path by
-    path, and ``n``, ``d``, ``f_rate`` are their values there. ``weights``
-    is the trapezoid weight vector of one path, so ``values @ weights``
-    integrates a pointwise quantity over ``[0, T]``. A constant-coefficient
-    model (``p = 0``) has one state, held over the whole horizon.
+    ``n``, ``d``, ``f_rate`` and ``opt`` integrate ``N``, ``D``, the frictionless
+    rate and the optimal cost rate ``1.5 N^(2/3) D^(1/3)``; ``tac`` and ``da``
+    integrate ``N / sqrt(A)`` and ``D * A`` for the state-dependent ``rule`` the
+    grid was built with (``None`` without one). Each value is one path's trapezoid
+    sum, a row reduction, so its bits do not depend on the grid's block size. A
+    constant-coefficient model (``p = 0``) has one path of one state, held over
+    ``[0, T]``.
     """
 
-    states: np.ndarray
     n: np.ndarray
     d: np.ndarray
     f_rate: np.ndarray
-    weights: np.ndarray
+    opt: np.ndarray
+    tac: np.ndarray = None
+    da: np.ndarray = None
+    rule: object = None
 
-    def mean_integral(self, values):
-        """``E[int_0^T values dt]`` over the grid's paths."""
-        return float((values.reshape(-1, len(self.weights)) @ self.weights).mean())
-
-    def rule_values(self, rule):
-        """The rule's ``A`` at every grid state; must be positive."""
-        a = np.broadcast_to(np.asarray(rule.A_of(self.states), dtype=float), self.n.shape)
-        if np.any(a <= 0):
+    def rule_integrals(self, rule):
+        """``(E[int N/sqrt(A) dt], E[int D*A dt])`` of a constant rule or of the grid's own."""
+        if callable(rule.A):
+            if rule is not self.rule:
+                raise ParameterError("the grid holds no integrals of this state-dependent rule")
+            return _mean(self.tac), _mean(self.da)
+        a = float(rule.A)
+        if not a > 0:
             raise ParameterError("rule values must be positive")
-        return a
+        return _mean(self.n) / np.sqrt(a), a * _mean(self.d)
 
     def constant_rule(self):
         """Best state-independent rule: ``A = (E[int N dt] / E[int D dt])^(2/3)``."""
-        a = (self.mean_integral(self.n) / self.mean_integral(self.d)) ** (2.0 / 3.0)
+        a = (_mean(self.n) / _mean(self.d)) ** (2.0 / 3.0)
         return DiscretizationRule(kind="constant", A=float(a))
 
     def total_cost(self, rule=None):
         """Leading-order total cost of ``rule`` (``None``: pointwise optimal)."""
         if rule is None:
-            return self.mean_integral(1.5 * self.n ** (2.0 / 3.0) * self.d ** (1.0 / 3.0))
-        a = self.rule_values(rule)
-        return self.mean_integral(0.5 * self.d * a + self.n / np.sqrt(a))
+            return _mean(self.opt)
+        tac, da = self.rule_integrals(rule)
+        return 0.5 * da + tac
 
 
-def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged):
-    """Evaluate ``N``, ``D`` and the frictionless rate on simulated state paths.
+def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, rule=None):
+    """Per-path integrals of ``N``, ``D`` and the frictionless rate on simulated state paths.
 
-    The paths come from :func:`rebalfreq.simulate.simulate_state_grid`, which
-    uses the same grid and per-path random streams as the wealth simulator,
-    so asymptotic and simulated quantities share sampling-error structure.
-    Raises as :func:`rate_parts` does at any grid state.
+    The paths come from one :func:`rebalfreq.simulate.simulate_state_grid` call,
+    which uses the same grid and per-path random streams as the wealth simulator,
+    so asymptotic and simulated quantities share sampling-error structure. The
+    geometry is evaluated on blocks of whole paths and reduced to per-path
+    integrals, so no more than one block of it is held at a time. A state-dependent
+    ``rule`` also has its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A``
+    from ``rule.A_of`` on the block's states. Raises as :func:`rate_parts` does
+    at any grid state.
     """
     if model.p == 0:
-        states, weights = np.zeros((1, 0)), np.array([float(horizon_T)])
+        grid, weights = np.zeros((1, 1, 0)), np.array([float(horizon_T)])
     else:
         from .simulate import simulate_state_grid
 
         times, grid = simulate_state_grid(model, horizon_T, dt, n_paths, y0, seed)
-        states = grid.reshape(-1, model.p)
         weights = np.full(len(times), dt)
         weights[0] = weights[-1] = 0.5 * dt
-    st = merton_state(model, states, gamma)
-    n, d = _rate_parts(st, gamma, allow_flagged)
-    return _RateGrid(states, n, d, st.f_rate, weights)
+    state_rule = rule is not None and callable(rule.A)
+    width = len(weights)
+    per_block = max(1, _GRID_BLOCK // width)  # whole paths
+    out = np.empty((6 if state_rule else 4, len(grid)))
+    for lo in range(0, len(grid), per_block):
+        block = grid[lo:lo + per_block]
+        states = block.reshape(len(block) * width, model.p)
+        st = merton_state(model, states, gamma)
+        n, d = _rate_parts(st, gamma, allow_flagged)
+        parts = [n, d, st.f_rate, 1.5 * n ** (2.0 / 3.0) * d ** (1.0 / 3.0)]
+        if state_rule:
+            a = np.broadcast_to(np.asarray(rule.A_of(states), dtype=float), n.shape)
+            if np.any(a <= 0):
+                raise ParameterError("rule values must be positive")
+            parts += [n / np.sqrt(a), d * a]
+        for row, values in zip(out, parts):
+            # a row-wise add.reduce: a matrix-vector product's bits depend on the row count
+            row[lo:lo + per_block] = np.add.reduce(values.reshape(-1, width) * weights, axis=1)
+    return _RateGrid(*out, rule=rule)
 
 
 def constant_rule(model, gamma, horizon_T, y0=None, n_paths=_GRID_PATHS, dt=1.0 / 250.0, seed=0,
@@ -230,7 +262,8 @@ def constant_rule(model, gamma, horizon_T, y0=None, n_paths=_GRID_PATHS, dt=1.0 
     ``A* = (E[int N dt] / E[int D dt])^(2/3)``; the expectations are exact
     for constant-coefficient models (then the rule coincides with
     :func:`optimal_rule` evaluated anywhere) and Monte Carlo estimates over
-    ``n_paths`` simulated state paths started at ``y0`` otherwise.
+    ``n_paths`` simulated state paths started at ``y0`` otherwise, as means of
+    per-path integrals.
     """
     return _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged).constant_rule()
 
@@ -240,12 +273,15 @@ def total_cost(model, gamma, rule=None, horizon_T=20.0, y0=None, n_paths=_GRID_P
     """Leading-order total cost ``TC`` over ``[0, T]`` (eps-free).
 
     With ``rule=None`` the pointwise-optimal rule is assumed and the minimal
-    cost ``(3/2) E[int N^(2/3) D^(1/3) dt]`` is evaluated directly; with an
-    explicit rule the generic integrand ``D/2 * A + N/sqrt(A)`` is used. The
-    two paths agree at ``A*`` to floating-point accuracy. Multiply by
-    ``eps^(2/3) / T`` for the annualised performance loss.
+    cost ``(3/2) E[int N^(2/3) D^(1/3) dt]`` is evaluated directly; a constant
+    rule ``A`` costs ``A/2 E[int D dt] + E[int N dt] / sqrt(A)``, and a
+    state-dependent one the mean of its per-path integrals of
+    ``D/2 * A + N/sqrt(A)``. The forms agree at ``A*`` to floating-point
+    accuracy. Each expectation is a mean of per-path integrals whose bits do
+    not depend on how the grid is blocked. Multiply by ``eps^(2/3) / T`` for
+    the annualised performance loss.
     """
-    grid = _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged)
+    grid = _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, rule)
     return grid.total_cost(rule)
 
 
@@ -261,11 +297,13 @@ def lemma_constants(model, gamma, rule, horizon_T, y0=None, n_paths=_GRID_PATHS,
         de_constant  = E[ int_0^T (D(Y) / gamma) * A(Y) dt ],
 
     with ``N``, ``D`` as in :func:`rate_parts` (so ``D/gamma`` is half the
-    tracking quadratic form). Exact for constant-coefficient models.
+    tracking quadratic form). The expectations are means of per-path
+    integrals, block-independent bit for bit, with a constant ``A`` taken out
+    of the integral. Exact for constant-coefficient models.
     """
-    grid = _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged)
-    a = grid.rule_values(rule)
-    return grid.mean_integral(grid.n / np.sqrt(a)), grid.mean_integral((grid.d / gamma) * a)
+    grid = _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, rule)
+    tac, da = grid.rule_integrals(rule)
+    return tac, da / gamma
 
 
 @dataclass(frozen=True)

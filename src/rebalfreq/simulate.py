@@ -490,6 +490,15 @@ def _quad_form(x, Sigma):
     return _fixed_sum(x[..., i, :] * S[i, k] * x[..., k, :] for i, k in ik)
 
 
+def _run_of(mask):
+    """Index of the strategy rows ``mask`` selects: a slice (views, not copies) when they
+    form one run, else the mask itself."""
+    runs = np.flatnonzero(mask)
+    if runs.size and runs[-1] - runs[0] == len(runs) - 1:
+        return slice(runs[0], runs[-1] + 1)
+    return mask
+
+
 def _run_block(model, config, strategies, lo, hi, record_upto):
     """Paths ``lo .. hi - 1`` of all ``S`` strategies on shared draws, as stacked
     ``(S, B)`` and ``(S, m, B)`` ledgers, paths last so that ufuncs and asset sums
@@ -510,9 +519,8 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     profiled = {k for k, r in timed if isinstance(r.A, _AdaptiveProfile)
                 and r.A.model is model and r.A.gamma == gamma}
     banded, edged = band.any(), to_edge.any()
-    runs = np.flatnonzero(band)
-    if banded and runs[-1] - runs[0] == len(runs) - 1:  # one run of strategies: slice views
-        band = slice(runs[0], runs[-1] + 1)
+    band, clock = _run_of(band), _run_of(np.array([s.kind == "time" for s in strategies]))
+    fric_rows = np.repeat(fric[:, None], B, axis=1)
     with_beta = banded or bool(profiled)
 
     source = _BlockNormals(config.seed, lo, hi, model.d, config.antithetic)
@@ -582,13 +590,16 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
         de += 0.5 * (f_post + f_pre) * dt
         f_post = f_pre
 
-        # triggers: frictionless every step, time rules on schedule, bands on exit
-        due = t1 >= next_t - 1e-9 * dt
-        if banded:
-            over = np.abs(err[band]) > hw * scale[band]
-            traded[band] = over
-            due[band] |= over.any(axis=1)
-        trig = fric[:, None] | due & (t1 < config.horizon - 1e-9)
+        # triggers: frictionless every step; before the horizon, time rules on schedule
+        # and bands on exit
+        trig = fric_rows.copy()
+        if t1 < config.horizon - 1e-9:
+            if timed:
+                trig[clock] |= t1 >= next_t[clock] - 1e-9 * dt
+            if banded:
+                over = np.abs(err[band]) > hw * scale[band]
+                traded[band] = over
+                trig[band] |= over.any(axis=1)
         if lost:
             trig &= ~failed
 

@@ -213,6 +213,63 @@ def test_constant_rule_ko_waiting_months(ko1d):
 
 
 # ---------------------------------------------------------------------------
+# the streamed prediction grid
+# ---------------------------------------------------------------------------
+
+# in _rate_grid's argument order
+GRID_KW = dict(horizon_T=0.5, y0=None, n_paths=24, dt=1.0 / 250.0, seed=4, allow_flagged=True)
+
+
+def test_rate_grid_bits_independent_of_block(ko1d, monkeypatch):
+    from rebalfreq import frequency
+
+    adaptive = optimal_rule(ko1d, GAMMA, allow_flagged=True)
+    width = 126  # states per path: 0.5 years of 1/250 steps, both ends included
+    fields = ("n", "d", "f_rate", "opt", "tac", "da")
+
+    def run(block):
+        monkeypatch.setattr(frequency, "_GRID_BLOCK", block)
+        grid = frequency._rate_grid(ko1d, GAMMA, *GRID_KW.values(), adaptive)
+        assert grid.n.shape == (24,)
+        crule = constant_rule(ko1d, GAMMA, **GRID_KW)
+        costs = [total_cost(ko1d, GAMMA, rule=r, **GRID_KW) for r in (None, crule, adaptive)]
+        return [getattr(grid, f) for f in fields], crule.A, costs
+
+    whole = run(1 << 20)
+    for paths in (1, 3, 4):
+        arrays, a, costs = run(paths * width)
+        for name, got, ref in zip(fields, arrays, whole[0]):
+            np.testing.assert_array_equal(got, ref, err_msg=f"{name}, blocks of {paths} paths")
+        assert a == whole[1] and costs == whole[2]
+
+
+def test_grid_costs_equal_per_state_formula(ko1d):
+    from rebalfreq import simulate_state_grid
+
+    kw = dict(GRID_KW, horizon_T=2.0)
+    times, grid = simulate_state_grid(ko1d, kw["horizon_T"], kw["dt"], kw["n_paths"], None, kw["seed"])
+    n, d = rate_parts(ko1d, GAMMA, grid.reshape(-1, ko1d.p), allow_flagged=True)
+    w = np.full(len(times), kw["dt"])
+    w[0] = w[-1] = 0.5 * kw["dt"]
+
+    def integral(values):
+        return float((values.reshape(-1, len(w)) @ w).mean())
+
+    crule = constant_rule(ko1d, GAMMA, **kw)
+    a = (integral(n) / integral(d)) ** (2.0 / 3.0)
+    assert crule.A == pytest.approx(a, rel=1e-12, abs=0)
+    tc = total_cost(ko1d, GAMMA, rule=crule, **kw)
+    assert tc == pytest.approx(integral(0.5 * d * a + n / np.sqrt(a)), rel=1e-12, abs=0)
+    tc_opt = total_cost(ko1d, GAMMA, rule=None, **kw)
+    assert tc_opt == pytest.approx(integral(1.5 * n ** (2 / 3) * d ** (1 / 3)), rel=1e-12, abs=0)
+    adaptive = optimal_rule(ko1d, GAMMA, allow_flagged=True)
+    for rule, values in ((crule, a), (adaptive, (n / d) ** (2.0 / 3.0))):
+        tac, de = lemma_constants(ko1d, GAMMA, rule, **kw)
+        assert tac == pytest.approx(integral(n / np.sqrt(values)), rel=1e-12, abs=0)
+        assert de == pytest.approx(integral((d / GAMMA) * values), rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
 # schedules
 # ---------------------------------------------------------------------------
 
