@@ -94,22 +94,23 @@ class MertonState:
     ``Sigma`` in 1/years, ``sigma_tilde`` and ``beta`` in 1/sqrt(years),
     ``f_rate`` (the frictionless objective rate ``mu' Sigma^{-1} mu / 2
     gamma``) in 1/years. ``mu``, ``sigma`` and ``b`` are the model's
-    coefficients at the state, which the simulation engine steps with.
+    coefficients at the state; the engine's growth reads ``mu`` and ``sigma``.
     ``assumption_ok`` is True where the weights neither short nor leverage
-    (each component in ``[0, 1)``, total in ``(0, 1]``).
+    (each component in ``[0, 1)``, total in ``(0, 1]``). The engine's adaptive
+    waits give only the ``w_star``, ``Sigma`` and ``beta`` the rate parts read.
     """
 
-    y: np.ndarray
     gamma: float
     w_star: np.ndarray
     Sigma: np.ndarray
-    Sigma_inv: np.ndarray
-    sigma_tilde: np.ndarray
     beta: np.ndarray
-    f_rate: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-    b: np.ndarray
+    y: np.ndarray = None
+    Sigma_inv: np.ndarray = None
+    sigma_tilde: np.ndarray = None
+    f_rate: np.ndarray = None
+    mu: np.ndarray = None
+    sigma: np.ndarray = None
+    b: np.ndarray = None
 
     @property
     def assumption_ok(self):

@@ -22,11 +22,16 @@ chunked into blocks or spread across workers, and any single path can be
 reproduced bit-for-bit in isolation. Aggregation happens in fixed block
 order. Strategies of one run share the market draws, which sharpens their
 comparison, and one ledger of arrays stacked over (strategy, path), paths last.
+
+A block of ``B`` paths runs in chunks of ``K = max(1, _CHUNK // B)`` steps: a
+market pass takes the chunk's draws as one tape, steps the state through it and
+forms the geometry, band widths and growth of all ``K B`` states at once, and the
+ledger pass reads step slices of these. Sums run in a fixed order, so no result
+depends on ``K``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -37,7 +42,7 @@ import numpy as np
 from .errors import AssumptionError, ConvergenceError, DomainError, ParameterError
 from .frequency import DiscretizationRule, _AdaptiveProfile
 from .markets import _check_finite
-from .merton import _constant_block, _fixed_sum, _geometry, _last, merton_state
+from .merton import MertonState, _constant_block, _fixed_sum, _geometry, _last, merton_state
 
 __all__ = [
     "SimulationConfig",
@@ -268,6 +273,10 @@ def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
 # random numbers and state paths
 # ---------------------------------------------------------------------------
 
+# States per chunk of a block's market pass: K = max(1, _CHUNK // B) steps of B paths.
+_CHUNK = 8192
+
+
 class _BlockNormals:
     """Per-path Philox streams for paths ``lo .. hi - 1``, drawn in step chunks.
 
@@ -314,14 +323,14 @@ class _BlockNormals:
                 row[10:] = st["buffer_pos"], st["has_uint32"], st["uinteger"]
         return buf
 
-    def step(self, n_left):
-        """Normals for the next time step, paths last: a contiguous ``(d, B)``."""
+    def tape(self, n_left, k):
+        """A tape of normals for the next ``k`` steps of the ``n_left`` left (fewer where the
+        drawn chunk ends): one transposition of the lane-major buffer into a contiguous
+        ``(d, k, B)``, factor, then step, then path."""
         if self._buf is None or self._pos >= self._buf.shape[1]:
-            size = min(self.chunk, n_left)
-            self._buf = self.draw(size, more=n_left > size)
-            self._pos = 0
-        z = np.ascontiguousarray(self._buf[:, self._pos, :].T)
-        self._pos += 1
+            self._buf, self._pos = self.draw(min(self.chunk, n_left), more=n_left > self.chunk), 0
+        z = np.ascontiguousarray(self._buf[:, self._pos:self._pos + k].transpose(2, 1, 0))
+        self._pos += z.shape[1]
         return z
 
 
@@ -339,8 +348,8 @@ def _default_y0(model, y0):
 
 
 def _reflect(y, support):
-    if support is None:
-        return y
+    if support is None or ((y >= support[:, 0]).all() and (y <= support[:, 1]).all()):
+        return y  # nothing to reflect
     lo, hi = support[:, 0], support[:, 1]
     y = np.where(y < lo, 2.0 * lo - y, y)
     y = np.where(y > hi, 2.0 * hi - y, y)
@@ -349,15 +358,18 @@ def _reflect(y, support):
     return y
 
 
-def _state_step(model, g0, y, b, z, dt):
-    """One Euler step of the states ``y`` with drift ``b`` and draws ``z`` ``(d, n)``, reflected.
+def _euler(model, y, z, dt, out):
+    """Euler steps of the states ``y`` ``(B, p)`` on the tape ``z`` ``(d, K, B)``, reflected at
+    the support box, step ``j``'s into ``out[j]``; returns the last. A constant ``g`` (as
+    with a constant covariance) gives the diffusion terms of all ``K`` steps in one go."""
+    def shock(g, z):  # g z sqrt(dt), states last
+        return _fixed_sum((g[:, i] * z[i] for i in range(len(z))), 2) * np.sqrt(dt)
 
-    ``g0`` is the state diffusion of a constant-covariance model, whose ``g``
-    is constant too; with ``None`` it is evaluated at ``y``.
-    """
-    g = _last(model.g(y)) if g0 is None else g0[..., None]
-    shock = _fixed_sum((g[:, j] * z[j] for j in range(len(z))), 2)
-    return _reflect(y + b * dt + shock.T * np.sqrt(dt), model.support)
+    shocks = shock(_last(model.g(y[:1]))[..., None], z) if model.constant_sigma else None
+    for j in range(z.shape[1]):
+        dw = shock(_last(model.g(y)), z[:, j]) if shocks is None else shocks[:, j]
+        y = out[j] = _reflect(y + model.b(y) * dt + dw.T, model.support)
+    return y
 
 
 def _log_returns(mu, sigma, z, dt):
@@ -372,28 +384,14 @@ def _log_returns(mu, sigma, z, dt):
     return (mu - 0.5 * rownorm2) * dt + shock * np.sqrt(dt)
 
 
-def _state_paths(model, y0, normals, dt, out):
-    """Fill ``out`` ``(B, n_steps + 1, p)`` with state paths started at ``y0``.
-
-    ``normals`` yields the ``(d, B)`` increments of one step at a time.
-    """
-    y = np.tile(y0, (len(out), 1))
-    out[:, 0] = y
-    if model.p == 0:
-        return
-    g0 = model.g(y[:1])[0] if model.constant_sigma else None
-    for step, z in enumerate(normals):
-        y = _state_step(model, g0, y, model.b(y), z, dt)
-        out[:, step + 1] = y
-
-
 def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size=4096):
     """Euler paths of the state variable alone on the simulation grid.
 
     Returns ``(times, states)`` with ``states`` of shape
-    ``(n_paths, n_steps + 1, p)``. Uses the same per-path streams as the
-    wealth simulator, so expectations computed here share their sampling
-    error structure with full strategy runs at the same seed.
+    ``(n_paths, n_steps + 1, p)``. Uses the same per-path streams and the
+    same Euler recursion as the wealth simulator, so expectations computed
+    here share their sampling error structure with full strategy runs at the
+    same seed.
     """
     n_steps = int(round(horizon / dt))
     times = np.linspace(0.0, horizon, n_steps + 1)
@@ -401,9 +399,12 @@ def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size
     states = np.empty((n_paths, n_steps + 1, model.p))
     for lo in range(0, n_paths, block_size):
         hi = min(lo + block_size, n_paths)
-        source = _BlockNormals(seed, lo, hi, model.d, False)
-        normals = (source.step(n_steps - k) for k in range(n_steps))
-        _state_paths(model, y0, normals, dt, states[lo:hi])
+        source, out = _BlockNormals(seed, lo, hi, model.d, False), states[lo:hi].transpose(1, 0, 2)
+        out[0], step = y0, 0
+        while model.p and step < n_steps:
+            z = source.tape(n_steps - step, max(1, _CHUNK // (hi - lo)))
+            _euler(model, out[step], z, dt, out[step + 1:])
+            step += z.shape[1]
     return times, states
 
 
@@ -416,16 +417,16 @@ def simulate_market_path(model, config, path_index):
     """
     n_steps = config.n_steps
     times = np.linspace(0.0, config.horizon, n_steps + 1)
-    y0 = _default_y0(model, config.y0)
-    source = _BlockNormals(config.seed, path_index, path_index + 1, model.d, config.antithetic)
-    z = source.draw(n_steps)
-    states = np.empty((1, n_steps + 1, model.p))
-    _state_paths(model, y0, z[0, :, :, None], config.dt, states)
-    left = states[0, :-1]
+    states = np.tile(_default_y0(model, config.y0), (n_steps + 1, 1, 1))
+    z = _BlockNormals(config.seed, path_index, path_index + 1, model.d, config.antithetic,
+                      n_steps).tape(n_steps, n_steps)
+    if model.p:
+        _euler(model, states[0], z, config.dt, states[1:])
+    left = states[:-1, 0]
     model.check_support(left)
     mu, sigma = model.mu(left), model.sigma(left)
     _check_finite(mu, sigma)
-    return times, states[0], _log_returns(_last(mu), _last(sigma), z[0].T, config.dt).T
+    return times, states[:, 0], _log_returns(_last(mu), _last(sigma), z[:, :, 0], config.dt).T
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +505,17 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     ``(S, B)`` and ``(S, m, B)`` ledgers, paths last so that ufuncs and asset sums
     (bitwise as paths-first for ``m < 8``) run along contiguous memory; trades use
     rows ``strategy * B + path``. Returns the ledgers, frictionless rates and records.
+
+    Steps run in chunks of ``K = max(1, _CHUNK // B)`` (fewer where a drawn chunk ends). The
+    market pass steps the state through the chunk's tape, then forms in one call each the
+    geometry and band half-widths after every step, the growth from each step's left-endpoint
+    coefficients and the frictionless-rate trapezoid terms. The ledger reads step ``j`` from
+    states ``j B .. (j + 1) B - 1``; a bad state raises before the ledger runs its chunk.
     """
-    n_steps, m = config.n_steps, model.m
+    n_steps, m, p = config.n_steps, model.m, model.p
     dt, eps, gamma = config.dt, config.epsilon, config.gamma
     S, B = len(strategies), hi - lo
+    K = max(1, _CHUNK // B)
     n_rec = max(0, min(record_upto, hi) - lo)
     band = np.array([s.kind in ("move", "pasted") for s in strategies])
     fric = np.array([s.kind == "frictionless" for s in strategies])
@@ -521,34 +529,23 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     banded, edged = band.any(), to_edge.any()
     band, clock = _run_of(band), _run_of(np.array([s.kind == "time" for s in strategies]))
     fric_rows = np.repeat(fric[:, None], B, axis=1)
-    with_beta = banded or bool(profiled)
 
     source = _BlockNormals(config.seed, lo, hi, model.d, config.antithetic)
     y = np.tile(_default_y0(model, config.y0), (B, 1))
-    const = _constant_block(model, y)
-    g0 = model.g(y[:1])[0] if model.constant_sigma else None
-
-    def market(y):
-        """The geometry at ``y`` and the ``(m, B)`` band half-widths (0 if unread or cost-free)."""
-        st = _geometry(model, y, gamma, const, with_beta)
-        return st, _halfwidths(st, gamma, eps).T if banded and eps > 0 else 0.0
-
-    def waits(k, rule, rows):
-        """Waiting times of time rule ``k`` after trades on the paths ``rows``."""
-        if k in profiled:
-            return eps**rule.alpha * rule.A.of_state(cur.rows(rows))
-        return rule.waiting_time(y[rows], eps)
-
-    cur, hw = market(y)
-    Vi = np.repeat(cur.w_star.T[None], S, axis=0)
+    const = _constant_block(model, np.broadcast_to(y[:1], (K * B, p)))  # sliced per call
+    first = _geometry(model, y, gamma, const and tuple(c[:B] for c in const),
+                      banded or bool(profiled))
+    Vi = np.repeat(first.w_star.T[None], S, axis=0)
     V0, V = 1.0 - Vi.sum(axis=1), np.ones((S, B))
     rel, rel2, tac, de, f_post = (np.zeros((S, B)) for _ in range(5))
     n_trades = np.zeros((S, B), dtype=np.int64)
     traded = np.ones((S, m, B), dtype=bool)  # band rows are set at each step
     next_t = np.full((S, B), np.inf)
     for k, rule in timed:
-        next_t[k] = waits(k, rule, slice(None))
+        next_t[k] = (eps**rule.alpha * rule.A.of_state(first) if k in profiled
+                     else rule.waiting_time(y, eps))
     fric_rate = np.zeros(B)
+    left = _last(first.mu), _last(first.sigma), first.f_rate  # at a chunk's first step
 
     rec = None
     if n_rec:
@@ -562,88 +559,108 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
             "trades": [[] for _ in strategies],
         }
 
-    for step in range(n_steps):
-        z = source.step(n_steps - step)
-        t1 = (step + 1) * dt
-        growth = np.exp(_log_returns(_last(cur.mu), _last(cur.sigma), z, dt))
-        prev = cur
-        if model.p:  # else the state never moves
-            y = _state_step(model, g0, y, cur.b, z, dt)
-            cur, hw = market(y)
-        fric_rate += 0.5 * (prev.f_rate + cur.f_rate) * dt
+    geo, s0 = None, 0
+    while s0 < n_steps:
+        z = source.tape(n_steps - s0, K)
+        n = z.shape[1]  # steps in this chunk
+        if p or geo is None:  # a state that never moves keeps its first chunk's geometry
+            yc = (ys := np.empty((n, B, p))).reshape(n * B, p)  # the chunk's states, step-major
+            y = _euler(model, y, z, dt, ys) if p else y
+            geo = _geometry(model, yc, gamma, const and tuple(c[:n * B] for c in const),
+                            banded or bool(profiled))
+            W = _last(geo.w_star).reshape(m, n, B)
+            right = _last(geo.mu), _last(geo.sigma), geo.f_rate
+            HW = _halfwidths(geo, gamma, eps).T.reshape(m, n, B) if banded else None  # 0 at eps = 0
+        # left endpoints: the previous chunk's last states, then all of this chunk's but its last
+        mu, sigma, f = (np.concatenate([a, x[..., :(n - 1) * B]], -1) for a, x in zip(left, right))
+        sigma = right[1] if const else sigma  # a constant sigma is its broadcast column
+        G = np.exp(_log_returns(mu, sigma, z.reshape(len(z), n * B), dt)).reshape(m, n, B)
+        f_terms = (0.5 * (f + right[2][:n * B]) * dt).reshape(n, B)
+        left = tuple(x[..., (n - 1) * B:n * B] for x in right)
 
-        Vi *= growth
-        v_old, V = V, V0 + Vi.sum(axis=1)
-        failed = V <= 0.0  # a failed path holds no wealth from then on, so it stays in here
-        if lost := failed.any():  # guards: a failed path has no return after it fails, no weights
-            V0[failed], Vi.transpose(0, 2, 1)[failed], V[failed] = 0.0, 0.0, 0.0
-            x = np.divide(V, v_old, out=np.ones_like(V), where=v_old > 0) - 1.0
-            w_pre = np.divide(Vi, V[:, None], out=np.zeros_like(Vi), where=V[:, None] > 0)
-        else:
-            x, w_pre = V / v_old - 1.0, Vi / V[:, None]
-        rel += x
-        rel2 += x * x
-        err = cur.w_star.T - w_pre
-        f_pre = _quad_form(err, cur.Sigma)
-        if lost:  # and no tracking error from its failing step on
-            f_pre[failed] = f_post[failed] = 0.0
-        de += 0.5 * (f_post + f_pre) * dt
-        f_post = f_pre
+        for j in range(n):
+            step = s0 + j
+            t1 = (step + 1) * dt
+            Sigma = geo.Sigma[j * B:(j + 1) * B]
+            fric_rate += f_terms[j]
 
-        # triggers: frictionless every step; before the horizon, time rules on schedule
-        # and bands on exit
-        trig = fric_rows.copy()
-        if t1 < config.horizon - 1e-9:
-            if timed:
-                trig[clock] |= t1 >= next_t[clock] - 1e-9 * dt
-            if banded:
-                over = np.abs(err[band]) > hw * scale[band]
-                traded[band] = over
-                trig[band] |= over.any(axis=1)
-        if lost:
-            trig &= ~failed
+            Vi *= G[:, j]
+            v_old, V = V, V0 + Vi.sum(axis=1)
+            failed = V <= 0.0  # a failed path holds no wealth from then on, so it stays in here
+            if lost := failed.any():  # guards: after a path fails, no return and no weights
+                V0[failed], Vi.transpose(0, 2, 1)[failed], V[failed] = 0.0, 0.0, 0.0
+                x = np.divide(V, v_old, out=np.ones_like(V), where=v_old > 0) - 1.0
+                w_pre = np.divide(Vi, V[:, None], out=np.zeros_like(Vi), where=V[:, None] > 0)
+            else:
+                x, w_pre = V / v_old - 1.0, Vi / V[:, None]
+            rel += x
+            rel2 += x * x
+            err = W[:, j] - w_pre
+            f_pre = _quad_form(err, Sigma)
+            if lost:  # and no tracking error from its failing step on
+                f_pre[failed] = f_post[failed] = 0.0
+            de += 0.5 * (f_post + f_pre) * dt
+            f_post = f_pre
 
-        flat = np.flatnonzero(trig)
-        if flat.size:
-            si, bi = np.divmod(flat, B)
-            w_star, w, tm = cur.w_star[bi], w_pre[si, :, bi], traded[si, :, bi]
-            u, row_rate = w_star, rate[flat]
-            if edged:  # trade back to the band edge (err = w_star - w)
-                shift = np.sign(w_star - w) * (hw[:, bi].T * scale[si, 0])
-                u = np.where(to_edge[si, None], w_star - shift, w_star)
-            sz = _rebalance_batch(w, u, row_rate, tm)
-            cost = row_rate * sz
-            keep = 1.0 - cost
-            w_post = np.where(tm, u, w / keep[:, None])
-            v_new = _rows(V)[flat] * keep
-            _rows(rel)[flat] -= cost
-            _rows(rel2)[flat] += cost * cost
-            _rows(tac)[flat] += cost
-            _rows(n_trades)[flat] += 1
-            Vi[si, :, bi] = w_post * v_new[:, None]
-            _rows(V0)[flat] = v_new * (1.0 - w_post.sum(axis=1))
-            _rows(V)[flat] = v_new
-            gap = (w_star - w_post).T  # a constant Sigma is read as its broadcast column
-            _rows(f_post)[flat] = _quad_form(gap, cur.Sigma if const else cur.Sigma[bi])
-            broke = flat[keep <= 0.0]  # the trade cost all the wealth: the path fails
-            if broke.size:
-                _rows(V0)[broke], Vi[broke // B, :, broke % B], _rows(V)[broke] = 0.0, 0.0, 0.0
-            for k, rule in timed:
-                mine = si == k
-                if mine.any():
-                    _rows(next_t)[flat[mine]] += np.maximum(waits(k, rule, bi[mine]), 0.0)
+            # triggers: frictionless every step; before the horizon, time rules on schedule
+            # and bands on exit
+            trig = fric_rows.copy()
+            if t1 < config.horizon - 1e-9:
+                if timed:
+                    trig[clock] |= t1 >= next_t[clock] - 1e-9 * dt
+                if banded:
+                    over = np.abs(err[band]) > HW[:, j] * scale[band]
+                    traded[band] = over
+                    trig[band] |= over.any(axis=1)
+            if lost:
+                trig &= ~failed
+
+            flat = np.flatnonzero(trig)
+            if flat.size:
+                si, bi = np.divmod(flat, B)
+                rows = j * B + bi  # the traded paths' states in the chunk
+                w_star, w, tm = geo.w_star[rows], w_pre[si, :, bi], traded[si, :, bi]
+                u, row_rate = w_star, rate[flat]
+                if edged:  # trade back to the band edge (err = w_star - w)
+                    shift = np.sign(w_star - w) * (HW[:, j, bi].T * scale[si, 0])
+                    u = np.where(to_edge[si, None], w_star - shift, w_star)
+                sz = _rebalance_batch(w, u, row_rate, tm)
+                cost = row_rate * sz
+                keep = 1.0 - cost
+                w_post = np.where(tm, u, w / keep[:, None])
+                v_new = _rows(V)[flat] * keep
+                _rows(rel)[flat] -= cost
+                _rows(rel2)[flat] += cost * cost
+                _rows(tac)[flat] += cost
+                _rows(n_trades)[flat] += 1
+                Vi[si, :, bi] = w_post * v_new[:, None]
+                _rows(V0)[flat] = v_new * (1.0 - w_post.sum(axis=1))
+                _rows(V)[flat] = v_new
+                gap = (w_star - w_post).T  # a constant Sigma is read as its broadcast column
+                _rows(f_post)[flat] = _quad_form(gap, Sigma if const else Sigma[bi])
+                broke = flat[keep <= 0.0]  # the trade cost all the wealth: the path fails
+                if broke.size:
+                    _rows(V0)[broke], Vi[broke // B, :, broke % B], _rows(V)[broke] = 0.0, 0.0, 0.0
+                for k, rule in timed:  # a profiled rule reads A* off the rows' w*, Sigma and beta
+                    if (mine := si == k).any():
+                        r = rows[mine]
+                        wait = (eps**rule.alpha * rule.A.of_state(
+                            MertonState(gamma, geo.w_star[r], geo.Sigma[r], geo.beta[r]))
+                            if k in profiled else rule.waiting_time(ys[j, bi[mine]], eps))
+                        _rows(next_t)[flat[mine]] += np.maximum(wait, 0.0)
+                if n_rec:
+                    dl = np.where(tm, u * keep[:, None] - w, 0.0)
+                    for i in np.flatnonzero(bi < n_rec):
+                        trade = (step + 1, lo + int(bi[i]), dl[i].copy(), float(sz[i]))
+                        rec["trades"][si[i]].append(trade)
             if n_rec:
-                dl = np.where(tm, u * keep[:, None] - w, 0.0)
-                for j in np.flatnonzero(bi < n_rec):
-                    trade = (step + 1, lo + int(bi[j]), dl[j].copy(), float(sz[j]))
-                    rec["trades"][si[j]].append(trade)
-        if n_rec:
-            rec["growth"][:, step] = growth[:, :n_rec].T
-            rec["wealth"][:, :, step + 1] = V[:, :n_rec]
-            rec["positions"][:, :, step + 1] = vi_rec
-            w_rec = w_pre[:, :, :n_rec].transpose(0, 2, 1)
-            np.minimum(rec["w_pre_min"], w_rec, out=rec["w_pre_min"])
-            np.maximum(rec["w_pre_max"], w_rec, out=rec["w_pre_max"])
+                rec["growth"][:, step] = G[:, j, :n_rec].T
+                rec["wealth"][:, :, step + 1] = V[:, :n_rec]
+                rec["positions"][:, :, step + 1] = vi_rec
+                w_rec = w_pre[:, :, :n_rec].transpose(0, 2, 1)
+                np.minimum(rec["w_pre_min"], w_rec, out=rec["w_pre_min"])
+                np.maximum(rec["w_pre_max"], w_rec, out=rec["w_pre_max"])
+        s0 += n
 
     return (rel, rel2, tac, de, n_trades, V <= 0.0), fric_rate / config.horizon, rec
 
@@ -655,9 +672,9 @@ def run_strategies(model, config, strategies, record_paths=0):
     label to a :class:`StrategyOutcome` with per-path arrays in path order,
     and ``records`` holds full ledgers for the first ``record_paths`` paths
     of the run, merged from the blocks in path order (``None`` if zero).
-    Blocks are distributed over worker processes (default start method)
-    when ``n_workers > 1``; results are bit-identical for any worker count,
-    block size and set of companion strategies.
+    Blocks of at most ``block_size`` paths, small enough that each of ``n_workers
+    > 1`` worker processes (default start method) gets one, run in parallel; results
+    are bit-identical for any worker count, block size and set of companion strategies.
     """
     labels = [s.label for s in strategies]
     if len(set(labels)) != len(labels):
@@ -667,13 +684,15 @@ def run_strategies(model, config, strategies, record_paths=0):
             "the single-band 'move' strategy needs m == 1; use 'pasted' for "
             "several assets"
         )
-    block = config.block_size
+    block = min(config.block_size, -(-config.n_paths // max(config.n_workers, 1)))  # one per worker
     if config.antithetic and block % 2:
         block += 1
     bounds = [(lo, min(lo + block, config.n_paths)) for lo in range(0, config.n_paths, block)]
 
     run_block = partial(_run_block, model, config, strategies, record_upto=record_paths)
     if config.n_workers > 1 and len(bounds) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(config.n_workers, len(bounds))) as pool:
             results = list(pool.map(run_block, *zip(*bounds)))
     else:

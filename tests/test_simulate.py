@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import pickle
+from itertools import product
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from rebalfreq import (
     simulate_state_grid,
     time_based,
 )
+from rebalfreq import simulate
 from rebalfreq.frequency import DiscretizationRule, _rate_parts, rate_parts
 from rebalfreq.markets import evaluate_coefficients, jacobians
 from rebalfreq.merton import _constant_block, _geometry, _last
@@ -238,7 +241,11 @@ def test_block_normals_equal_fresh_philox_streams(antithetic, chunk, n_steps):
     seed, d = 13, 2
     for lo, hi in ((0, 6), (5, 12)):
         source = _BlockNormals(seed, lo, hi, d, antithetic, chunk)
-        z = np.stack([source.step(n_steps - k) for k in range(n_steps)])
+        tapes, step = [], 0
+        while step < n_steps:  # tapes of 5 steps, cut where a drawn chunk ends
+            tapes.append(source.tape(n_steps - step, 5))
+            step += tapes[-1].shape[1]
+        z = np.concatenate(tapes, axis=1).transpose(1, 0, 2)
         for i, k in enumerate(range(lo, hi)):
             key = k // 2 if antithetic else k
             stream = np.random.Generator(np.random.Philox(key=[seed, key]))
@@ -920,6 +927,117 @@ def test_failed_path_bits_independent_of_blocks_and_companions():
             alive = rec.wealth[label][:, 1:] > 0.0
             de = (0.5 * (f[:, :-1] + f[:, 1:]) * cfg.dt * alive).sum(axis=1)
             np.testing.assert_allclose(out.de, de, rtol=1e-12, atol=0.0)
+
+
+def _run_arrays(model, cfg, strategies):
+    """Every outcome, record and trade of a run with 40 recorded paths, as arrays."""
+    out, rec = run_strategies(model, cfg, strategies, record_paths=40)
+    arrays = [rec.times, rec.growth]
+    for s in strategies:
+        arrays += [getattr(out[s.label], f.name) for f in dataclasses.fields(StrategyOutcome)[1:]]
+        arrays += [getattr(rec, name)[s.label] for name in ("wealth", "weights", "w_pre_min", "w_pre_max")]
+        for step, path, dl, sz in rec.trades[s.label]:
+            arrays += [np.array([step, path]), dl, np.array(sz)]
+    return arrays
+
+
+def test_outputs_independent_of_market_chunk(bs1d, ko1d, ko2d, monkeypatch):
+    # chunks of K = 1 and 3 steps and of more steps than the run has, against the default;
+    # at K = 3 the last chunk is short, in the 550-step run a Philox chunk of 512 steps
+    # ends inside a chunk, and blocks of one path make chunks of one state at K = 1
+    def runs():
+        every = []
+        for model, eps, antithetic in product((bs1d, ko1d, ko2d(0.6)), (0.0, 0.01), (False, True)):
+            cfg = small_config(horizon=0.3, n_paths=48, block_size=24, epsilon=eps,
+                               antithetic=antithetic, allow_flagged=True)
+            band = move_based if model.m == 1 else pasted_move_based
+            a_star = float(np.asarray(optimal_rule(model, GAMMA, True).A_of(np.zeros(model.p))))
+            strategies = [band(), band("target", 0.5, label="band_t"),
+                          time_based(optimal_rule(model, GAMMA, allow_flagged=True), label="time"),
+                          time_based(DiscretizationRule("constant", 0.2 * a_star), label="time_c"),
+                          buy_and_hold(), frictionless_benchmark()]
+            every.append(_run_arrays(model, cfg, strategies))
+        long_cfg = small_config(horizon=2.2, n_paths=8, block_size=8, allow_flagged=True)
+        every.append(_run_arrays(ko1d, long_cfg, [move_based(), buy_and_hold()]))
+        one_cfg = small_config(horizon=0.3, n_paths=2, block_size=1, allow_flagged=True)
+        every.append(_run_arrays(ko1d, one_cfg, [move_based(), frictionless_benchmark()]))
+        for model, eps, strat in ((BlackScholesModel(mu=[3.0], vol=[0.30]), 0.0, buy_and_hold()),
+                                  (BlackScholesModel(mu=[2.0], vol=[0.30]), 0.01,
+                                   time_based(DiscretizationRule("constant", 0.5), label="time"))):
+            cfg = SimulationConfig(horizon=2.0, dt=1.0 / 250.0, n_paths=128, epsilon=eps,
+                                   gamma=1.0, seed=5, block_size=32)
+            every.append(_run_arrays(model, cfg, [strat, move_based()]))
+        for model in (bs1d, ko1d, ko2d(0.6)):
+            every.append(simulate_state_grid(model, 0.3, 1.0 / 250.0, 30, None, 4, block_size=7))
+            cfg = small_config(horizon=0.3, n_paths=4, antithetic=True)
+            every.append(simulate_market_path(model, cfg, 3))
+        return [a for arrays in every for a in arrays]
+
+    base = runs()
+    for chunk in (1, 24 * 3, 10**6):  # blocks of 24 paths run in chunks of 1, 3 and 75 steps
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        got = runs()
+        assert len(got) == len(base)
+        for a, b in zip(got, base):
+            _same_bits(a, b)
+    # and the growth is each step's, as the single-path API forms it at the left endpoint
+    cfg = small_config(horizon=0.3, n_paths=8, allow_flagged=True)
+    _, rec = run_strategies(ko2d(0.6), cfg, [buy_and_hold()], record_paths=8)
+    for i in range(8):
+        _same_bits(rec.growth[i], np.exp(simulate_market_path(ko2d(0.6), cfg, i)[2]))
+
+
+def test_state_leaving_support_mid_chunk_raises(ko1d, monkeypatch):
+    # a drift that throws the state far out of its box once it passes y0 + 0.01: the
+    # reflection cannot bring it back. Up to then the paths are ko1d's, which first pass
+    # that level at the ninth step, inside a chunk of the default length and of 3 steps
+    level = KO_PARAMS["long_run_mean"] + 0.01
+
+    class Leaves(TruncatedKimOmbergModel):
+        def b(self, y):
+            return np.where(y > level, 1e4, super().b(y))
+
+    model = Leaves(vol=[0.1428], **KO_PARAMS)
+    cfg = small_config(horizon=0.3, n_paths=16, allow_flagged=True)
+    _, grid = simulate_state_grid(ko1d, cfg.horizon, cfg.dt, cfg.n_paths, None, cfg.seed)
+    assert np.argmax((grid > level).any(axis=(0, 2))) == 9
+    for chunk in (1, 16 * 3, simulate._CHUNK):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        with pytest.raises(DomainError):
+            run_strategies(model, cfg, [move_based(), buy_and_hold()])
+
+
+def test_workers_get_a_block_each(ko1d, monkeypatch):
+    # 256 paths with blocks of 2048 and two workers: two blocks of 128, equal to one worker
+    blocks = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *bounds):
+            blocks.extend(zip(*bounds))
+            return map(fn, *bounds)
+
+    strategies = [time_based(optimal_rule(ko1d, GAMMA, allow_flagged=True), label="time"),
+                  move_based()]
+    cfg = small_config(horizon=0.5, n_paths=256, antithetic=True, allow_flagged=True)
+    one = run_strategies(ko1d, cfg, strategies)[0]
+    two_cfg = dataclasses.replace(cfg, n_workers=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        run_strategies(ko1d, two_cfg, strategies)
+    assert blocks == [(0, 128), (128, 256)]
+    two = run_strategies(ko1d, two_cfg, strategies)[0]
+    for label in one:
+        for f in dataclasses.fields(StrategyOutcome):
+            _same_bits(getattr(one[label], f.name), getattr(two[label], f.name))
 
 
 def test_antithetic_estimate_consistent(bs1d):

@@ -1,0 +1,98 @@
+"""Engine cost per time step, by strategy kind, at a small and a full block.
+
+The gated perfbench workloads time whole table runs. This probe times
+``run_strategies`` alone on table 2's one-asset and table 4's two-asset
+(rho = 0.6) mean-reverting markets, with one block of ``B`` paths and one
+worker, and prints microseconds per time step for each strategy kind run
+alone and for the table's simulated set. Each (market, B) pair runs in a
+fresh interpreter; a figure is the median of ``--repeats`` runs after one
+warm-up. It is not gated. Run from the root of a checkout::
+
+    python3 tools/engine_probe.py
+    python3 tools/engine_probe.py --paths 128 --repeats 9
+
+``buy_hold`` alone is the shared market work plus the lightest ledger; the
+``above_buy_hold`` column is a set's cost beyond it. ``time_constant`` waits
+``eps^(2/3) A*`` at the long-run mean.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MARKETS = {"ko1d": (2, 0), "ko2d": (4, 1)}  # table id, index of its model
+HORIZON = 1.0  # years; 250 steps at the tables' dt
+
+
+def run_market(name, paths, repeats):
+    """Time every strategy set on one market in this process; ``{set: us per step}``."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import numpy as np
+
+    from rebalfreq import simulate
+    from rebalfreq.evaluate import _run_config, _table_spec
+    from rebalfreq.frequency import DiscretizationRule, optimal_rule
+
+    table, index = MARKETS[name]
+    spec = _table_spec(table)
+    _, model = spec["models"][index]
+    config = dataclasses.replace(_run_config(paths, horizon=HORIZON), block_size=paths)
+    adaptive = optimal_rule(model, config.gamma, allow_flagged=True)
+    a_mean = float(np.asarray(adaptive.A_of(np.array([model.long_run_mean]))))
+    kinds = {
+        "buy_hold": simulate.buy_and_hold(),
+        "time_adaptive": simulate.time_based(adaptive, label="time_adaptive"),
+        "time_constant": simulate.time_based(DiscretizationRule("constant", a_mean), "time_constant"),
+        "band": simulate.move_based() if model.m == 1 else simulate.pasted_move_based(),
+        "frictionless_sim": simulate.frictionless_benchmark(),
+    }
+    names = [n for n in spec["strategies"] if n != "frictionless"]
+    table_set = [kinds["band" if n in ("move", "pasted") else n] for n in names]
+    sets = {k: [s] for k, s in kinds.items()}
+    sets["table"] = table_set
+    out = {}
+    for label, strategies in sets.items():
+        simulate.run_strategies(model, config, strategies)  # warm-up
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            simulate.run_strategies(model, config, strategies)
+            times.append(time.perf_counter() - start)
+        out[label] = statistics.median(times) / config.n_steps * 1e6
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--paths", type=int, action="append", help="block sizes (default 128, 2048)")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.repeats < 1 or any(p < 2 or p % 2 for p in args.paths or ()):
+        parser.error("--repeats must be >= 1 and --paths even and >= 2")
+    if args.child:
+        name, paths = args.child.split(":")
+        print(json.dumps(run_market(name, int(paths), args.repeats)))
+        return 0
+    print(f"{'market':<6} {'B':>5} {'set':<17} {'us_per_step':>12} {'above_buy_hold':>15}")
+    for name in MARKETS:
+        for paths in args.paths or (128, 2048):
+            cmd = [sys.executable, os.path.abspath(__file__), "--child", f"{name}:{paths}",
+                   "--repeats", str(args.repeats)]
+            rec = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+            for label, us in rec.items():
+                above = us - rec["buy_hold"]
+                print(f"{name:<6} {paths:>5} {label:<17} {us:>12.1f} {above:>15.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
