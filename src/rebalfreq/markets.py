@@ -87,36 +87,29 @@ def smooth_cutoff(y, y_min, y_max, xi):
     return value, deriv
 
 
-def _cutoff_fast(y, y_min, y_max, xi):
+def _cutoff_fast(y, y_min, y_max, xi, deriv=True):
     """The map of :func:`smooth_cutoff` on a float array, without its checks.
 
     Starts from the identity and patches only the off-interior subsets, so
     the common case (state well inside the bands) costs a copy, and no
-    masks when every state is. Parameter validation is the caller's job.
+    masks when every state is. ``deriv=False`` leaves the derivative out
+    (``None``) for a caller that reads the value alone. Parameter validation
+    is the caller's job.
     """
     value = y.copy()
-    deriv = np.ones_like(y)
+    slope = np.ones_like(y) if deriv else None
     if y.size and y.min() >= y_min + xi and y.max() <= y_max - xi:
-        return value, deriv
-    below = y <= y_min
-    if below.any():
-        value[below] = y_min + 0.5 * xi
-        deriv[below] = 0.0
-    above = y >= y_max
-    if above.any():
-        value[above] = y_max - 0.5 * xi
-        deriv[above] = 0.0
-    in_lo = (y > y_min) & (y < y_min + xi)
-    if in_lo.any():
-        t = (y[in_lo] - y_min) / xi
-        value[in_lo] = y_min + 0.5 * xi + xi * _smoothstep_integral(t)
-        deriv[in_lo] = _smoothstep(t)
-    in_hi = (y > y_max - xi) & (y < y_max)
-    if in_hi.any():
-        t = (y[in_hi] - (y_max - xi)) / xi
-        value[in_hi] = (y_max - xi) + xi * (t - _smoothstep_integral(t))
-        deriv[in_hi] = 1.0 - _smoothstep(t)
-    return value, deriv
+        return value, slope
+    below, above = y <= y_min, y >= y_max
+    in_lo, in_hi = (y > y_min) & (y < y_min + xi), (y > y_max - xi) & (y < y_max)
+    t_lo, t_hi = (y[in_lo] - y_min) / xi, (y[in_hi] - (y_max - xi)) / xi
+    value[below], value[above] = y_min + 0.5 * xi, y_max - 0.5 * xi
+    value[in_lo] = y_min + 0.5 * xi + xi * _smoothstep_integral(t_lo)
+    value[in_hi] = (y_max - xi) + xi * (t_hi - _smoothstep_integral(t_hi))
+    if deriv:
+        slope[below] = slope[above] = 0.0
+        slope[in_lo], slope[in_hi] = _smoothstep(t_lo), 1.0 - _smoothstep(t_hi)
+    return value, slope
 
 
 def _as_batch(y, p):
@@ -400,9 +393,8 @@ class TruncatedKimOmbergModel(_ConstantVolatility):
 
     def b(self, y):
         batch, _ = _as_batch(y, 1)
-        v, _ = _cutoff_fast(
-            batch[:, 0], self.cutoff_low[0], self.cutoff_high[0], self.cutoff_width[0]
-        )
+        v, _ = _cutoff_fast(batch[:, 0], self.cutoff_low[0], self.cutoff_high[0],
+                            self.cutoff_width[0], deriv=False)
         return (self.mean_reversion * (self.long_run_mean - v))[:, None]
 
     def dmu_dy(self, y):

@@ -19,8 +19,12 @@ Randomness is counter-based: path ``k`` always draws its Gaussian increments
 from a Philox stream keyed by ``(seed, k)`` (or ``(seed, k // 2)`` with a
 sign flip for antithetic pairs), so results are independent of how paths are
 chunked into blocks or spread across workers, and any single path can be
-reproduced bit-for-bit in isolation. Aggregation happens in fixed block
-order. Strategies of one run share the market draws, which sharpens their
+reproduced bit-for-bit in isolation. A block draws 512 steps at a time into a
+buffer of the lanes that own a stream (under antithetic sampling the even
+paths and an odd path that starts the block), forms each other odd path as
+the negation of its partner where a tape is cut, and releases a spent chunk
+before it draws the next. Aggregation happens in fixed block order.
+Strategies of one run share the market draws, which sharpens their
 comparison, and one ledger of arrays stacked over (strategy, path), paths last.
 
 A block of ``B`` paths runs in chunks of ``K = max(1, _CHUNK // B)`` steps: a
@@ -282,54 +286,66 @@ class _BlockNormals:
 
     Path ``k`` draws from the stream keyed ``(seed, k)``; with antithetic
     sampling an odd path is the sign flip of the stream keyed ``(seed, k //
-    2)``, mirrored from the previous lane when that lane is in the block.
-    Chunked draws continue each path's stream exactly where the previous
-    chunk stopped, so chunk size never affects the generated numbers; it
-    only bounds memory. One Philox serves the block: a lane sets its state
-    (key, counter, buffer, ``buffer_pos``, ``has_uint32``, ``uinteger``, a
-    row of ``_state``) before it draws, a fresh lane that of a newly keyed
-    Philox, and reads it back only when more chunks follow.
+    2)``. The lane-major buffer of a chunk holds only the lanes that own a
+    stream: every lane, or under antithetic sampling the even paths' lanes and
+    an odd lane that starts the block (drawn with its sign flipped). ``tape``
+    copies them into their columns and forms each other odd lane there as the
+    negation of the column before it. The spent chunk is released before the
+    next is drawn, so a block never holds two. Chunked draws continue each
+    path's stream exactly where the previous chunk stopped, so chunk size
+    never affects the generated numbers; it only bounds memory. One Philox
+    serves the block: a lane sets its state (key, counter, buffer,
+    ``buffer_pos``, ``has_uint32``, ``uinteger``, a row of ``_state``) before
+    it draws, a fresh lane that of a newly keyed Philox, and reads it back
+    only when more chunks follow.
     """
 
     def __init__(self, seed, lo, hi, d, antithetic, chunk=512):
-        self.d = d
-        self.chunk = chunk
-        odd = [antithetic and k % 2 == 1 for k in range(lo, hi)]
-        self._flip = [None if o and i else o for i, o in enumerate(odd)]  # None: mirror lane i - 1
-        keys = np.arange(lo, hi, dtype=np.uint64) // (2 if antithetic else 1)
-        self._state = np.zeros((hi - lo, 13), dtype=np.uint64)
-        self._state[:, 0], self._state[:, 1], self._state[:, 10] = seed, keys, 4  # buffer empty
+        self.d, self.chunk, self.n = d, chunk, hi - lo
+        step = 2 if antithetic else 1
+        odd = lo % step  # the first lane is an odd path whose partner is outside the block
+        lanes = np.r_[:odd, odd:self.n:step]  # the lanes that draw, in buffer order
+        # (buffer rows, lanes) of the copies into a tape, and (partners, mirrors) of its negation
+        self._cols = [(slice(odd, None), slice(odd, None, step))]
+        self._cols += [(slice(1), slice(1))] if odd else []
+        self._mirror = antithetic and (slice(odd, self.n - 1, 2), slice(odd + 1, self.n, 2))
+        self._flip = odd
+        self._state = np.zeros((len(lanes), 13), dtype=np.uint64)
+        self._state[:, 0], self._state[:, 1], self._state[:, 10] = seed, (lo + lanes) // step, 4
         self._gen = np.random.Generator(np.random.Philox())
         self._buf = None
         self._pos = 0
 
     def draw(self, size, more=False):
-        """Normals for the next ``size`` steps, shape ``(B, size, d)``; ``more``: chunks follow."""
-        buf, bitgen = np.empty((len(self._flip), size, self.d)), self._gen.bit_generator
-        for i, flip in enumerate(self._flip):
-            if flip is None:
-                np.negative(buf[i - 1], out=buf[i])
-                continue
-            row = self._state[i]
+        """Normals of the drawing lanes for the next ``size`` steps, shape ``(lanes, size,
+        d)``; ``more``: chunks follow."""
+        buf, bitgen = np.empty((len(self._state), size, self.d)), self._gen.bit_generator
+        for row, out in zip(self._state, buf):
             bitgen.state = dict(
                 bit_generator="Philox", state=dict(key=row[:2], counter=row[2:6]), buffer=row[6:10],
                 buffer_pos=int(row[10]), has_uint32=int(row[11]), uinteger=int(row[12]))
-            self._gen.standard_normal(out=buf[i])
-            if flip:
-                np.negative(buf[i], out=buf[i])
+            self._gen.standard_normal(out=out)
             if more:
                 st = bitgen.state
                 row[2:6], row[6:10] = st["state"]["counter"], st["buffer"]
                 row[10:] = st["buffer_pos"], st["has_uint32"], st["uinteger"]
+        if self._flip:
+            np.negative(buf[0], out=buf[0])
         return buf
 
     def tape(self, n_left, k):
         """A tape of normals for the next ``k`` steps of the ``n_left`` left (fewer where the
-        drawn chunk ends): one transposition of the lane-major buffer into a contiguous
-        ``(d, k, B)``, factor, then step, then path."""
+        drawn chunk ends), a contiguous ``(d, k, B)``: factor, then step, then path. One
+        transposed copy fills the drawing lanes' columns and one negation their mirrors'."""
         if self._buf is None or self._pos >= self._buf.shape[1]:
+            self._buf = None  # release the spent chunk before drawing the next
             self._buf, self._pos = self.draw(min(self.chunk, n_left), more=n_left > self.chunk), 0
-        z = np.ascontiguousarray(self._buf[:, self._pos:self._pos + k].transpose(2, 1, 0))
+        part = self._buf[:, self._pos:self._pos + k].transpose(2, 1, 0)
+        z = np.empty(part.shape[:2] + (self.n,))
+        for rows, lanes in self._cols:
+            z[..., lanes] = part[..., rows]
+        if self._mirror:
+            np.negative(z[..., self._mirror[0]], out=z[..., self._mirror[1]])
         self._pos += z.shape[1]
         return z
 
@@ -348,9 +364,11 @@ def _default_y0(model, y0):
 
 
 def _reflect(y, support):
-    if support is None or ((y >= support[:, 0]).all() and (y <= support[:, 1]).all()):
-        return y  # nothing to reflect
+    if support is None:
+        return y
     lo, hi = support[:, 0], support[:, 1]
+    if (y.min(axis=0) >= lo).all() and (y.max(axis=0) <= hi).all():
+        return y  # nothing to reflect
     y = np.where(y < lo, 2.0 * lo - y, y)
     y = np.where(y > hi, 2.0 * hi - y, y)
     if np.any(y < lo) or np.any(y > hi):

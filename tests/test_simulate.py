@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import pickle
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -251,6 +252,25 @@ def test_block_normals_equal_fresh_philox_streams(antithetic, chunk, n_steps):
             stream = np.random.Generator(np.random.Philox(key=[seed, key]))
             ref = stream.standard_normal((n_steps, d))
             _same_bits(z[:, :, i], -ref if antithetic and k % 2 else ref)
+
+
+@pytest.mark.parametrize("lo, antithetic", [(0, True), (5, True), (0, False)])
+def test_block_normals_hold_one_chunk_of_drawing_lanes(lo, antithetic):
+    # the buffer holds one chunk of the lanes that own a stream: no mirror lane, and the
+    # spent chunk is gone before the next is drawn; (5, True) starts at an odd path
+    B, d, chunk, k, n_steps = 256, 2, 512, 16, 1100  # three drawn chunks
+    drawn = len(range(lo + lo % 2, lo + B, 2)) + lo % 2 if antithetic else B
+    bound = 1.25 * drawn * chunk * d * 8 + d * k * B * 8  # one chunk of draws and one tape
+    _BlockNormals(13, 0, 2, d, True, 1).tape(2, 1)  # numpy.random's lazy imports, untraced
+    tracemalloc.start()
+    try:
+        source, step = _BlockNormals(13, lo, lo + B, d, antithetic, chunk), 0
+        while step < n_steps:  # each tape is dropped before the next is cut
+            step += source.tape(n_steps - step, k).shape[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_bs_terminal_log_price_moments(bs1d):

@@ -6,7 +6,9 @@ The gated perfbench workloads time whole table runs. This probe times
 worker, and prints microseconds per time step for each strategy kind run
 alone and for the table's simulated set. Each (market, B) pair runs in a
 fresh interpreter; a figure is the median of ``--repeats`` runs after one
-warm-up. It is not gated. Run from the root of a checkout::
+warm-up. ``traced_mib`` is the ``tracemalloc`` peak of one more run of the
+table's set, made after the timed runs so that tracing slows none of them.
+It is not gated. Run from the root of a checkout::
 
     python3 tools/engine_probe.py
     python3 tools/engine_probe.py --paths 128 --repeats 9
@@ -26,6 +28,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MARKETS = {"ko1d": (2, 0), "ko2d": (4, 1)}  # table id, index of its model
@@ -33,7 +36,8 @@ HORIZON = 1.0  # years; 250 steps at the tables' dt
 
 
 def run_market(name, paths, repeats):
-    """Time every strategy set on one market in this process; ``{set: us per step}``."""
+    """Time every strategy set on one market in this process: ``{set: us per step}``, and
+    the traced peak of the table's set in MiB."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import numpy as np
 
@@ -67,7 +71,13 @@ def run_market(name, paths, repeats):
             simulate.run_strategies(model, config, strategies)
             times.append(time.perf_counter() - start)
         out[label] = statistics.median(times) / config.n_steps * 1e6
-    return out
+    tracemalloc.start()
+    try:
+        simulate.run_strategies(model, config, table_set)
+        traced = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return out, traced
 
 
 def main(argv=None):
@@ -82,15 +92,18 @@ def main(argv=None):
         name, paths = args.child.split(":")
         print(json.dumps(run_market(name, int(paths), args.repeats)))
         return 0
-    print(f"{'market':<6} {'B':>5} {'set':<17} {'us_per_step':>12} {'above_buy_hold':>15}")
+    print(f"{'market':<6} {'B':>5} {'set':<17} {'us_per_step':>12} {'above_buy_hold':>15} "
+          f"{'traced_mib':>11}")
     for name in MARKETS:
         for paths in args.paths or (128, 2048):
             cmd = [sys.executable, os.path.abspath(__file__), "--child", f"{name}:{paths}",
                    "--repeats", str(args.repeats)]
-            rec = json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+            out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
+            rec, traced = json.loads(out)
             for label, us in rec.items():
-                above = us - rec["buy_hold"]
-                print(f"{name:<6} {paths:>5} {label:<17} {us:>12.1f} {above:>15.1f}")
+                mib = f"{traced:.2f}" if label == "table" else "-"
+                print(f"{name:<6} {paths:>5} {label:<17} {us:>12.1f} {us - rec['buy_hold']:>15.1f} "
+                      f"{mib:>11}")
     return 0
 
 
