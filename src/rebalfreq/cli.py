@@ -59,11 +59,11 @@ def _sample_states(run, n=100):
 
 
 def _rate_grid_of(run, y0):
-    """Per-path integrals on the run's state grid, as the table predictions use them."""
+    """Per-path integrals on the run's state grid, as the table predictions use them, on
+    ``simulation.n_workers`` workers."""
     sim = run.simulation
-    return _rate_grid(
-        run.model, sim.gamma, sim.horizon, y0, _GRID_PATHS, sim.dt, sim.seed, sim.allow_flagged
-    )
+    return _rate_grid(run.model, sim.gamma, sim.horizon, y0, _GRID_PATHS, sim.dt, sim.seed,
+                      sim.allow_flagged, n_workers=sim.n_workers)
 
 
 def cmd_frequency(args):

@@ -43,6 +43,7 @@ from .markets import BlackScholesModel, TruncatedKimOmbergModel
 from .merton import merton_state
 from .simulate import (
     SimulationConfig,
+    _worker_pool,
     buy_and_hold,
     frictionless_benchmark,
     move_based,
@@ -380,17 +381,16 @@ def _analytic_frictionless(model, gamma):
 _NOT_APPLICABLE = (AssumptionError, DegenerateTargetError, DomainError, DegenerateCovarianceError)
 
 
-def _cell_predictions(model, config, names):
+def _cell_predictions(model, config, names, pool=None):
     """The ``time_constant`` rule and the prediction of each strategy.
 
     Both time-based predictions, the constant rule and, for state-dependent
     models, the frictionless rate they are measured from come from one
     evaluation of the state grid, reduced block by block to per-path
-    integrals. The grid never holds more than one block of its geometry, so
-    the high-water mark that the Monte Carlo workers forked next inherit
-    stays low. A prediction is ``None`` where its formula does not apply;
-    the constant rule is ``None`` only when ``time_constant`` is not among
-    ``names``.
+    integrals; with ``config.n_workers > 1`` its path ranges run on ``pool``
+    (or on a pool of their own). A prediction is ``None`` where its formula
+    does not apply; the constant rule is ``None`` only when ``time_constant``
+    is not among ``names``.
     """
     fr = _analytic_frictionless(model, config.gamma)
     eps23 = config.epsilon ** (2.0 / 3.0)
@@ -402,6 +402,7 @@ def _cell_predictions(model, config, names):
             grid = _rate_grid(
                 model, config.gamma, config.horizon, config.y0, _GRID_PATHS,
                 config.dt, config.seed, config.allow_flagged,
+                n_workers=config.n_workers, pool=pool,
             )
         except _NOT_APPLICABLE:
             if "time_constant" in names:
@@ -430,15 +431,18 @@ def _cell_predictions(model, config, names):
 def run_table_cell(model, config, strategy_names, label_suffix="", record_paths=0):
     """Run one model's strategy battery and return report rows.
 
-    With ``record_paths > 0`` returns ``(reports, records)``, as :func:`run_strategy` does.
+    With ``config.n_workers > 1`` one process pool, shut down before this returns or
+    raises, serves the cell's prediction grid and then its Monte Carlo blocks. With
+    ``record_paths > 0`` returns ``(reports, records)``, as :func:`run_strategy` does.
     """
-    rule, predictions = _cell_predictions(model, config, strategy_names)
-    sims = [
-        _build_strategy(n, model, config, rule)
-        for n in strategy_names
-        if n != "frictionless"
-    ] or [frictionless_benchmark()]
-    outcomes, records = run_strategies(model, config, sims, record_paths)
+    with _worker_pool(config.n_workers) as pool:
+        rule, predictions = _cell_predictions(model, config, strategy_names, pool)
+        sims = [
+            _build_strategy(n, model, config, rule)
+            for n in strategy_names
+            if n != "frictionless"
+        ] or [frictionless_benchmark()]
+        outcomes, records = run_strategies(model, config, sims, record_paths, pool=pool)
     sample = outcomes[sims[0].label]
     fr_analytic = predictions["frictionless"]
     reports = []

@@ -20,6 +20,7 @@ cost rate is exactly twice the tracking-error rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -164,6 +165,10 @@ def cost_breakdown(model, gamma, y, A=None, allow_flagged=False):
 # whole grid's reaches gigabytes at T = 20.
 _GRID_BLOCK = 1 << 15
 
+# States per path range of a pooled grid: 64 MiB of one-factor states, 1677 paths of
+# T = 20 at dt = 1/250.
+_GRID_TASK = 1 << 23
+
 
 def _mean(per_path):
     return float(per_path.mean())
@@ -214,32 +219,29 @@ class _RateGrid:
         return 0.5 * da + tac
 
 
-def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, rule=None):
-    """Per-path integrals of ``N``, ``D`` and the frictionless rate on simulated state paths.
+def _path_integrals(model, gamma, horizon_T, y0, dt, seed, allow_flagged, rule, lo, hi):
+    """Per-path integrals ``(4 or 6, hi - lo)`` of :class:`_RateGrid` on state paths ``lo ..
+    hi - 1``, drawn by one :func:`rebalfreq.simulate.simulate_state_grid` call.
 
-    The paths come from one :func:`rebalfreq.simulate.simulate_state_grid` call,
-    which uses the same grid and per-path random streams as the wealth simulator,
-    so asymptotic and simulated quantities share sampling-error structure. The
-    geometry is evaluated on blocks of whole paths and reduced to per-path
-    integrals, so no more than one block of it is held at a time. A state-dependent
-    ``rule`` also has its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A``
-    from ``rule.A_of`` on the block's states. Raises as :func:`rate_parts` does
-    at any grid state.
+    The geometry is evaluated on blocks of whole paths and reduced to per-path integrals,
+    so no more than one block of it is held at a time. A state-dependent ``rule`` also has
+    its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A`` from ``rule.A_of`` on the
+    block's states.
     """
     if model.p == 0:
         grid, weights = np.zeros((1, 1, 0)), np.array([float(horizon_T)])
     else:
         from .simulate import simulate_state_grid
 
-        times, grid = simulate_state_grid(model, horizon_T, dt, n_paths, y0, seed)
+        times, grid = simulate_state_grid(model, horizon_T, dt, hi - lo, y0, seed, first=lo)
         weights = np.full(len(times), dt)
         weights[0] = weights[-1] = 0.5 * dt
     state_rule = rule is not None and callable(rule.A)
     width = len(weights)
     per_block = max(1, _GRID_BLOCK // width)  # whole paths
     out = np.empty((6 if state_rule else 4, len(grid)))
-    for lo in range(0, len(grid), per_block):
-        block = grid[lo:lo + per_block]
+    for i in range(0, len(grid), per_block):
+        block = grid[i:i + per_block]
         states = block.reshape(len(block) * width, model.p)
         st = merton_state(model, states, gamma)
         n, d = _rate_parts(st, gamma, allow_flagged)
@@ -251,8 +253,34 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
             parts += [n / np.sqrt(a), d * a]
         for row, values in zip(out, parts):
             # a row-wise add.reduce: a matrix-vector product's bits depend on the row count
-            row[lo:lo + per_block] = np.add.reduce(values.reshape(-1, width) * weights, axis=1)
-    return _RateGrid(*out, rule=rule)
+            row[i:i + per_block] = np.add.reduce(values.reshape(-1, width) * weights, axis=1)
+    return out
+
+
+def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, rule=None,
+               n_workers=1, pool=None):
+    """Per-path integrals of ``N``, ``D`` and the frictionless rate on simulated state paths.
+
+    The paths use the wealth simulator's grid, per-path random streams and Euler
+    recursion, so asymptotic and simulated quantities share sampling-error structure.
+    With one worker :func:`_path_integrals` forms them all in this process. With
+    ``n_workers > 1`` the workers of ``pool`` (or of a pool opened and shut down here)
+    form them on contiguous path ranges, at least one per worker and each of at most
+    ``_GRID_TASK`` states, joined in path order; a pooled ``rule`` must pickle. Each path
+    has its own stream and each integral is a row reduction, so every value is
+    bit-identical for any split. Raises as :func:`rate_parts` does at any grid state.
+    """
+    task = partial(_path_integrals, model, gamma, horizon_T, y0, dt, seed, allow_flagged, rule)
+    if n_workers <= 1 or model.p == 0:
+        return _RateGrid(*task(0, n_paths), rule=rule)
+    from .simulate import _worker_pool
+
+    width = int(round(horizon_T / dt)) + 1  # states per path
+    size = min(max(1, _GRID_TASK // width), -(-n_paths // n_workers))
+    bounds = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    with _worker_pool(n_workers, pool) as workers:
+        parts = list(workers.map(task, *zip(*bounds)))
+    return _RateGrid(*np.concatenate(parts, axis=1), rule=rule)
 
 
 def constant_rule(model, gamma, horizon_T, y0=None, n_paths=_GRID_PATHS, dt=1.0 / 250.0, seed=0,

@@ -36,6 +36,7 @@ depends on ``K``.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -74,8 +75,9 @@ class SimulationConfig:
 
     ``horizon / dt`` must be integral; initial wealth is normalised to one.
     ``antithetic`` pairs path ``2k+1`` with the sign-flipped draws of path
-    ``2k`` (requires an even ``n_paths``). ``n_workers`` only distributes
-    blocks across worker processes; it never changes results.
+    ``2k`` (requires an even ``n_paths``). ``n_workers`` only spreads the
+    engine's path blocks and the prediction grid's path ranges over worker
+    processes; it never changes results.
     """
 
     horizon: float
@@ -402,14 +404,16 @@ def _log_returns(mu, sigma, z, dt):
     return (mu - 0.5 * rownorm2) * dt + shock * np.sqrt(dt)
 
 
-def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size=4096):
+def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size=4096, first=0):
     """Euler paths of the state variable alone on the simulation grid.
 
     Returns ``(times, states)`` with ``states`` of shape
-    ``(n_paths, n_steps + 1, p)``. Uses the same per-path streams and the
-    same Euler recursion as the wealth simulator, so expectations computed
-    here share their sampling error structure with full strategy runs at the
-    same seed.
+    ``(n_paths, n_steps + 1, p)``, of paths ``first .. first + n_paths - 1``.
+    Uses the same per-path streams and the same Euler recursion as the wealth
+    simulator, so expectations computed here share their sampling error
+    structure with full strategy runs at the same seed; a path's states do not
+    depend on ``first`` or ``block_size``, so a grid drawn in path ranges equals
+    the grid drawn whole.
     """
     n_steps = int(round(horizon / dt))
     times = np.linspace(0.0, horizon, n_steps + 1)
@@ -417,7 +421,8 @@ def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size
     states = np.empty((n_paths, n_steps + 1, model.p))
     for lo in range(0, n_paths, block_size):
         hi = min(lo + block_size, n_paths)
-        source, out = _BlockNormals(seed, lo, hi, model.d, False), states[lo:hi].transpose(1, 0, 2)
+        source = _BlockNormals(seed, first + lo, first + hi, model.d, False)
+        out = states[lo:hi].transpose(1, 0, 2)
         out[0], step = y0, 0
         while model.p and step < n_steps:
             z = source.tape(n_steps - step, max(1, _CHUNK // (hi - lo)))
@@ -683,7 +688,18 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     return (rel, rel2, tac, de, n_trades, V <= 0.0), fric_rate / config.horizon, rec
 
 
-def run_strategies(model, config, strategies, record_paths=0):
+def _worker_pool(n_workers, pool=None):
+    """A context that yields ``pool`` when one is given (left open on exit), else a new
+    process pool of ``n_workers`` (default start method), shut down on exit, or ``None``
+    for one worker."""
+    if pool is not None or n_workers <= 1:
+        return nullcontext(pool)
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=n_workers)
+
+
+def run_strategies(model, config, strategies, record_paths=0, *, pool=None):
     """Simulate several strategies on shared market draws.
 
     Returns ``(outcomes, records)`` where ``outcomes`` maps each strategy
@@ -691,8 +707,9 @@ def run_strategies(model, config, strategies, record_paths=0):
     and ``records`` holds full ledgers for the first ``record_paths`` paths
     of the run, merged from the blocks in path order (``None`` if zero).
     Blocks of at most ``block_size`` paths, small enough that each of ``n_workers
-    > 1`` worker processes (default start method) gets one, run in parallel; results
-    are bit-identical for any worker count, block size and set of companion strategies.
+    > 1`` workers gets one, run in parallel: on ``pool``, an open process pool that
+    the caller shuts down, or else on a pool opened and shut down here. Results are
+    bit-identical for any worker count, block size and set of companion strategies.
     """
     labels = [s.label for s in strategies]
     if len(set(labels)) != len(labels):
@@ -709,10 +726,8 @@ def run_strategies(model, config, strategies, record_paths=0):
 
     run_block = partial(_run_block, model, config, strategies, record_upto=record_paths)
     if config.n_workers > 1 and len(bounds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(config.n_workers, len(bounds))) as pool:
-            results = list(pool.map(run_block, *zip(*bounds)))
+        with _worker_pool(min(config.n_workers, len(bounds)), pool) as workers:
+            results = list(workers.map(run_block, *zip(*bounds)))
     else:
         results = [run_block(lo, hi) for lo, hi in bounds]
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,60 @@ def test_table_spec_validation():
     for tid in (1, 2, 3, 4):
         spec = _table_spec(tid)
         assert spec["strategies"][0] == "frictionless"
+
+
+def table2_cell(n_workers):
+    (_, model), = _table_spec(2)["models"]
+    return model, config(horizon=0.2, n_paths=16, allow_flagged=True, n_workers=n_workers)
+
+
+def test_table2_cell_same_csv_at_one_and_two_workers():
+    csv = []
+    for n_workers in (1, 2):
+        model, cfg = table2_cell(n_workers)
+        csv.append(rows_to_csv(run_table_cell(model, cfg, _table_spec(2)["strategies"])))
+        assert not multiprocessing.active_children()
+    assert csv[0] == csv[1]
+    rows = {line.split(",")[0]: line for line in csv[1].splitlines()[1:]}
+    assert not rows["time_adaptive"].endswith(",") and not rows["time_constant"].endswith(",")
+
+
+def _raise_in_worker(real, exc):
+    """``real``, except that in a worker process it raises ``exc``."""
+    def fn(*args, **kwargs):
+        if multiprocessing.parent_process() is not None:
+            raise exc
+        return real(*args, **kwargs)
+
+    return fn
+
+
+def test_pooled_grid_inapplicable_left_blank(monkeypatch):
+    names = ["frictionless", "time_adaptive", "buy_hold"]
+    model, cfg = table2_cell(1)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "simulate_state_grid", _raise(AssumptionError("leveraged")))
+        serial = rows_to_csv(run_table_cell(model, cfg, names))
+    # patched before run_table_cell opens its pool, so the forked workers raise
+    real = simulate.simulate_state_grid
+    monkeypatch.setattr(simulate, "simulate_state_grid",
+                        _raise_in_worker(real, AssumptionError("leveraged")))
+    pooled = rows_to_csv(run_table_cell(model, table2_cell(2)[1], names))
+    assert not multiprocessing.active_children()
+    assert pooled == serial
+    row = pooled.splitlines()[2]
+    assert row.startswith("time_adaptive,") and row.endswith(",")
+
+
+@pytest.mark.parametrize("target", ["simulate_state_grid", "_log_returns"])
+def test_pooled_fault_propagates_and_pool_shuts_down(monkeypatch, target):
+    # a grid task's fault or an engine block's: both run in the cell's pool
+    monkeypatch.setattr(simulate, target,
+                        _raise_in_worker(getattr(simulate, target), TypeError("a fault")))
+    model, cfg = table2_cell(2)
+    with pytest.raises(TypeError, match="a fault"):
+        run_table_cell(model, cfg, _table_spec(2)["strategies"])
+    assert not multiprocessing.active_children()
 
 
 def test_figure_rows_analytic():

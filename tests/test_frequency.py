@@ -243,6 +243,36 @@ def test_rate_grid_bits_independent_of_block(ko1d, monkeypatch):
         assert a == whole[1] and costs == whole[2]
 
 
+@pytest.mark.parametrize("market", ["ko1d", "ko2d"])
+def test_pooled_grid_bits_equal_serial(market, request, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    from rebalfreq import frequency
+
+    model = request.getfixturevalue(market)
+    model = model if market == "ko1d" else model(0.6)
+    adaptive = optimal_rule(model, GAMMA, allow_flagged=True)
+    args = (model, GAMMA, *dict(GRID_KW, n_paths=40).values(), adaptive)
+    serial = frequency._rate_grid(*args)
+    ranges = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kw):
+            ranges.extend(zip(*iterables))
+            return super().map(fn, *iterables, **kw)
+
+    monkeypatch.setattr(frequency, "_GRID_TASK", 7 * 126)  # 7 paths of 0.5 years
+    with RecordingPool(max_workers=2) as pool:
+        pooled = frequency._rate_grid(*args, n_workers=2, pool=pool)
+    assert ranges == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 35), (35, 40)]
+    for name in ("n", "d", "f_rate", "opt", "tac", "da"):
+        assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
+    assert pooled.rule is adaptive
+    assert pooled.constant_rule().A == serial.constant_rule().A
+    for rule in (None, serial.constant_rule(), adaptive):
+        assert pooled.total_cost(rule) == serial.total_cost(rule)
+
+
 def test_grid_costs_equal_per_state_formula(ko1d):
     from rebalfreq import simulate_state_grid
 

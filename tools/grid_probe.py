@@ -9,9 +9,12 @@ own high-water mark, and prints one line per cell. It is not gated. Run from
 the root of a checkout::
 
     python3 tools/grid_probe.py
-    python3 tools/grid_probe.py --cell table2
+    python3 tools/grid_probe.py --cell table2 --workers 2
 
-``import_mib`` is the peak after importing the package, before the cell runs.
+``--workers N`` runs the grid's path ranges on N worker processes, as a table
+cell with ``n_workers = N`` does. ``peak_rss_mib`` is the interpreter's own
+peak, ``child_mib`` the largest worker's (0 with one worker) and ``import_mib``
+the peak after importing the package, before the cell runs.
 """
 
 from __future__ import annotations
@@ -32,37 +35,44 @@ def peak_mib():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_cell(name):
-    """Run one cell's predictions in this process and return its record."""
+def run_cell(name, n_workers):
+    """Run one cell's predictions on ``n_workers`` and return its record."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from rebalfreq.evaluate import _cell_predictions, _run_config, _table_spec
 
     table, index = CELLS[name]
     spec = _table_spec(table)
     _, model = spec["models"][index]
-    config = _run_config(256, allow_flagged=True)
+    config = _run_config(256, n_workers=n_workers, allow_flagged=True)
     before = peak_mib()
     start = time.perf_counter()
     _cell_predictions(model, config, spec["strategies"])
     wall = time.perf_counter() - start
+    child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     return {"cell": name, "wall_s": round(wall, 3), "peak_rss_mib": round(peak_mib(), 1),
-            "import_mib": round(before, 1)}
+            "child_mib": round(child, 1), "import_mib": round(before, 1)}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cell", choices=sorted(CELLS), action="append")
+    parser.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument("--child", choices=sorted(CELLS), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
     if args.child:
-        print(json.dumps(run_cell(args.child)))
+        print(json.dumps(run_cell(args.child, args.workers)))
         return 0
-    print(f"{'cell':<15} {'wall_s':>8} {'peak_rss_mib':>13} {'import_mib':>11}")
+    print(f"{'cell':<15} {'workers':>7} {'wall_s':>8} {'peak_rss_mib':>13} {'child_mib':>10} "
+          f"{'import_mib':>11}")
     for name in args.cell or list(CELLS):
-        out = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", name],
-                             check=True, capture_output=True, text=True).stdout
+        argv = [os.path.abspath(__file__), "--child", name, "--workers", str(args.workers)]
+        out = subprocess.run([sys.executable, *argv], check=True, capture_output=True,
+                             text=True).stdout
         rec = json.loads(out)
-        print(f"{name:<15} {rec['wall_s']:>8.3f} {rec['peak_rss_mib']:>13.1f} {rec['import_mib']:>11.1f}")
+        print(f"{name:<15} {args.workers:>7} {rec['wall_s']:>8.3f} {rec['peak_rss_mib']:>13.1f} "
+              f"{rec['child_mib']:>10.1f} {rec['import_mib']:>11.1f}")
     return 0
 
 
