@@ -19,11 +19,12 @@ Randomness is counter-based: path ``k`` always draws its Gaussian increments
 from a Philox stream keyed by ``(seed, k)`` (or ``(seed, k // 2)`` with a
 sign flip for antithetic pairs), so results are independent of how paths are
 chunked into blocks or spread across workers, and any single path can be
-reproduced bit-for-bit in isolation. A block draws 512 steps at a time into a
-buffer of the lanes that own a stream (under antithetic sampling the even
-paths and an odd path that starts the block), forms each other odd path as
-the negation of its partner where a tape is cut, and releases a spent chunk
-before it draws the next. Aggregation happens in fixed block order.
+reproduced bit-for-bit in isolation. Each lane of a block that owns a stream
+(under antithetic sampling the even paths and an odd path that starts the
+block) keeps one generator for the life of the block; the block draws 128
+steps of these lanes at a time, forms each other odd path as the negation of
+its partner where a tape is cut, and releases a spent chunk before it draws
+the next. Aggregation happens in fixed block order.
 Strategies of one run share the market draws, which sharpens their
 comparison, and one ledger of arrays stacked over (strategy, path), paths last.
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Optional
 
@@ -283,54 +284,62 @@ def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
 _CHUNK = 8192
 
 
+@cache
+def _lane_key():
+    """The class of a Philox seed that yields the key ``(seed, k)``: the stream of
+    ``Philox(key=[seed, k])`` without the ``SeedSequence`` that ``key=`` draws from OS
+    entropy. Built on first use, so that importing the package leaves ``numpy.random`` out."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class LaneKey(ISeedSequence):
+        __slots__ = ("seed", "k")
+
+        def __init__(self, seed, k):
+            self.seed, self.k = seed, k
+
+        def generate_state(self, n_words, dtype=np.uint32):  # Philox asks for (2, uint64)
+            return np.array([self.seed, self.k], dtype=np.uint64)
+
+    return LaneKey
+
+
 class _BlockNormals:
     """Per-path Philox streams for paths ``lo .. hi - 1``, drawn in step chunks.
 
     Path ``k`` draws from the stream keyed ``(seed, k)``; with antithetic
     sampling an odd path is the sign flip of the stream keyed ``(seed, k //
-    2)``. The lane-major buffer of a chunk holds only the lanes that own a
-    stream: every lane, or under antithetic sampling the even paths' lanes and
-    an odd lane that starts the block (drawn with its sign flipped). ``tape``
-    copies them into their columns and forms each other odd lane there as the
+    2)``. Each lane that owns a stream keeps its own generator for the life of
+    the block: every lane, or under antithetic sampling the even paths' lanes
+    and an odd lane that starts the block (drawn with its sign flipped). The
+    lane-major buffer holds one chunk of these lanes, each filled by one call
+    that continues its stream where the previous chunk stopped, so chunk size
+    never affects the generated numbers; it only bounds memory. ``tape`` copies
+    the lanes into their columns and forms each other odd lane there as the
     negation of the column before it. The spent chunk is released before the
-    next is drawn, so a block never holds two. Chunked draws continue each
-    path's stream exactly where the previous chunk stopped, so chunk size
-    never affects the generated numbers; it only bounds memory. One Philox
-    serves the block: a lane sets its state (key, counter, buffer,
-    ``buffer_pos``, ``has_uint32``, ``uinteger``, a row of ``_state``) before
-    it draws, a fresh lane that of a newly keyed Philox, and reads it back
-    only when more chunks follow.
+    next is drawn, so a block never holds two.
     """
 
-    def __init__(self, seed, lo, hi, d, antithetic, chunk=512):
+    def __init__(self, seed, lo, hi, d, antithetic, chunk=128):
+        from numpy.random import Generator, Philox
+
         self.d, self.chunk, self.n = d, chunk, hi - lo
         step = 2 if antithetic else 1
         odd = lo % step  # the first lane is an odd path whose partner is outside the block
-        lanes = np.r_[:odd, odd:self.n:step]  # the lanes that draw, in buffer order
+        lanes = [*range(odd), *range(odd, self.n, step)]  # the lanes that draw, in buffer order
         # (buffer rows, lanes) of the copies into a tape, and (partners, mirrors) of its negation
         self._cols = [(slice(odd, None), slice(odd, None, step))]
         self._cols += [(slice(1), slice(1))] if odd else []
         self._mirror = antithetic and (slice(odd, self.n - 1, 2), slice(odd + 1, self.n, 2))
         self._flip = odd
-        self._state = np.zeros((len(lanes), 13), dtype=np.uint64)
-        self._state[:, 0], self._state[:, 1], self._state[:, 10] = seed, (lo + lanes) // step, 4
-        self._gen = np.random.Generator(np.random.Philox())
-        self._buf = None
-        self._pos = 0
+        key, zero = _lane_key(), np.zeros(4, dtype=np.uint64)  # an array skips Philox's parse of 0
+        self._gens = [Generator(Philox(key(seed, (lo + i) // step), counter=zero)) for i in lanes]
+        self._buf, self._pos = None, 0
 
-    def draw(self, size, more=False):
-        """Normals of the drawing lanes for the next ``size`` steps, shape ``(lanes, size,
-        d)``; ``more``: chunks follow."""
-        buf, bitgen = np.empty((len(self._state), size, self.d)), self._gen.bit_generator
-        for row, out in zip(self._state, buf):
-            bitgen.state = dict(
-                bit_generator="Philox", state=dict(key=row[:2], counter=row[2:6]), buffer=row[6:10],
-                buffer_pos=int(row[10]), has_uint32=int(row[11]), uinteger=int(row[12]))
-            self._gen.standard_normal(out=out)
-            if more:
-                st = bitgen.state
-                row[2:6], row[6:10] = st["state"]["counter"], st["buffer"]
-                row[10:] = st["buffer_pos"], st["has_uint32"], st["uinteger"]
+    def draw(self, size):
+        """Normals of the drawing lanes for the next ``size`` steps, shape ``(lanes, size, d)``."""
+        buf = np.empty((len(self._gens), size, self.d))
+        for gen, out in zip(self._gens, buf):
+            gen.standard_normal(out=out)
         if self._flip:
             np.negative(buf[0], out=buf[0])
         return buf
@@ -341,7 +350,7 @@ class _BlockNormals:
         transposed copy fills the drawing lanes' columns and one negation their mirrors'."""
         if self._buf is None or self._pos >= self._buf.shape[1]:
             self._buf = None  # release the spent chunk before drawing the next
-            self._buf, self._pos = self.draw(min(self.chunk, n_left), more=n_left > self.chunk), 0
+            self._buf, self._pos = self.draw(min(self.chunk, n_left)), 0
         part = self._buf[:, self._pos:self._pos + k].transpose(2, 1, 0)
         z = np.empty(part.shape[:2] + (self.n,))
         for rows, lanes in self._cols:

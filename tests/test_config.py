@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,9 +89,9 @@ def test_missing_simulation_key_named(tmp_path):
 )
 def test_wrongly_typed_value_rejected(tmp_path, kind, old, new):
     path = write_config(tmp_path, kind)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert old in text
-    open(path, "w").write(text.replace(old, new))
+    Path(path).write_text(text.replace(old, new))
     with pytest.raises(InputError, match="invalid"):
         load_config(path)
 

@@ -1,8 +1,12 @@
 import concurrent.futures
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +275,56 @@ def test_block_normals_hold_one_chunk_of_drawing_lanes(lo, antithetic):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_block_normals_continue_streams_across_default_chunks(antithetic):
+    # each lane's own generator carries its stream over the default chunk's ends, which cut
+    # the 7-step tapes at steps 128 and 256; (5, 12) starts at an odd path
+    seed, d, n_steps = 13, 2, 300
+    for lo, hi in ((0, 6), (5, 12)):
+        source = _BlockNormals(seed, lo, hi, d, antithetic)
+        tapes, step = [], 0
+        while step < n_steps:
+            tapes.append(source.tape(n_steps - step, 7))
+            step += tapes[-1].shape[1]
+        assert {128, 256} <= set(np.cumsum([t.shape[1] for t in tapes]).tolist())
+        z = np.concatenate(tapes, axis=1).transpose(1, 0, 2)
+        for i, k in enumerate(range(lo, hi)):
+            key = k // 2 if antithetic else k
+            ref = np.random.Generator(np.random.Philox(key=[seed, key])).standard_normal((n_steps, d))
+            _same_bits(z[:, :, i], -ref if antithetic and k % 2 else ref)
+
+
+@pytest.mark.parametrize("lo, antithetic", [(0, True), (5, True), (0, False)])
+def test_block_normals_hold_one_default_chunk_of_drawing_lanes(lo, antithetic):
+    # at the default chunk of 128 steps the buffer still holds one chunk of the drawing
+    # lanes; each of these lanes keeps its own generator, of at most 2 KiB
+    B, d, chunk, k, n_steps, per_lane = 256, 2, 128, 16, 1100, 2048  # nine drawn chunks
+    drawn = len(range(lo + lo % 2, lo + B, 2)) + lo % 2 if antithetic else B
+    bound = 1.25 * drawn * chunk * d * 8 + d * k * B * 8 + drawn * per_lane
+    _BlockNormals(13, 0, 2, d, True, 1).tape(2, 1)  # numpy.random's lazy imports, untraced
+    tracemalloc.start()
+    try:
+        source, step = _BlockNormals(13, lo, lo + B, d, antithetic), 0
+        generators = tracemalloc.get_traced_memory()[0]
+        while step < n_steps:  # each tape is dropped before the next is cut
+            step += source.tape(n_steps - step, k).shape[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert source.chunk == chunk
+    assert generators <= drawn * per_lane
+    assert peak < bound
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the lanes' generators load numpy.random on first use, not at import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, rebalfreq; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_bs_terminal_log_price_moments(bs1d):
@@ -963,8 +1017,8 @@ def _run_arrays(model, cfg, strategies):
 
 def test_outputs_independent_of_market_chunk(bs1d, ko1d, ko2d, monkeypatch):
     # chunks of K = 1 and 3 steps and of more steps than the run has, against the default;
-    # at K = 3 the last chunk is short, in the 550-step run a Philox chunk of 512 steps
-    # ends inside a chunk, and blocks of one path make chunks of one state at K = 1
+    # at K = 3 the last chunk is short, in the 550-step run Philox chunks of 128 steps
+    # end inside a chunk, and blocks of one path make chunks of one state at K = 1
     def runs():
         every = []
         for model, eps, antithetic in product((bs1d, ko1d, ko2d(0.6)), (0.0, 0.01), (False, True)):

@@ -12,6 +12,10 @@ It is not gated. Run from the root of a checkout::
 
     python3 tools/engine_probe.py
     python3 tools/engine_probe.py --paths 128 --repeats 9
+    python3 tools/engine_probe.py --horizon 4 --paths 2048
+
+``--horizon YEARS`` (default 1, 250 steps at the tables' dt) sets the run's
+length; a longer one spans more of the normal draws' step chunks.
 
 ``buy_hold`` alone is the shared market work plus the lightest ledger; the
 ``above_buy_hold`` column is a set's cost beyond it. ``time_constant`` waits
@@ -32,10 +36,9 @@ import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MARKETS = {"ko1d": (2, 0), "ko2d": (4, 1)}  # table id, index of its model
-HORIZON = 1.0  # years; 250 steps at the tables' dt
 
 
-def run_market(name, paths, repeats):
+def run_market(name, paths, repeats, horizon):
     """Time every strategy set on one market in this process: ``{set: us per step}``, and
     the traced peak of the table's set in MiB."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -48,7 +51,7 @@ def run_market(name, paths, repeats):
     table, index = MARKETS[name]
     spec = _table_spec(table)
     _, model = spec["models"][index]
-    config = dataclasses.replace(_run_config(paths, horizon=HORIZON), block_size=paths)
+    config = dataclasses.replace(_run_config(paths, horizon=horizon), block_size=paths)
     adaptive = optimal_rule(model, config.gamma, allow_flagged=True)
     a_mean = float(np.asarray(adaptive.A_of(np.array([model.long_run_mean]))))
     kinds = {
@@ -84,20 +87,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--paths", type=int, action="append", help="block sizes (default 128, 2048)")
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--horizon", type=float, default=1.0, metavar="YEARS",
+                        help="run length in years (default 1.0)")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeats < 1 or any(p < 2 or p % 2 for p in args.paths or ()):
-        parser.error("--repeats must be >= 1 and --paths even and >= 2")
+    if args.repeats < 1 or args.horizon <= 0 or any(p < 2 or p % 2 for p in args.paths or ()):
+        parser.error("--repeats must be >= 1, --horizon positive and --paths even and >= 2")
     if args.child:
         name, paths = args.child.split(":")
-        print(json.dumps(run_market(name, int(paths), args.repeats)))
+        print(json.dumps(run_market(name, int(paths), args.repeats, args.horizon)))
         return 0
     print(f"{'market':<6} {'B':>5} {'set':<17} {'us_per_step':>12} {'above_buy_hold':>15} "
           f"{'traced_mib':>11}")
     for name in MARKETS:
         for paths in args.paths or (128, 2048):
             cmd = [sys.executable, os.path.abspath(__file__), "--child", f"{name}:{paths}",
-                   "--repeats", str(args.repeats)]
+                   "--repeats", str(args.repeats), "--horizon", repr(args.horizon)]
             out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
             rec, traced = json.loads(out)
             for label, us in rec.items():
