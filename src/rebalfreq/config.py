@@ -13,7 +13,6 @@ from .errors import InputError
 from .markets import model_from_config
 from .simulate import SimulationConfig
 
-__all__ = ["RunConfig", "load_config", "KNOWN_STRATEGIES"]
 
 KNOWN_STRATEGIES = (
     "frictionless",

@@ -13,7 +13,14 @@ cost rate for general waiting-time exponents.
 
 Benchmark tables 1-4 reproduce the four simulation studies shipped with the
 package (single- and two-asset constant-coefficient markets, and their
-mean-reverting counterparts); :func:`table_runner` runs them end to end.
+mean-reverting counterparts); :func:`table_runner` runs them end to end, on
+one worker pool: first every cell's predictions, then every cell's Monte
+Carlo run. Bit identity: cells whose state processes are the same (table 4's
+correlations) share one pass of the prediction grid, whose per-path integrals
+are the bits each cell's own pass would give (:mod:`rebalfreq.frequency`),
+and the Monte Carlo results do not depend on blocks or workers
+(:mod:`rebalfreq.simulate`); so each cell's row is the same bytes as
+:func:`run_table_cell` gives for that cell alone, at any worker count.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .markets import BlackScholesModel, TruncatedKimOmbergModel
 from .merton import merton_state
 from .simulate import (
     SimulationConfig,
+    _state_key,
     _worker_pool,
     buy_and_hold,
     frictionless_benchmark,
@@ -52,18 +60,6 @@ from .simulate import (
     time_based,
 )
 
-__all__ = [
-    "StrategyReport",
-    "CSV_HEADER",
-    "estimate_objective",
-    "frictionless_report",
-    "decomposition_check",
-    "expansion_check",
-    "table_runner",
-    "figure_rows",
-    "rows_to_csv",
-    "TABLE_IDS",
-]
 
 CSV_HEADER = "strategy,F_hat,stderr,mean_tac,mean_de,mean_trades,asymptotic_prediction"
 
@@ -381,37 +377,60 @@ def _analytic_frictionless(model, gamma):
 _NOT_APPLICABLE = (AssumptionError, DegenerateTargetError, DomainError, DegenerateCovarianceError)
 
 
-def _cell_predictions(model, config, names, pool=None):
-    """The ``time_constant`` rule and the prediction of each strategy.
+def _predictions(cells, names, pool=None):
+    """The ``time_constant`` rule and the predictions of the strategies ``names`` for each
+    ``(model, config)`` cell, as :func:`_cell_predictions` forms them.
 
-    Both time-based predictions, the constant rule and, for state-dependent
-    models, the frictionless rate they are measured from come from one
-    evaluation of the state grid, reduced block by block to per-path
-    integrals; with ``config.n_workers > 1`` its path ranges run on ``pool``
-    (or on a pool of their own). A prediction is ``None`` where its formula
-    does not apply; the constant rule is ``None`` only when ``time_constant``
-    is not among ``names``.
+    Both time-based predictions, the constant rule and, for state-dependent models, the
+    frictionless rate they are measured from come from the cell's state grid. Cells whose
+    grids are provably the same (equal :func:`rebalfreq.simulate._state_key` and grid
+    settings) share one pass of it; with ``n_workers > 1`` its path ranges run on ``pool``
+    (or on a pool of their own).
+    """
+    grids = [None] * len(cells)
+    if {"time_adaptive", "time_constant"} & set(names):
+        passes = {}
+        for i, (model, config) in enumerate(cells):
+            key = _state_key(model, config.y0)
+            settings = (config.gamma, config.horizon, config.dt, config.seed,
+                        config.allow_flagged, config.n_workers)
+            passes.setdefault(i if key is None else (key, settings), []).append(i)
+        for members in passes.values():
+            config = cells[members[0]][1]
+            try:
+                found = _rate_grid(
+                    tuple(cells[i][0] for i in members), config.gamma, config.horizon,
+                    config.y0, _GRID_PATHS, config.dt, config.seed, config.allow_flagged,
+                    n_workers=config.n_workers, pool=pool,
+                )
+            except _NOT_APPLICABLE as exc:
+                found = [exc] * len(members)
+            for i, grid in zip(members, found):
+                grids[i] = grid
+    return [_cell_predictions(model, config, names, grid)
+            for (model, config), grid in zip(cells, grids)]
+
+
+def _cell_predictions(model, config, names, grid):
+    """The ``time_constant`` rule and the prediction of each strategy, from the cell's
+    :class:`~rebalfreq.frequency._RateGrid` (``None`` without a time-based strategy), or
+    the package error its evaluation raised. A prediction is ``None`` where its formula
+    does not apply; the constant rule is ``None`` only when ``time_constant`` is not
+    among ``names``.
     """
     fr = _analytic_frictionless(model, config.gamma)
     eps23 = config.epsilon ** (2.0 / 3.0)
     preds = {"frictionless": fr}
     rule = None
-    timed = [n for n in ("time_adaptive", "time_constant") if n in names]
-    if timed:
-        try:
-            grid = _rate_grid(
-                model, config.gamma, config.horizon, config.y0, _GRID_PATHS,
-                config.dt, config.seed, config.allow_flagged,
-                n_workers=config.n_workers, pool=pool,
-            )
-        except _NOT_APPLICABLE:
-            if "time_constant" in names:
-                raise
-        else:
-            base = fr if fr is not None else float(grid.f_rate.mean()) / config.horizon
-            if "time_constant" in names:
-                rule = grid.constant_rule()
-            for name in timed:
+    if isinstance(grid, Exception):
+        if "time_constant" in names or not isinstance(grid, _NOT_APPLICABLE):
+            raise grid
+    elif grid is not None:
+        base = fr if fr is not None else float(grid.f_rate.mean()) / config.horizon
+        if "time_constant" in names:
+            rule = grid.constant_rule()
+        for name in ("time_adaptive", "time_constant"):
+            if name in names:
                 cost = grid.total_cost(rule if name == "time_constant" else None)
                 preds[name] = base - eps23 * cost / config.horizon
     if "move" in names and model.p == 0 and model.m == 1 and config.epsilon > 0:
@@ -428,25 +447,20 @@ def _cell_predictions(model, config, names, pool=None):
     return rule, preds
 
 
-def run_table_cell(model, config, strategy_names, label_suffix="", record_paths=0):
-    """Run one model's strategy battery and return report rows.
-
-    With ``config.n_workers > 1`` one process pool, shut down before this returns or
-    raises, serves the cell's prediction grid and then its Monte Carlo blocks. With
-    ``record_paths > 0`` returns ``(reports, records)``, as :func:`run_strategy` does.
-    """
-    with _worker_pool(config.n_workers) as pool:
-        rule, predictions = _cell_predictions(model, config, strategy_names, pool)
-        sims = [
-            _build_strategy(n, model, config, rule)
-            for n in strategy_names
-            if n != "frictionless"
-        ] or [frictionless_benchmark()]
-        outcomes, records = run_strategies(model, config, sims, record_paths, pool=pool)
+def _cell_reports(model, config, names, suffix, predictions, pool, record_paths=0):
+    """The report rows of one cell, and its records, from its ``(rule, predictions)``; the
+    Monte Carlo blocks run on ``pool``."""
+    rule, predictions = predictions
+    sims = [
+        _build_strategy(n, model, config, rule)
+        for n in names
+        if n != "frictionless"
+    ] or [frictionless_benchmark()]
+    outcomes, records = run_strategies(model, config, sims, record_paths, pool=pool)
     sample = outcomes[sims[0].label]
     fr_analytic = predictions["frictionless"]
     reports = []
-    for name in strategy_names:
+    for name in names:
         if name == "frictionless":
             rep = frictionless_report(sample, config, analytic=fr_analytic)
         else:
@@ -457,8 +471,22 @@ def run_table_cell(model, config, strategy_names, label_suffix="", record_paths=
                 frictionless_rate=fr_analytic,
                 prediction=predictions.get(name),
             )
-        rep.strategy = rep.strategy + label_suffix
+        rep.strategy = rep.strategy + suffix
         reports.append(rep)
+    return reports, records
+
+
+def run_table_cell(model, config, strategy_names, label_suffix="", record_paths=0):
+    """Run one model's strategy battery and return report rows.
+
+    With ``config.n_workers > 1`` one process pool, shut down before this returns or
+    raises, serves the cell's prediction grid and then its Monte Carlo blocks. With
+    ``record_paths > 0`` returns ``(reports, records)``, as :func:`run_strategy` does.
+    """
+    with _worker_pool(config.n_workers) as pool:
+        predictions, = _predictions([(model, config)], strategy_names, pool)
+        reports, records = _cell_reports(model, config, strategy_names, label_suffix,
+                                         predictions, pool, record_paths)
     return (reports, records) if record_paths else reports
 
 
@@ -473,14 +501,19 @@ def table_runner(
     aversion 5, step 1/250 and antithetic draws are fixed; ``n_workers``
     never changes results. Tables 2 and 4 run with the no-leverage flag
     overridden, since the mean-reverting benchmark's default cutoffs leave
-    the target leveraged in the far tails.
+    the target leveraged in the far tails. One process pool, shut down
+    before this returns or raises, serves every cell.
     """
     spec = _table_spec(int(table_id))
     n = spec["default_paths"] if n_paths is None else int(n_paths)
+    names = spec["strategies"]
+    cells = [(model, _run_config(n, seed, epsilon, horizon, n_workers, allow_flagged=model.p > 0))
+             for _, model in spec["models"]]
     reports = []
-    for suffix, model in spec["models"]:
-        config = _run_config(n, seed, epsilon, horizon, n_workers, allow_flagged=model.p > 0)
-        reports.extend(run_table_cell(model, config, spec["strategies"], suffix))
+    with _worker_pool(n_workers) as pool:
+        predictions = _predictions(cells, names, pool)
+        for (suffix, _), (model, config), preds in zip(spec["models"], cells, predictions):
+            reports += _cell_reports(model, config, names, suffix, preds, pool)[0]
     return reports
 
 
@@ -506,7 +539,7 @@ def figure_rows(rho_grid=None, epsilon=_EPSILON, n_paths=0, seed=_SEED):
         if n_paths:
             f_hat = run_table_cell(model, config, ["time_adaptive"])[0].F_hat
         else:
-            f_hat = _cell_predictions(model, config, ["time_adaptive"])[1]["time_adaptive"]
+            f_hat = _predictions([(model, config)], ["time_adaptive"])[0][1]["time_adaptive"]
         wait = float(rule.waiting_time(np.zeros(0), epsilon))
         rows.append({"rho": float(rho), "A_star_years": wait, "F_hat": f_hat})
     return rows

@@ -15,6 +15,14 @@ over ``[0, T]`` (per unit of ``eps^(2/3)``) is
 minimised pointwise by ``A*(y) = (N(y)/D(y))^(2/3)`` with minimal cost
 ``(3/2) E[ integral N^(2/3) D^(1/3) dt ]``. At the optimum the transaction
 cost rate is exactly twice the tracking-error rate.
+
+Expectations over the state are means of per-path integrals on simulated
+state paths, drawn with the wealth simulator's per-path streams and Euler
+step and reduced block by block as they are drawn. Bit identity: each path's
+integral is one trapezoid row reduction of that path's values, so it is the
+same bits whether the paths are drawn in one call or in ranges over workers,
+in drawing or reduction blocks of any size, and for one model or for several
+models that share one pass of their common state process.
 """
 
 from __future__ import annotations
@@ -25,24 +33,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import AssumptionError, DegenerateTargetError, ParameterError
+from .errors import AssumptionError, DegenerateTargetError, ParameterError, RebalfreqError
 from .markets import _as_batch
 from .merton import l21_norm, merton_state, tr_beta_sigma_beta
 
-__all__ = [
-    "ALPHA",
-    "DiscretizationRule",
-    "CostBreakdown",
-    "rate_parts",
-    "cost_breakdown",
-    "optimal_rule",
-    "constant_rule",
-    "total_cost",
-    "bs1d_closed_forms",
-    "Bs1dClosedForms",
-    "schedule_trading_times",
-    "check_nondegeneracy",
-]
 
 ALPHA = 2.0 / 3.0
 
@@ -161,9 +155,13 @@ def cost_breakdown(model, gamma, y, A=None, allow_flagged=False):
     return CostBreakdown(tac_rate=n / np.sqrt(A), de_rate=0.5 * d * A)
 
 
-# States per block of the prediction grid: a block's geometry is a few MiB, where the
-# whole grid's reaches gigabytes at T = 20.
-_GRID_BLOCK = 1 << 15
+# Paths per drawing block of the prediction grid, each reduced to per-path integrals before
+# the next is drawn: 20 MiB of one-factor states at T = 20. Blocks of 256 paths held less but
+# took 30% longer there, in per-step overhead of the Euler step.
+_GRID_DRAW = 512
+
+# States per block of the grid's reduction, whose geometry is a few MiB.
+_GRID_BLOCK = 1 << 14
 
 # States per path range of a pooled grid: 64 MiB of one-factor states, 1677 paths of
 # T = 20 at dt = 1/250.
@@ -181,10 +179,8 @@ class _RateGrid:
     ``n``, ``d``, ``f_rate`` and ``opt`` integrate ``N``, ``D``, the frictionless
     rate and the optimal cost rate ``1.5 N^(2/3) D^(1/3)``; ``tac`` and ``da``
     integrate ``N / sqrt(A)`` and ``D * A`` for the state-dependent ``rule`` the
-    grid was built with (``None`` without one). Each value is one path's trapezoid
-    sum, a row reduction, so its bits do not depend on the grid's block size. A
-    constant-coefficient model (``p = 0``) has one path of one state, held over
-    ``[0, T]``.
+    grid was built with (``None`` without one). A constant-coefficient model
+    (``p = 0``) has one path of one state, held over ``[0, T]``.
     """
 
     n: np.ndarray
@@ -219,41 +215,59 @@ class _RateGrid:
         return 0.5 * da + tac
 
 
-def _path_integrals(model, gamma, horizon_T, y0, dt, seed, allow_flagged, rule, lo, hi):
-    """Per-path integrals ``(4 or 6, hi - lo)`` of :class:`_RateGrid` on state paths ``lo ..
-    hi - 1``, drawn by one :func:`rebalfreq.simulate.simulate_state_grid` call.
+def _block_integrals(model, gamma, allow_flagged, rule, states, weights):
+    """Per-path integrals ``(4 or 6, paths)`` of :class:`_RateGrid` on ``states``, the states
+    of whole paths, path after path, with the trapezoid ``weights`` of one path."""
+    st = merton_state(model, states, gamma)
+    n, d = _rate_parts(st, gamma, allow_flagged)
+    parts = [n, d, st.f_rate, 1.5 * n ** (2.0 / 3.0) * d ** (1.0 / 3.0)]
+    if rule is not None and callable(rule.A):
+        a = np.broadcast_to(np.asarray(rule.A_of(states), dtype=float), n.shape)
+        if np.any(a <= 0):
+            raise ParameterError("rule values must be positive")
+        parts += [n / np.sqrt(a), d * a]
+    # a row-wise add.reduce: a matrix-vector product's bits depend on the row count
+    return [np.add.reduce(v.reshape(-1, len(weights)) * weights, axis=1) for v in parts]
 
-    The geometry is evaluated on blocks of whole paths and reduced to per-path integrals,
-    so no more than one block of it is held at a time. A state-dependent ``rule`` also has
-    its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A`` from ``rule.A_of`` on the
-    block's states.
+
+def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule, lo, hi):
+    """Per-path integrals ``(4 or 6, hi - lo)`` of :class:`_RateGrid` on state paths ``lo ..
+    hi - 1``, one array for each of ``models``, which share their state process.
+
+    One :func:`rebalfreq.simulate.simulate_state_grid` call draws the paths ``_GRID_DRAW`` at
+    a time, and each drawn block is reduced for every model, ``_GRID_BLOCK`` states of whole
+    paths at a time, before the next is drawn. A model whose evaluation raises a package
+    error gets that error in place of its array. A state-dependent ``rule`` also has its
+    ``N / sqrt(A)`` and ``D * A`` integrated, with ``A`` from ``rule.A_of``.
     """
-    if model.p == 0:
-        grid, weights = np.zeros((1, 1, 0)), np.array([float(horizon_T)])
-    else:
+    p = models[0].p
+    rows = 6 if rule is not None and callable(rule.A) else 4
+    out = [np.empty((rows, hi - lo if p else 1)) for _ in models]
+    if p:
+        weights = np.full(int(round(horizon_T / dt)) + 1, dt)
+        weights[0] = weights[-1] = 0.5 * dt
+    else:  # one path of one state, held over [0, T]
+        weights = np.array([float(horizon_T)])
+
+    def reduce(first, block):  # paths first .. first + len(block) - 1 of the range
+        step = max(1, _GRID_BLOCK // len(weights))  # whole paths
+        for i in range(first, first + len(block), step):
+            paths = block[i - first:i - first + step]
+            states = paths.reshape(len(paths) * len(weights), p)
+            for k, model in enumerate(models):
+                if not isinstance(out[k], RebalfreqError):
+                    try:
+                        out[k][:, i:i + len(paths)] = _block_integrals(
+                            model, gamma, allow_flagged, rule, states, weights)
+                    except RebalfreqError as exc:
+                        out[k] = exc
+
+    if p:
         from .simulate import simulate_state_grid
 
-        times, grid = simulate_state_grid(model, horizon_T, dt, hi - lo, y0, seed, first=lo)
-        weights = np.full(len(times), dt)
-        weights[0] = weights[-1] = 0.5 * dt
-    state_rule = rule is not None and callable(rule.A)
-    width = len(weights)
-    per_block = max(1, _GRID_BLOCK // width)  # whole paths
-    out = np.empty((6 if state_rule else 4, len(grid)))
-    for i in range(0, len(grid), per_block):
-        block = grid[i:i + per_block]
-        states = block.reshape(len(block) * width, model.p)
-        st = merton_state(model, states, gamma)
-        n, d = _rate_parts(st, gamma, allow_flagged)
-        parts = [n, d, st.f_rate, 1.5 * n ** (2.0 / 3.0) * d ** (1.0 / 3.0)]
-        if state_rule:
-            a = np.broadcast_to(np.asarray(rule.A_of(states), dtype=float), n.shape)
-            if np.any(a <= 0):
-                raise ParameterError("rule values must be positive")
-            parts += [n / np.sqrt(a), d * a]
-        for row, values in zip(out, parts):
-            # a row-wise add.reduce: a matrix-vector product's bits depend on the row count
-            row[i:i + per_block] = np.add.reduce(values.reshape(-1, width) * weights, axis=1)
+        simulate_state_grid(models[0], horizon_T, dt, hi - lo, y0, seed, _GRID_DRAW, lo, reduce)
+    else:
+        reduce(0, np.zeros((1, 1, 0)))
     return out
 
 
@@ -261,26 +275,41 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
                n_workers=1, pool=None):
     """Per-path integrals of ``N``, ``D`` and the frictionless rate on simulated state paths.
 
-    The paths use the wealth simulator's grid, per-path random streams and Euler
-    recursion, so asymptotic and simulated quantities share sampling-error structure.
     With one worker :func:`_path_integrals` forms them all in this process. With
     ``n_workers > 1`` the workers of ``pool`` (or of a pool opened and shut down here)
     form them on contiguous path ranges, at least one per worker and each of at most
-    ``_GRID_TASK`` states, joined in path order; a pooled ``rule`` must pickle. Each path
-    has its own stream and each integral is a row reduction, so every value is
-    bit-identical for any split. Raises as :func:`rate_parts` does at any grid state.
+    ``_GRID_TASK`` states, joined in path order; a pooled ``rule`` must pickle. ``model``
+    may also be a tuple of models whose state processes are the same (equal
+    :func:`rebalfreq.simulate._state_key`): one pass of the grid serves them all, and a
+    tuple holds each model's grid, or the package error its evaluation raised. Raises as
+    :func:`rate_parts` does at any grid state.
     """
-    task = partial(_path_integrals, model, gamma, horizon_T, y0, dt, seed, allow_flagged, rule)
-    if n_workers <= 1 or model.p == 0:
-        return _RateGrid(*task(0, n_paths), rule=rule)
-    from .simulate import _worker_pool
+    from .simulate import _state_key, _worker_pool
 
-    width = int(round(horizon_T / dt)) + 1  # states per path
-    size = min(max(1, _GRID_TASK // width), -(-n_paths // n_workers))
-    bounds = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    with _worker_pool(n_workers, pool) as workers:
-        parts = list(workers.map(task, *zip(*bounds)))
-    return _RateGrid(*np.concatenate(parts, axis=1), rule=rule)
+    models = model if isinstance(model, tuple) else (model,)
+    if len(models) > 1:
+        keys = {_state_key(m, y0) for m in models}
+        if None in keys or len(keys) > 1:
+            raise ParameterError("the models of one grid pass must share their state process")
+    task = partial(_path_integrals, models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule)
+    if n_workers <= 1 or models[0].p == 0:
+        parts = [task(0, n_paths)]
+    else:
+        width = int(round(horizon_T / dt)) + 1  # states per path
+        size = min(max(1, _GRID_TASK // width), -(-n_paths // n_workers))
+        bounds = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+        with _worker_pool(n_workers, pool) as workers:
+            parts = list(workers.map(task, *zip(*bounds)))
+    grids = []
+    for ranges in zip(*parts):  # one model's integrals, range by range
+        failed = [r for r in ranges if isinstance(r, RebalfreqError)]
+        grids.append(failed[0] if failed else
+                     _RateGrid(*np.concatenate(ranges, axis=1), rule=rule))
+    if isinstance(model, tuple):
+        return tuple(grids)
+    if isinstance(grids[0], RebalfreqError):
+        raise grids[0]
+    return grids[0]
 
 
 def constant_rule(model, gamma, horizon_T, y0=None, n_paths=_GRID_PATHS, dt=1.0 / 250.0, seed=0,
@@ -305,9 +334,8 @@ def total_cost(model, gamma, rule=None, horizon_T=20.0, y0=None, n_paths=_GRID_P
     rule ``A`` costs ``A/2 E[int D dt] + E[int N dt] / sqrt(A)``, and a
     state-dependent one the mean of its per-path integrals of
     ``D/2 * A + N/sqrt(A)``. The forms agree at ``A*`` to floating-point
-    accuracy. Each expectation is a mean of per-path integrals whose bits do
-    not depend on how the grid is blocked. Multiply by ``eps^(2/3) / T`` for
-    the annualised performance loss.
+    accuracy. Each expectation is a mean of per-path integrals. Multiply by
+    ``eps^(2/3) / T`` for the annualised performance loss.
     """
     grid = _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, rule)
     return grid.total_cost(rule)
@@ -326,8 +354,8 @@ def lemma_constants(model, gamma, rule, horizon_T, y0=None, n_paths=_GRID_PATHS,
 
     with ``N``, ``D`` as in :func:`rate_parts` (so ``D/gamma`` is half the
     tracking quadratic form). The expectations are means of per-path
-    integrals, block-independent bit for bit, with a constant ``A`` taken out
-    of the integral. Exact for constant-coefficient models.
+    integrals, with a constant ``A`` taken out of the integral. Exact for
+    constant-coefficient models.
     """
     grid = _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, rule)
     tac, da = grid.rule_integrals(rule)

@@ -27,18 +27,6 @@ import numpy as np
 
 from .errors import DegenerateCovarianceError, DomainError, InputError, ParameterError
 
-__all__ = [
-    "MarketModel",
-    "BlackScholesModel",
-    "TruncatedKimOmbergModel",
-    "Coefficients",
-    "smooth_cutoff",
-    "evaluate_coefficients",
-    "jacobians",
-    "finite_difference_jacobians",
-    "model_from_config",
-]
-
 
 def _smoothstep(t):
     """Quintic smoothstep 6t^5 - 15t^4 + 10t^3 on [0, 1]."""
@@ -184,6 +172,11 @@ class MarketModel:
         """True when sigma does not depend on the state (fast paths)."""
         return False
 
+    def _state_params(self):
+        """The parameters that ``b`` and ``g`` read, as bytes, or ``None`` where they are not
+        named; models with equal ones may share one state grid."""
+        return None
+
     def check_support(self, y):
         """Raise :class:`DomainError` for states outside the declared box."""
         if self.support is None or self.p == 0:
@@ -268,6 +261,9 @@ class BlackScholesModel(_ConstantVolatility):
 
     def b(self, y):
         return np.zeros((_n_states(y, 0), 0))
+
+    def _state_params(self):
+        return b""
 
     def dmu_dy(self, y):
         return np.zeros((_n_states(y, 0), self.m, 0))
@@ -401,6 +397,11 @@ class TruncatedKimOmbergModel(_ConstantVolatility):
         batch, _ = _as_batch(y, 1)
         _, ders = self._cutoffs(batch)
         return ders[:, :, None]
+
+    def _state_params(self):  # b reads the first asset's cutoff
+        drift = [self.mean_reversion, self.long_run_mean, self.cutoff_low[0],
+                 self.cutoff_high[0], self.cutoff_width[0]]
+        return np.array(drift).tobytes() + self.g_const.tobytes()
 
 
 def _spd_inverse(Sigma):

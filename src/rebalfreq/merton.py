@@ -31,18 +31,6 @@ import numpy as np
 from .errors import ParameterError
 from .markets import _as_batch, _check_finite, evaluate_coefficients, jacobians
 
-__all__ = [
-    "MertonState",
-    "AssumptionWarning",
-    "merton_state",
-    "merton_weights",
-    "merton_diffusion",
-    "beta_matrix",
-    "frictionless_rate",
-    "l21_norm",
-    "tr_beta_sigma_beta",
-]
-
 
 class AssumptionWarning(UserWarning):
     """Raised (as a warning) when target weights short or leverage."""

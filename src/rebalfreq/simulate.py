@@ -17,22 +17,25 @@ tracking-error form at each step come from the one geometry function of
 
 Randomness is counter-based: path ``k`` always draws its Gaussian increments
 from a Philox stream keyed by ``(seed, k)`` (or ``(seed, k // 2)`` with a
-sign flip for antithetic pairs), so results are independent of how paths are
-chunked into blocks or spread across workers, and any single path can be
-reproduced bit-for-bit in isolation. Each lane of a block that owns a stream
+sign flip for antithetic pairs). Each lane of a block that owns a stream
 (under antithetic sampling the even paths and an odd path that starts the
 block) keeps one generator for the life of the block; the block draws 128
 steps of these lanes at a time, forms each other odd path as the negation of
 its partner where a tape is cut, and releases a spent chunk before it draws
-the next. Aggregation happens in fixed block order.
+the next. One driver, :func:`_state_path`, pairs these streams with the Euler
+step: it yields a block's tapes and the states after their steps, chunk by
+chunk, to the engine, the state grid and the single-path API alike.
 Strategies of one run share the market draws, which sharpens their
 comparison, and one ledger of arrays stacked over (strategy, path), paths last.
-
 A block of ``B`` paths runs in chunks of ``K = max(1, _CHUNK // B)`` steps: a
-market pass takes the chunk's draws as one tape, steps the state through it and
-forms the geometry, band widths and growth of all ``K B`` states at once, and the
-ledger pass reads step slices of these. Sums run in a fixed order, so no result
-depends on ``K``.
+market pass forms the geometry, band widths and growth of a chunk's ``K B``
+states at once, and the ledger pass reads step slices of these.
+
+Bit identity: a path's draws depend only on the seed and its index, and every
+step acts on each path alone, elementwise or by sums in one fixed order. So a
+path's states, growth and ledger, and a state grid's paths, are the same bits
+whatever the block, chunk, worker or companion strategies, and any single path
+can be reproduced in isolation; results are joined in path order.
 """
 
 from __future__ import annotations
@@ -49,25 +52,6 @@ from .errors import AssumptionError, ConvergenceError, DomainError, ParameterErr
 from .frequency import DiscretizationRule, _AdaptiveProfile
 from .markets import _check_finite
 from .merton import MertonState, _constant_block, _fixed_sum, _geometry, _last, merton_state
-
-__all__ = [
-    "SimulationConfig",
-    "Strategy",
-    "StrategyOutcome",
-    "PathRecords",
-    "time_based",
-    "buy_and_hold",
-    "move_based",
-    "pasted_move_based",
-    "frictionless_benchmark",
-    "move_based_halfwidth_1d",
-    "pasted_halfwidths",
-    "rebalance_solve",
-    "simulate_market_path",
-    "simulate_state_grid",
-    "run_strategy",
-    "run_strategies",
-]
 
 
 @dataclass(frozen=True)
@@ -330,6 +314,7 @@ class _BlockNormals:
         self._cols = [(slice(odd, None), slice(odd, None, step))]
         self._cols += [(slice(1), slice(1))] if odd else []
         self._mirror = antithetic and (slice(odd, self.n - 1, 2), slice(odd + 1, self.n, 2))
+        self._whole_pairs = not odd and self.n % 2 == 0
         self._flip = odd
         key, zero = _lane_key(), np.zeros(4, dtype=np.uint64)  # an array skips Philox's parse of 0
         self._gens = [Generator(Philox(key(seed, (lo + i) // step), counter=zero)) for i in lanes]
@@ -347,7 +332,9 @@ class _BlockNormals:
     def tape(self, n_left, k):
         """A tape of normals for the next ``k`` steps of the ``n_left`` left (fewer where the
         drawn chunk ends), a contiguous ``(d, k, B)``: factor, then step, then path. One
-        transposed copy fills the drawing lanes' columns and one negation their mirrors'."""
+        transposed copy fills the drawing lanes' columns and a negation their mirrors': in one
+        call for a block of whole pairs, else one (factor, step) row at a time, as numpy would
+        buffer a ufunc over strided rows that do not merge into one."""
         if self._buf is None or self._pos >= self._buf.shape[1]:
             self._buf = None  # release the spent chunk before drawing the next
             self._buf, self._pos = self.draw(min(self.chunk, n_left)), 0
@@ -356,7 +343,12 @@ class _BlockNormals:
         for rows, lanes in self._cols:
             z[..., lanes] = part[..., rows]
         if self._mirror:
-            np.negative(z[..., self._mirror[0]], out=z[..., self._mirror[1]])
+            src, dst = (z[..., lanes] for lanes in self._mirror)
+            n_rows = z.shape[0] * z.shape[1]  # z is contiguous: the rows are views
+            rows = [(src, dst)] if self._whole_pairs else zip(src.reshape(n_rows, -1),
+                                                                dst.reshape(n_rows, -1))
+            for partners, mirrors in rows:
+                np.negative(partners, out=mirrors)
         self._pos += z.shape[1]
         return z
 
@@ -413,30 +405,62 @@ def _log_returns(mu, sigma, z, dt):
     return (mu - 0.5 * rownorm2) * dt + shock * np.sqrt(dt)
 
 
-def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size=4096, first=0):
+def _state_path(model, seed, lo, hi, antithetic, y, n_steps, dt, K, chunk=128):
+    """Paths ``lo .. hi - 1`` from the states ``y`` ``(B, p)``, ``K`` steps at a time (fewer
+    where a drawn chunk ends): yields each chunk's tape ``z`` ``(d, k, B)`` and the states
+    after its steps, ``(k, B, p)``."""
+    source = _BlockNormals(seed, lo, hi, model.d, antithetic, chunk)
+    step = 0
+    while step < n_steps:
+        z = source.tape(n_steps - step, K)
+        ys = np.empty((z.shape[1], hi - lo, model.p))
+        y = _euler(model, y, z, dt, ys) if model.p else y
+        yield z, ys
+        step += len(ys)
+
+
+def _state_key(model, y0):
+    """A key that two models share only if their state grids are equal: everything the Euler
+    step reads (``d``, ``p``, the support, the start state and the parameters of ``b`` and
+    ``g``), or ``None`` for a model that does not name the parameters of ``b`` and ``g``."""
+    params = model._state_params()
+    if params is None:
+        return None
+    support = None if model.support is None else model.support.tobytes()
+    return type(model), model.d, model.p, support, _default_y0(model, y0).tobytes(), params
+
+
+def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size=4096, first=0,
+                        _reduce=None):
     """Euler paths of the state variable alone on the simulation grid.
 
     Returns ``(times, states)`` with ``states`` of shape
     ``(n_paths, n_steps + 1, p)``, of paths ``first .. first + n_paths - 1``.
     Uses the same per-path streams and the same Euler recursion as the wealth
     simulator, so expectations computed here share their sampling error
-    structure with full strategy runs at the same seed; a path's states do not
-    depend on ``first`` or ``block_size``, so a grid drawn in path ranges equals
-    the grid drawn whole.
+    structure with full strategy runs at the same seed. With ``_reduce``, each
+    block of at most ``block_size`` paths goes to ``_reduce(lo, block_states)`` as
+    soon as it is drawn, ``lo`` being its offset in the grid, and ``states`` is
+    ``None``: no more than one block of states is held.
     """
     n_steps = int(round(horizon / dt))
     times = np.linspace(0.0, horizon, n_steps + 1)
     y0 = _default_y0(model, y0)
-    states = np.empty((n_paths, n_steps + 1, model.p))
+    states = None if _reduce else np.empty((n_paths, n_steps + 1, model.p))
     for lo in range(0, n_paths, block_size):
         hi = min(lo + block_size, n_paths)
-        source = _BlockNormals(seed, first + lo, first + hi, model.d, False)
-        out = states[lo:hi].transpose(1, 0, 2)
-        out[0], step = y0, 0
-        while model.p and step < n_steps:
-            z = source.tape(n_steps - step, max(1, _CHUNK // (hi - lo)))
-            _euler(model, out[step], z, dt, out[step + 1:])
-            step += z.shape[1]
+        block = np.empty((hi - lo, n_steps + 1, model.p)) if _reduce else states[lo:hi]
+        out = block.transpose(1, 0, 2)  # step-major
+        out[0], step = y0, 1
+        if model.p:
+            K = max(1, _CHUNK // (hi - lo))
+            for _, ys in _state_path(model, seed, first + lo, first + hi, False, out[0],
+                                     n_steps, dt, K):
+                out[step:step + len(ys)] = ys
+                step += len(ys)
+        if _reduce:
+            _reduce(lo, block)
+        block = out = None  # the block is freed before the next is drawn
     return times, states
 
 
@@ -449,16 +473,15 @@ def simulate_market_path(model, config, path_index):
     """
     n_steps = config.n_steps
     times = np.linspace(0.0, config.horizon, n_steps + 1)
-    states = np.tile(_default_y0(model, config.y0), (n_steps + 1, 1, 1))
-    z = _BlockNormals(config.seed, path_index, path_index + 1, model.d, config.antithetic,
-                      n_steps).tape(n_steps, n_steps)
-    if model.p:
-        _euler(model, states[0], z, config.dt, states[1:])
-    left = states[:-1, 0]
+    y0 = _default_y0(model, config.y0)[None]
+    (z, ys), = _state_path(model, config.seed, path_index, path_index + 1, config.antithetic,
+                           y0, n_steps, config.dt, n_steps, chunk=n_steps)
+    states = np.concatenate([y0, ys[:, 0]])
+    left = states[:-1]
     model.check_support(left)
     mu, sigma = model.mu(left), model.sigma(left)
     _check_finite(mu, sigma)
-    return times, states[:, 0], _log_returns(_last(mu), _last(sigma), z[:, :, 0], config.dt).T
+    return times, states, _log_returns(_last(mu), _last(sigma), z[:, :, 0], config.dt).T
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +558,7 @@ def _run_of(mask):
 def _run_block(model, config, strategies, lo, hi, record_upto):
     """Paths ``lo .. hi - 1`` of all ``S`` strategies on shared draws, as stacked
     ``(S, B)`` and ``(S, m, B)`` ledgers, paths last so that ufuncs and asset sums
-    (bitwise as paths-first for ``m < 8``) run along contiguous memory; trades use
-    rows ``strategy * B + path``. Returns the ledgers, frictionless rates and records.
+    run along contiguous memory; trades use rows ``strategy * B + path``. Returns the ledgers, frictionless rates and records.
 
     Steps run in chunks of ``K = max(1, _CHUNK // B)`` (fewer where a drawn chunk ends). The
     market pass steps the state through the chunk's tape, then forms in one call each the
@@ -562,7 +584,6 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     band, clock = _run_of(band), _run_of(np.array([s.kind == "time" for s in strategies]))
     fric_rows = np.repeat(fric[:, None], B, axis=1)
 
-    source = _BlockNormals(config.seed, lo, hi, model.d, config.antithetic)
     y = np.tile(_default_y0(model, config.y0), (B, 1))
     const = _constant_block(model, np.broadcast_to(y[:1], (K * B, p)))  # sliced per call
     first = _geometry(model, y, gamma, const and tuple(c[:B] for c in const),
@@ -592,14 +613,11 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
         }
 
     geo, s0 = None, 0
-    while s0 < n_steps:
-        z = source.tape(n_steps - s0, K)
-        n = z.shape[1]  # steps in this chunk
+    for z, ys in _state_path(model, config.seed, lo, hi, config.antithetic, y, n_steps, dt, K):
+        n = len(ys)  # steps in this chunk
         if p or geo is None:  # a state that never moves keeps its first chunk's geometry
-            yc = (ys := np.empty((n, B, p))).reshape(n * B, p)  # the chunk's states, step-major
-            y = _euler(model, y, z, dt, ys) if p else y
-            geo = _geometry(model, yc, gamma, const and tuple(c[:n * B] for c in const),
-                            banded or bool(profiled))
+            geo = _geometry(model, ys.reshape(n * B, p), gamma,  # the chunk's states, step-major
+                            const and tuple(c[:n * B] for c in const), banded or bool(profiled))
             W = _last(geo.w_star).reshape(m, n, B)
             right = _last(geo.mu), _last(geo.sigma), geo.f_rate
             HW = _halfwidths(geo, gamma, eps).T.reshape(m, n, B) if banded else None  # 0 at eps = 0
@@ -717,8 +735,7 @@ def run_strategies(model, config, strategies, record_paths=0, *, pool=None):
     of the run, merged from the blocks in path order (``None`` if zero).
     Blocks of at most ``block_size`` paths, small enough that each of ``n_workers
     > 1`` workers gets one, run in parallel: on ``pool``, an open process pool that
-    the caller shuts down, or else on a pool opened and shut down here. Results are
-    bit-identical for any worker count, block size and set of companion strategies.
+    the caller shuts down, or else on a pool opened and shut down here.
     """
     labels = [s.label for s in strategies]
     if len(set(labels)) != len(labels):

@@ -9,6 +9,7 @@ from rebalfreq import (
     InputError,
     ParameterError,
     SimulationConfig,
+    TruncatedKimOmbergModel,
     buy_and_hold,
     decomposition_check,
     estimate_objective,
@@ -23,7 +24,7 @@ from rebalfreq import (
 from rebalfreq import evaluate, simulate
 from rebalfreq.evaluate import CSV_HEADER, _table_spec, run_table_cell
 
-from conftest import EPS, GAMMA
+from conftest import EPS, GAMMA, KO_PARAMS
 
 
 def config(**kw):
@@ -211,6 +212,47 @@ def test_pooled_fault_propagates_and_pool_shuts_down(monkeypatch, target):
     with pytest.raises(TypeError, match="a fault"):
         run_table_cell(model, cfg, _table_spec(2)["strategies"])
     assert not multiprocessing.active_children()
+
+
+def _count_grids(monkeypatch):
+    calls = []
+    real = simulate.simulate_state_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_state_grid", counting)
+    return calls
+
+
+def test_table4_cells_share_one_grid_pass(monkeypatch):
+    # the three correlations move the assets, not the state: one grid call serves all three
+    # cells, and each cell's rows are the bytes of the cell run alone
+    calls = _count_grids(monkeypatch)
+    reports = evaluate.table_runner(4, n_paths=8, horizon=0.2, n_workers=1)
+    assert len(calls) == 1
+    spec = _table_spec(4)
+    alone = []
+    for suffix, model in spec["models"]:
+        cfg = evaluate._run_config(8, horizon=0.2, allow_flagged=True)
+        alone += run_table_cell(model, cfg, spec["strategies"], suffix)
+    assert len(calls) == 4
+    assert rows_to_csv(reports) == rows_to_csv(alone)
+    for shared, own in zip(reports, alone):
+        assert shared.asymptotic_prediction == own.asymptotic_prediction
+
+
+@pytest.mark.parametrize("change", [{"mean_reversion": 0.3}, {"state_vol": 0.04}])
+def test_cells_of_other_state_processes_draw_their_own_pass(monkeypatch, ko2d, change):
+    other = TruncatedKimOmbergModel(vol=[0.1428, 0.1428], **{**KO_PARAMS, **change})
+    cfg = config(horizon=0.2, n_paths=8, allow_flagged=True)
+    names = ["frictionless", "time_adaptive"]
+    calls = _count_grids(monkeypatch)
+    evaluate._predictions([(ko2d(0.3), cfg), (ko2d(0.9), cfg)], names)
+    assert len(calls) == 1
+    evaluate._predictions([(ko2d(0.3), cfg), (other, cfg)], names)
+    assert len(calls) == 3
 
 
 def test_figure_rows_analytic():

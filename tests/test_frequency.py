@@ -273,6 +273,48 @@ def test_pooled_grid_bits_equal_serial(market, request, monkeypatch):
         assert pooled.total_cost(rule) == serial.total_cost(rule)
 
 
+def test_streamed_grid_holds_one_drawing_block(ko1d):
+    # 2000 paths at T = 1 in drawing blocks of 512 paths: the peak stays under one block's
+    # states and draws plus the peak of one reduction block of the grid's own states
+    import tracemalloc
+
+    from rebalfreq import frequency, simulate_state_grid
+
+    width, d = 251, ko1d.d
+    per_block = frequency._GRID_BLOCK // width
+    weights = np.full(width, 1.0 / 250.0)
+    weights[0] = weights[-1] = 0.5 / 250.0
+    states = simulate_state_grid(ko1d, 1.0, 1.0 / 250.0, per_block, None, 7)[1].reshape(-1, 1)
+    frequency._path_integrals((ko1d,), GAMMA, 0.2, None, 1.0 / 250.0, 7, True, None, 0, 4)
+    tracemalloc.start()
+    try:
+        frequency._block_integrals(ko1d, GAMMA, True, None, states, weights)
+        reduction = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        frequency._path_integrals((ko1d,), GAMMA, 1.0, None, 1.0 / 250.0, 7, True, None, 0, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = frequency._GRID_DRAW
+    drawn = block * width * 8 + block * 128 * d * 8 + d * (8192 // block) * block * 8
+    assert peak < drawn + reduction
+
+
+def test_pooled_ranges_of_partial_drawing_blocks_equal_serial(ko1d):
+    # two workers draw ranges of 1000 = 512 + 488 paths, one worker 2000 = 3 * 512 + 464
+    from concurrent.futures import ProcessPoolExecutor
+
+    from rebalfreq import frequency
+
+    adaptive = optimal_rule(ko1d, GAMMA, allow_flagged=True)
+    args = (ko1d, GAMMA, 0.1, None, 2000, 1.0 / 250.0, 4, True, adaptive)
+    serial = frequency._rate_grid(*args)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        pooled = frequency._rate_grid(*args, n_workers=2, pool=pool)
+    for name in ("n", "d", "f_rate", "opt", "tac", "da"):
+        assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
+
+
 def test_grid_costs_equal_per_state_formula(ko1d):
     from rebalfreq import simulate_state_grid
 

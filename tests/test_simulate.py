@@ -318,6 +318,27 @@ def test_block_normals_hold_one_default_chunk_of_drawing_lanes(lo, antithetic):
     assert peak < bound
 
 
+@pytest.mark.parametrize("B", [64, 2048])
+def test_mirror_negation_allocates_no_copy(B):
+    # a block from an odd path holds no whole pairs: its mirrors are negated without numpy's
+    # buffers, so a tape call that draws nothing holds the tape alone; the lanes stay the
+    # streams' own bits
+    seed, d, k, lo = 13, 2, 4, 5
+    source = _BlockNormals(seed, lo, lo + B, d, True)
+    first = source.tape(100, k)  # draws the chunk
+    tracemalloc.start()
+    try:
+        second = source.tape(100 - k, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= second.nbytes + 2048
+    z = np.concatenate([first, second], axis=1)
+    for i, path in enumerate(range(lo, lo + B)):
+        ref = np.random.Generator(np.random.Philox(key=[seed, path // 2])).standard_normal((2 * k, d))
+        _same_bits(z[:, :, i].T, -ref if path % 2 else ref)
+
+
 def test_import_leaves_numpy_random_unloaded():
     # the lanes' generators load numpy.random on first use, not at import
     src = str(Path(__file__).resolve().parents[1] / "src")
