@@ -447,10 +447,9 @@ def _cell_predictions(model, config, names, grid):
     return rule, preds
 
 
-def _cell_reports(model, config, names, suffix, predictions, pool, record_paths=0):
-    """The report rows of one cell, and its records, from its ``(rule, predictions)``; the
-    Monte Carlo blocks run on ``pool``."""
-    rule, predictions = predictions
+def _cell_reports(model, config, names, suffix, rule, predictions, pool, record_paths=0):
+    """The report rows of one cell, and its records, from its ``time_constant`` rule and
+    predictions; the Monte Carlo blocks run on ``pool``."""
     sims = [
         _build_strategy(n, model, config, rule)
         for n in names
@@ -484,8 +483,8 @@ def run_table_cell(model, config, strategy_names, label_suffix="", record_paths=
     ``record_paths > 0`` returns ``(reports, records)``, as :func:`run_strategy` does.
     """
     with _worker_pool(config.n_workers) as pool:
-        predictions, = _predictions([(model, config)], strategy_names, pool)
-        reports, records = _cell_reports(model, config, strategy_names, label_suffix,
+        (rule, predictions), = _predictions([(model, config)], strategy_names, pool)
+        reports, records = _cell_reports(model, config, strategy_names, label_suffix, rule,
                                          predictions, pool, record_paths)
     return (reports, records) if record_paths else reports
 
@@ -512,8 +511,9 @@ def table_runner(
     reports = []
     with _worker_pool(n_workers) as pool:
         predictions = _predictions(cells, names, pool)
-        for (suffix, _), (model, config), preds in zip(spec["models"], cells, predictions):
-            reports += _cell_reports(model, config, names, suffix, preds, pool)[0]
+        for (suffix, _), (model, config), (rule, preds) in zip(spec["models"], cells,
+                                                                predictions):
+            reports += _cell_reports(model, config, names, suffix, rule, preds, pool)[0]
     return reports
 
 

@@ -156,8 +156,8 @@ def cost_breakdown(model, gamma, y, A=None, allow_flagged=False):
 
 
 # Paths per drawing block of the prediction grid, each reduced to per-path integrals before
-# the next is drawn: 20 MiB of one-factor states at T = 20. Blocks of 256 paths held less but
-# took 30% longer there, in per-step overhead of the Euler step.
+# the next is drawn: 20 MiB of one-factor states at T = 20. A smaller block holds less, but
+# each block pays the Euler step's per-step overhead again.
 _GRID_DRAW = 512
 
 # States per block of the grid's reduction, whose geometry is a few MiB.

@@ -405,18 +405,19 @@ def _log_returns(mu, sigma, z, dt):
     return (mu - 0.5 * rownorm2) * dt + shock * np.sqrt(dt)
 
 
-def _state_path(model, seed, lo, hi, antithetic, y, n_steps, dt, K, chunk=128):
+def _state_path(model, seed, lo, hi, antithetic, y, n_steps, dt, K, chunk=128, out=None):
     """Paths ``lo .. hi - 1`` from the states ``y`` ``(B, p)``, ``K`` steps at a time (fewer
     where a drawn chunk ends): yields each chunk's tape ``z`` ``(d, k, B)`` and the states
-    after its steps, ``(k, B, p)``."""
+    after its steps, ``(k, B, p)``, new or the chunk's steps of ``out`` ``(n_steps, B, p)``."""
     source = _BlockNormals(seed, lo, hi, model.d, antithetic, chunk)
     step = 0
     while step < n_steps:
         z = source.tape(n_steps - step, K)
-        ys = np.empty((z.shape[1], hi - lo, model.p))
+        k = z.shape[1]
+        ys = np.empty((k, hi - lo, model.p)) if out is None else out[step:step + k]
         y = _euler(model, y, z, dt, ys) if model.p else y
         yield z, ys
-        step += len(ys)
+        step += k
 
 
 def _state_key(model, y0):
@@ -451,13 +452,12 @@ def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size
         hi = min(lo + block_size, n_paths)
         block = np.empty((hi - lo, n_steps + 1, model.p)) if _reduce else states[lo:hi]
         out = block.transpose(1, 0, 2)  # step-major
-        out[0], step = y0, 1
+        out[0] = y0
         if model.p:
             K = max(1, _CHUNK // (hi - lo))
-            for _, ys in _state_path(model, seed, first + lo, first + hi, False, out[0],
-                                     n_steps, dt, K):
-                out[step:step + len(ys)] = ys
-                step += len(ys)
+            for _ in _state_path(model, seed, first + lo, first + hi, False, out[0], n_steps,
+                                 dt, K, out=out[1:]):
+                pass  # each chunk's states land in the block
         if _reduce:
             _reduce(lo, block)
         block = out = None  # the block is freed before the next is drawn
@@ -558,7 +558,8 @@ def _run_of(mask):
 def _run_block(model, config, strategies, lo, hi, record_upto):
     """Paths ``lo .. hi - 1`` of all ``S`` strategies on shared draws, as stacked
     ``(S, B)`` and ``(S, m, B)`` ledgers, paths last so that ufuncs and asset sums
-    run along contiguous memory; trades use rows ``strategy * B + path``. Returns the ledgers, frictionless rates and records.
+    run along contiguous memory; trades use rows ``strategy * B + path``. Returns the
+    ledgers, frictionless rates and records.
 
     Steps run in chunks of ``K = max(1, _CHUNK // B)`` (fewer where a drawn chunk ends). The
     market pass steps the state through the chunk's tape, then forms in one call each the

@@ -335,7 +335,8 @@ def test_mirror_negation_allocates_no_copy(B):
     assert peak <= second.nbytes + 2048
     z = np.concatenate([first, second], axis=1)
     for i, path in enumerate(range(lo, lo + B)):
-        ref = np.random.Generator(np.random.Philox(key=[seed, path // 2])).standard_normal((2 * k, d))
+        stream = np.random.Generator(np.random.Philox(key=[seed, path // 2]))
+        ref = stream.standard_normal((2 * k, d))
         _same_bits(z[:, :, i].T, -ref if path % 2 else ref)
 
 
