@@ -40,6 +40,7 @@ can be reproduced in isolation; results are joined in path order.
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -455,9 +456,9 @@ def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size
         out[0] = y0
         if model.p:
             K = max(1, _CHUNK // (hi - lo))
-            for _ in _state_path(model, seed, first + lo, first + hi, False, out[0], n_steps,
-                                 dt, K, out=out[1:]):
-                pass  # each chunk's states land in the block
+            chunks = _state_path(model, seed, first + lo, first + hi, False, out[0], n_steps,
+                                 dt, K, out=out[1:])
+            deque(chunks, maxlen=0)  # runs them: each chunk's states land in the block
         if _reduce:
             _reduce(lo, block)
         block = out = None  # the block is freed before the next is drawn

@@ -273,25 +273,27 @@ def test_pooled_grid_bits_equal_serial(market, request, monkeypatch):
         assert pooled.total_cost(rule) == serial.total_cost(rule)
 
 
-def test_streamed_grid_holds_one_drawing_block(ko1d):
-    # 2000 paths at T = 1 in drawing blocks of 512 paths: the peak stays under one block's
-    # states and draws plus the peak of one reduction block of the grid's own states
+@pytest.mark.parametrize("horizon", [1.0, 5.0])
+def test_streamed_grid_holds_one_drawing_block(ko1d, horizon):
+    # 2000 paths in drawing blocks of 512 paths: the peak stays under one block's states and
+    # draws plus the peak of one reduction block of the grid's own states
     import tracemalloc
 
     from rebalfreq import frequency, simulate_state_grid
 
-    width, d = 251, ko1d.d
+    width, d = int(round(horizon * 250)) + 1, ko1d.d
     per_block = frequency._GRID_BLOCK // width
     weights = np.full(width, 1.0 / 250.0)
     weights[0] = weights[-1] = 0.5 / 250.0
-    states = simulate_state_grid(ko1d, 1.0, 1.0 / 250.0, per_block, None, 7)[1].reshape(-1, 1)
+    states = simulate_state_grid(ko1d, horizon, 1.0 / 250.0, per_block, None, 7)[1]
     frequency._path_integrals((ko1d,), GAMMA, 0.2, None, 1.0 / 250.0, 7, True, None, 0, 4)
     tracemalloc.start()
     try:
-        frequency._block_integrals(ko1d, GAMMA, True, None, states, weights)
+        frequency._block_integrals(ko1d, GAMMA, True, None, states.reshape(-1, 1), weights)
         reduction = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        frequency._path_integrals((ko1d,), GAMMA, 1.0, None, 1.0 / 250.0, 7, True, None, 0, 2000)
+        frequency._path_integrals((ko1d,), GAMMA, horizon, None, 1.0 / 250.0, 7, True, None, 0,
+                                  2000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
