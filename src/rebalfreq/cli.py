@@ -141,23 +141,22 @@ def _apply_overrides(run, args):
 def cmd_simulate(args):
     run = load_config(args.config)
     sim = _apply_overrides(run, args)
-    k = args.dump_paths
+    k, out_path = args.dump_paths, args.out or run.output
     if k < 0:
         raise InputError("--dump-paths must be nonnegative")
+    if k and not out_path:
+        raise InputError("--dump-paths requires --out (or config.output)")
+    if k and all(n == "frictionless" for n in run.strategies):
+        raise InputError("path dumps need at least one simulated strategy")
     result = run_table_cell(run.model, sim, run.strategies, record_paths=k)
     reports, records = result if k else (result, None)
-    out_path = args.out or run.output
     _emit(rows_to_csv(reports), out_path)
     if k:
-        if not out_path:
-            raise InputError("--dump-paths requires --out (or config.output)")
         _dump_paths(run, records, out_path + ".paths.csv")
     return 0
 
 
 def _dump_paths(run, records, path):
-    if all(n == "frictionless" for n in run.strategies):
-        raise InputError("path dumps need at least one simulated strategy")
     lines = ["strategy,path,time,wealth," + ",".join(f"weight_{i+1}" for i in range(run.model.m))]
     for label in records.wealth:
         w = records.wealth[label]
@@ -179,8 +178,6 @@ def cmd_table(args):
 
 
 def cmd_figure(args):
-    if args.figure != 1:
-        raise InputError("only figure 1 is available")
     rows = figure_rows(**_given_flags(args, _run_config(), min_paths=0))  # 0 paths: analytic
     lines = ["rho,A_star_years,F_hat"]
     for r in rows:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import MISSING, dataclass, fields
+from functools import cache
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from .errors import InputError
 from .markets import model_from_config
@@ -57,16 +57,22 @@ class RunConfig:
     output: Optional[str]
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """The safe loader, except that a key repeated in one mapping is an error."""
+@cache
+def _unique_key_loader():
+    """The safe loader, except that a key repeated in one mapping is an error. Built on
+    first use, so that importing the package leaves PyYAML out."""
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        keys = [k for k, _ in node.value if isinstance(k, yaml.ScalarNode)]
-        for i, k in enumerate(keys):
-            if any((k.tag, k.value) == (j.tag, j.value) for j in keys[:i]):
-                where = f"{k.start_mark.name} (line {k.start_mark.line + 1})"
-                raise InputError(f"repeated key {k.value!r} in {where}")
-        return super().construct_mapping(node, deep)
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            keys = [k for k, _ in node.value if isinstance(k, yaml.ScalarNode)]
+            for i, k in enumerate(keys):
+                if any((k.tag, k.value) == (j.tag, j.value) for j in keys[:i]):
+                    where = f"{k.start_mark.name} (line {k.start_mark.line + 1})"
+                    raise InputError(f"repeated key {k.value!r} in {where}")
+            return super().construct_mapping(node, deep)
+
+    return UniqueKeyLoader
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -91,9 +97,11 @@ def load_config(path):
     :class:`InputError`, with their dotted location; YAML syntax errors and
     a key repeated in one mapping report the line number.
     """
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
+            raw = yaml.load(fh, Loader=_unique_key_loader())
     except FileNotFoundError as exc:
         raise InputError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:

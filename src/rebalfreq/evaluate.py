@@ -505,16 +505,21 @@ def table_runner(
     """
     spec = _table_spec(int(table_id))
     n = spec["default_paths"] if n_paths is None else int(n_paths)
-    names = spec["strategies"]
     cells = [(model, _run_config(n, seed, epsilon, horizon, n_workers, allow_flagged=model.p > 0))
              for _, model in spec["models"]]
-    reports = []
+    suffixes = [suffix for suffix, _ in spec["models"]]
+    return [rep for reports in _cells_reports(cells, spec["strategies"], suffixes, n_workers)
+            for rep in reports]
+
+
+def _cells_reports(cells, names, suffixes, n_workers):
+    """The report rows of each ``(model, config)`` cell, labelled with its suffix. One
+    process pool, shut down before this returns or raises, serves every cell's predictions
+    and then the cells' Monte Carlo blocks in turn."""
     with _worker_pool(n_workers) as pool:
         predictions = _predictions(cells, names, pool)
-        for (suffix, _), (model, config), (rule, preds) in zip(spec["models"], cells,
-                                                                predictions):
-            reports += _cell_reports(model, config, names, suffix, rule, preds, pool)[0]
-    return reports
+        return [_cell_reports(model, config, names, suffix, rule, preds, pool)[0]
+                for (model, config), suffix, (rule, preds) in zip(cells, suffixes, predictions)]
 
 
 def figure_rows(rho_grid=None, epsilon=_EPSILON, n_paths=0, seed=_SEED):
@@ -532,14 +537,15 @@ def figure_rows(rho_grid=None, epsilon=_EPSILON, n_paths=0, seed=_SEED):
         rho_grid = np.concatenate([np.arange(0.05, 0.96, 0.05), [0.999]])
     # with n_paths = 0 nothing is run; the config then only needs a valid count
     config = _run_config(n_paths or 2, seed, epsilon, _HORIZON, _N_WORKERS, allow_flagged=True)
+    cells, names = [(_bs2d(rho), config) for rho in rho_grid], ["time_adaptive"]
+    if n_paths:
+        f_hats = [reports[0].F_hat
+                  for reports in _cells_reports(cells, names, [""] * len(cells), _N_WORKERS)]
+    else:
+        f_hats = [preds["time_adaptive"] for _, preds in _predictions(cells, names)]
     rows = []
-    for rho in rho_grid:
-        model = _bs2d(rho)
+    for rho, (model, _), f_hat in zip(rho_grid, cells, f_hats):
         rule = optimal_rule(model, _GAMMA, allow_flagged=True)
-        if n_paths:
-            f_hat = run_table_cell(model, config, ["time_adaptive"])[0].F_hat
-        else:
-            f_hat = _predictions([(model, config)], ["time_adaptive"])[0][1]["time_adaptive"]
         wait = float(rule.waiting_time(np.zeros(0), epsilon))
         rows.append({"rho": float(rho), "A_star_years": wait, "F_hat": f_hat})
     return rows

@@ -93,6 +93,33 @@ def test_negative_dump_paths_rejected(tmp_path):
     assert not out.exists()
 
 
+def spy_run_table_cell(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_table_cell",
+                        lambda *args, **kw: calls.append(args) or ([], None))
+    return calls
+
+
+def test_dump_paths_without_output_rejected_before_running(tmp_path, monkeypatch, capsys):
+    calls = spy_run_table_cell(monkeypatch)
+    argv = ["simulate", "--config", ko1d_config(tmp_path), "--dump-paths", "2"]
+    assert cli.main(argv) == 1
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == "" and "--dump-paths requires --out" in err
+
+
+def test_dump_paths_of_frictionless_only_rejected_before_running(tmp_path, monkeypatch, capsys):
+    calls = spy_run_table_cell(monkeypatch)
+    path = tmp_path / "ko1d.yaml"
+    path.write_text(KO1D_CONFIG + "strategies: [frictionless]\n")
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--config", str(path), "--dump-paths", "2", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert calls == [] and not out.exists()
+    assert "at least one simulated strategy" in capsys.readouterr().err
+
+
 def test_tc_builds_one_state_grid(tmp_path, monkeypatch):
     calls = []
     real = simulate.simulate_state_grid

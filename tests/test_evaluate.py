@@ -264,6 +264,32 @@ def test_figure_rows_analytic():
     assert f[0] > f[1] > f[2]
 
 
+def test_figure_sweep_runs_on_one_pool(monkeypatch):
+    # the sweep's cells share one pool, as a table's do, and each row is the cell run alone
+    import concurrent.futures
+
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "_HORIZON", 0.2)
+    rhos = [0.3, 0.6, 0.9]
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        analytic = figure_rows(rho_grid=rhos, n_paths=0)
+        assert opened == []
+        rows = figure_rows(rho_grid=rhos, n_paths=8)
+        assert opened == [{"max_workers": 2}]
+    assert not multiprocessing.active_children()
+    cfg = evaluate._run_config(8, horizon=0.2, n_workers=2)
+    for row, first, rho in zip(rows, analytic, rhos):
+        alone = run_table_cell(evaluate._bs2d(rho), cfg, ["time_adaptive"])
+        assert row == dict(first, F_hat=alone[0].F_hat)
+
+
 def test_expansion_check_quick(bs1d):
     cfg = config(n_paths=1024, n_workers=2)
     rows, summaries = expansion_check(

@@ -349,6 +349,30 @@ def test_import_leaves_numpy_random_unloaded():
     assert out.strip() == "False"
 
 
+def test_table_and_figure_leave_yaml_unloaded(tmp_path):
+    # PyYAML is loaded by the first config read, not by the package or by table runs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    config = tmp_path / "bs1d.yaml"
+    config.write_text("model: {kind: black_scholes, mu: [0.08], vol: [0.16]}\n"
+                      "simulation: {horizon: 1.0, dt: 0.004, n_paths: 2, epsilon: 0.01,"
+                      " gamma: 5.0}\n")
+    code = (
+        "import sys, rebalfreq\n"
+        "from rebalfreq import cli\n"
+        "rebalfreq.table_runner(2, n_paths=2, horizon=0.1, n_workers=1)\n"
+        "assert cli.main(['table', '--table', '1', '--paths', '2', '--out', sys.argv[2]]) == 0\n"
+        "assert cli.main(['figure', '--figure', '1', '--out', sys.argv[2]]) == 0\n"
+        "print('yaml' in sys.modules)\n"
+        "rebalfreq.load_config(sys.argv[1])\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    csv = tmp_path / "out.csv"
+    out = subprocess.run([sys.executable, "-c", code, str(config), str(csv)], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["False", "True"]
+
+
 def test_bs_terminal_log_price_moments(bs1d):
     cfg = small_config(n_paths=3000)
     total = np.empty(3000)
