@@ -482,10 +482,8 @@ def run_table_cell(model, config, strategy_names, label_suffix="", record_paths=
     raises, serves the cell's prediction grid and then its Monte Carlo blocks. With
     ``record_paths > 0`` returns ``(reports, records)``, as :func:`run_strategy` does.
     """
-    with _worker_pool(config.n_workers) as pool:
-        (rule, predictions), = _predictions([(model, config)], strategy_names, pool)
-        reports, records = _cell_reports(model, config, strategy_names, label_suffix, rule,
-                                         predictions, pool, record_paths)
+    (reports, records), = _run_cells([(model, config)], strategy_names, [label_suffix],
+                                     config.n_workers, record_paths)
     return (reports, records) if record_paths else reports
 
 
@@ -508,17 +506,17 @@ def table_runner(
     cells = [(model, _run_config(n, seed, epsilon, horizon, n_workers, allow_flagged=model.p > 0))
              for _, model in spec["models"]]
     suffixes = [suffix for suffix, _ in spec["models"]]
-    return [rep for reports in _cells_reports(cells, spec["strategies"], suffixes, n_workers)
+    return [rep for reports, _ in _run_cells(cells, spec["strategies"], suffixes, n_workers)
             for rep in reports]
 
 
-def _cells_reports(cells, names, suffixes, n_workers):
-    """The report rows of each ``(model, config)`` cell, labelled with its suffix. One
-    process pool, shut down before this returns or raises, serves every cell's predictions
-    and then the cells' Monte Carlo blocks in turn."""
+def _run_cells(cells, names, suffixes, n_workers, record_paths=0):
+    """The report rows and records of each ``(model, config)`` cell, labelled with its
+    suffix. One process pool, shut down before this returns or raises, serves every cell's
+    predictions and then the cells' Monte Carlo blocks in turn."""
     with _worker_pool(n_workers) as pool:
         predictions = _predictions(cells, names, pool)
-        return [_cell_reports(model, config, names, suffix, rule, preds, pool)[0]
+        return [_cell_reports(model, config, names, suffix, rule, preds, pool, record_paths)
                 for (model, config), suffix, (rule, preds) in zip(cells, suffixes, predictions)]
 
 
@@ -540,7 +538,7 @@ def figure_rows(rho_grid=None, epsilon=_EPSILON, n_paths=0, seed=_SEED):
     cells, names = [(_bs2d(rho), config) for rho in rho_grid], ["time_adaptive"]
     if n_paths:
         f_hats = [reports[0].F_hat
-                  for reports in _cells_reports(cells, names, [""] * len(cells), _N_WORKERS)]
+                  for reports, _ in _run_cells(cells, names, [""] * len(cells), _N_WORKERS)]
     else:
         f_hats = [preds["time_adaptive"] for _, preds in _predictions(cells, names)]
     rows = []
