@@ -144,6 +144,9 @@ def load_config(path):
         sim = SimulationConfig(**{k: _SIM_TYPES[k](v) for k, v in sim_raw.items()})
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid simulation settings: {exc}") from exc
+    if sim.y0 is not None and sim.y0.shape != (model.p,):
+        raise InputError(f"simulation.y0 must hold the model's {model.p} state values, "
+                         f"got {raw['simulation']['y0']!r}")
 
     strategies = raw.get("strategies", ["time_adaptive"])
     if not isinstance(strategies, list) or not strategies:
@@ -154,7 +157,12 @@ def load_config(path):
                 f"unknown strategy {s!r} in config.strategies; "
                 f"known: {', '.join(KNOWN_STRATEGIES)}"
             )
+    repeated = sorted({s for s in strategies if strategies.count(s) > 1})
+    if repeated:
+        raise InputError(f"repeated strategy {', '.join(map(repr, repeated))} in config.strategies")
     output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise InputError(f"config.output must be a file path string, got {output!r}")
     return RunConfig(
         model=model,
         model_cfg=raw["model"],

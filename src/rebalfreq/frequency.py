@@ -155,17 +155,14 @@ def cost_breakdown(model, gamma, y, A=None, allow_flagged=False):
     return CostBreakdown(tac_rate=n / np.sqrt(A), de_rate=0.5 * d * A)
 
 
-# Paths per drawing block of the prediction grid, each reduced to per-path integrals before
-# the next is drawn: 20 MiB of one-factor states at T = 20. A smaller block holds less, but
-# each block pays the Euler step's per-step overhead again.
+# Paths per drawing block of the prediction grid. Each block is reduced to per-path integrals
+# before the next is drawn, so a process holds one block of states whatever the length of its
+# path range: 20 MiB of one-factor states at T = 20. A smaller block holds less, but each
+# block pays the Euler step's per-step overhead again.
 _GRID_DRAW = 512
 
 # States per block of the grid's reduction, whose geometry is a few MiB.
 _GRID_BLOCK = 1 << 14
-
-# States per path range of a pooled grid: 64 MiB of one-factor states, 1677 paths of
-# T = 20 at dt = 1/250.
-_GRID_TASK = 1 << 23
 
 
 def _mean(per_path):
@@ -277,8 +274,7 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
 
     With one worker :func:`_path_integrals` forms them all in this process. With
     ``n_workers > 1`` the workers of ``pool`` (or of a pool opened and shut down here)
-    form them on contiguous path ranges, at least one per worker and each of at most
-    ``_GRID_TASK`` states, joined in path order; a pooled ``rule`` must pickle. ``model``
+    form them on ``n_workers`` contiguous path ranges; a pooled ``rule`` must pickle. ``model``
     may also be a tuple of models whose state processes are the same (equal
     :func:`rebalfreq.simulate._state_key`): one pass of the grid serves them all, and a
     tuple holds each model's grid, or the package error its evaluation raised. Raises as
@@ -295,8 +291,7 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
     if n_workers <= 1 or models[0].p == 0:
         parts = [task(0, n_paths)]
     else:
-        width = int(round(horizon_T / dt)) + 1  # states per path
-        size = min(max(1, _GRID_TASK // width), -(-n_paths // n_workers))
+        size = -(-n_paths // n_workers)
         bounds = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
         with _worker_pool(n_workers, pool) as workers:
             parts = list(workers.map(task, *zip(*bounds)))
@@ -416,6 +411,8 @@ def schedule_trading_times(rule, epsilon, horizon_T, state_path=None):
     """
     if epsilon <= 0:
         raise ParameterError("cost rate must be positive")
+    if state_path is None and callable(rule.A):
+        raise ParameterError("a state-dependent rule needs a state_path")
     if callable(state_path):
         state_at = state_path
     else:

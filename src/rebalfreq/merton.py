@@ -18,7 +18,9 @@ All of these are formed in one function, ``_geometry``, which both
 :func:`merton_state` and the simulation engine call. For a ``constant_sigma``
 model it takes ``sigma``, ``g``, ``Sigma`` and ``Sigma^{-1}`` formed at one
 state: :func:`merton_state` forms them per call, the engine per path block.
-Sums over the small axes run in one fixed order (:func:`_fixed_sum`).
+Bit identity: both ways share one formula, summed over the small axes in
+einsum's fixed order with the states last (:func:`_fixed_sum`), so a state's
+result depends neither on its batch nor on the way it was evaluated.
 """
 
 from __future__ import annotations
@@ -149,10 +151,8 @@ def _geometry(model, y, gamma, const, with_beta=True):
     evaluated per state, in one ``fused_coeffs`` sweep, and Sigma has no
     Jacobian; otherwise every coefficient is evaluated and Sigma inverted
     at each state. The support and finiteness checks run at every state
-    either way. Both share one formula, summed in einsum's order with the states
-    last, so a state's result depends neither on its batch nor on the way it was
-    evaluated. Fields are views of states-last arrays; ``with_beta=False`` leaves
-    ``sigma_tilde`` and ``beta`` ``None``.
+    either way. Fields are views of states-last arrays; ``with_beta=False``
+    leaves ``sigma_tilde`` and ``beta`` ``None``.
     """
     m = model.m
     if const is None:

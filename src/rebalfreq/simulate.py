@@ -15,18 +15,15 @@ weights equal ``u`` exactly. The target, band widths, frictionless rate and
 tracking-error form at each step come from the one geometry function of
 :mod:`rebalfreq.merton`, with a constant covariance formed once per block.
 
-Randomness is counter-based: path ``k`` always draws its Gaussian increments
-from a Philox stream keyed by ``(seed, k)`` (or ``(seed, k // 2)`` with a
-sign flip for antithetic pairs). Each lane of a block that owns a stream
-(under antithetic sampling the even paths and an odd path that starts the
-block) keeps one generator for the life of the block; the block draws 128
-steps of these lanes at a time, forms each other odd path as the negation of
-its partner where a tape is cut, and releases a spent chunk before it draws
-the next. One driver, :func:`_state_path`, pairs these streams with the Euler
-step: it yields a block's tapes and the states after their steps, chunk by
-chunk, to the engine, the state grid and the single-path API alike.
-Strategies of one run share the market draws, which sharpens their
-comparison, and one ledger of arrays stacked over (strategy, path), paths last.
+Randomness is counter-based: path ``k`` draws its Gaussian increments from a
+Philox stream keyed by ``(seed, k)``; under antithetic sampling, where a block
+holds whole pairs, an odd path is the sign flip of its even partner's stream
+``(seed, k // 2)`` (:class:`_BlockNormals`). One driver, :func:`_state_path`,
+pairs these streams with the Euler step: it yields a block's tapes and the
+states after their steps, chunk by chunk, to the engine, the state grid and
+the single-path API alike. Strategies of one run share the market draws, which
+sharpens their comparison, and one ledger of arrays stacked over (strategy,
+path), paths last.
 A block of ``B`` paths runs in chunks of ``K = max(1, _CHUNK // B)`` steps: a
 market pass forms the geometry, band widths and growth of a chunk's ``K B``
 states at once, and the ledger pass reads step slices of these.
@@ -110,23 +107,19 @@ class Strategy:
     target, with the univariate band applied per asset independently),
     ``move`` (the one-asset case of the ``pasted`` band policy), and
     ``frictionless`` (trade to the target every grid step at zero cost;
-    benchmark). Band strategies trade back to the nearest band edge by
-    default (``trade_to="boundary"``); ``trade_to="target"`` recentres fully.
+    benchmark). A band strategy trades an asset that leaves its band back to
+    the nearest band edge (at zero cost, to the target).
     """
 
     kind: str
     label: str
     rule: Optional[DiscretizationRule] = None
-    trade_to: str = "boundary"
-    halfwidth_scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("time", "buy_hold", "move", "pasted", "frictionless"):
             raise ParameterError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "time" and self.rule is None:
             raise ParameterError("time-based strategies need a discretization rule")
-        if self.trade_to not in ("boundary", "target"):
-            raise ParameterError("trade_to must be 'boundary' or 'target'")
 
 
 def time_based(rule, label=None):
@@ -137,12 +130,12 @@ def buy_and_hold(label="buy_hold"):
     return Strategy(kind="buy_hold", label=label)
 
 
-def move_based(trade_to="boundary", halfwidth_scale=1.0, label="move"):
-    return Strategy(kind="move", label=label, trade_to=trade_to, halfwidth_scale=halfwidth_scale)
+def move_based(label="move"):
+    return Strategy(kind="move", label=label)
 
 
-def pasted_move_based(trade_to="boundary", halfwidth_scale=1.0, label="pasted"):
-    return Strategy(kind="pasted", label=label, trade_to=trade_to, halfwidth_scale=halfwidth_scale)
+def pasted_move_based(label="pasted"):
+    return Strategy(kind="pasted", label=label)
 
 
 def frictionless_benchmark(label="frictionless_sim"):
@@ -291,65 +284,41 @@ def _lane_key():
 class _BlockNormals:
     """Per-path Philox streams for paths ``lo .. hi - 1``, drawn in step chunks.
 
-    Path ``k`` draws from the stream keyed ``(seed, k)``; with antithetic
-    sampling an odd path is the sign flip of the stream keyed ``(seed, k //
-    2)``. Each lane that owns a stream keeps its own generator for the life of
-    the block: every lane, or under antithetic sampling the even paths' lanes
-    and an odd lane that starts the block (drawn with its sign flipped). The
-    lane-major buffer holds one chunk of these lanes, each filled by one call
-    that continues its stream where the previous chunk stopped, so chunk size
-    never affects the generated numbers; it only bounds memory. ``tape`` copies
-    the lanes into their columns and forms each other odd lane there as the
-    negation of the column before it. The spent chunk is released before the
+    Each lane that owns a stream (every lane, or under antithetic sampling the
+    even paths') keeps its own generator for the life of the block. The
+    lane-major buffer holds one chunk of these lanes, each continuing its stream
+    where the previous chunk stopped, so chunk size never affects the numbers;
+    it only bounds memory. ``tape`` copies the lanes into their columns and
+    negates each into its odd partner's. The spent chunk is released before the
     next is drawn, so a block never holds two.
     """
 
     def __init__(self, seed, lo, hi, d, antithetic, chunk=128):
         from numpy.random import Generator, Philox
 
+        if antithetic and (lo % 2 or (hi - lo) % 2):
+            raise ParameterError("an antithetic block must hold whole pairs of paths")
         self.d, self.chunk, self.n = d, chunk, hi - lo
-        step = 2 if antithetic else 1
-        odd = lo % step  # the first lane is an odd path whose partner is outside the block
-        lanes = [*range(odd), *range(odd, self.n, step)]  # the lanes that draw, in buffer order
-        # (buffer rows, lanes) of the copies into a tape, and (partners, mirrors) of its negation
-        self._cols = [(slice(odd, None), slice(odd, None, step))]
-        self._cols += [(slice(1), slice(1))] if odd else []
-        self._mirror = antithetic and (slice(odd, self.n - 1, 2), slice(odd + 1, self.n, 2))
-        self._whole_pairs = not odd and self.n % 2 == 0
-        self._flip = odd
+        self._step = 2 if antithetic else 1
         key, zero = _lane_key(), np.zeros(4, dtype=np.uint64)  # an array skips Philox's parse of 0
-        self._gens = [Generator(Philox(key(seed, (lo + i) // step), counter=zero)) for i in lanes]
+        self._gens = [Generator(Philox(key(seed, k // self._step), counter=zero))
+                      for k in range(lo, hi, self._step)]
         self._buf, self._pos = None, 0
-
-    def draw(self, size):
-        """Normals of the drawing lanes for the next ``size`` steps, shape ``(lanes, size, d)``."""
-        buf = np.empty((len(self._gens), size, self.d))
-        for gen, out in zip(self._gens, buf):
-            gen.standard_normal(out=out)
-        if self._flip:
-            np.negative(buf[0], out=buf[0])
-        return buf
 
     def tape(self, n_left, k):
         """A tape of normals for the next ``k`` steps of the ``n_left`` left (fewer where the
         drawn chunk ends), a contiguous ``(d, k, B)``: factor, then step, then path. One
-        transposed copy fills the drawing lanes' columns and a negation their mirrors': in one
-        call for a block of whole pairs, else one (factor, step) row at a time, as numpy would
-        buffer a ufunc over strided rows that do not merge into one."""
+        transposed copy fills the drawing lanes' columns and one negation their mirrors'."""
         if self._buf is None or self._pos >= self._buf.shape[1]:
             self._buf = None  # release the spent chunk before drawing the next
-            self._buf, self._pos = self.draw(min(self.chunk, n_left)), 0
+            self._buf, self._pos = np.empty((len(self._gens), min(self.chunk, n_left), self.d)), 0
+            for gen, out in zip(self._gens, self._buf):  # (lanes, steps, d)
+                gen.standard_normal(out=out)
         part = self._buf[:, self._pos:self._pos + k].transpose(2, 1, 0)
         z = np.empty(part.shape[:2] + (self.n,))
-        for rows, lanes in self._cols:
-            z[..., lanes] = part[..., rows]
-        if self._mirror:
-            src, dst = (z[..., lanes] for lanes in self._mirror)
-            n_rows = z.shape[0] * z.shape[1]  # z is contiguous: the rows are views
-            rows = [(src, dst)] if self._whole_pairs else zip(src.reshape(n_rows, -1),
-                                                                dst.reshape(n_rows, -1))
-            for partners, mirrors in rows:
-                np.negative(partners, out=mirrors)
+        z[..., ::self._step] = part
+        if self._step == 2:
+            np.negative(z[..., ::2], out=z[..., 1::2])
         self._pos += z.shape[1]
         return z
 
@@ -395,12 +364,8 @@ def _euler(model, y, z, dt, out):
 
 
 def _log_returns(mu, sigma, z, dt):
-    """Asset log increments ``(m, n)`` over one step, coefficients at the left endpoint.
-
-    Paths last (``sigma`` may be a constant ``(m, d, 1)``); sums run in einsum's fixed order,
-    so results are bitwise independent of batch size and equal in the engine and the
-    single-path API.
-    """
+    """Asset log increments ``(m, n)`` over one step, coefficients at the left endpoint;
+    paths last (``sigma`` may be a constant ``(m, d, 1)``), sums in einsum's fixed order."""
     rownorm2 = _fixed_sum((sigma[:, j] * sigma[:, j] for j in range(len(z))), 2)
     shock = _fixed_sum((sigma[:, j] * z[j] for j in range(len(z))), 2)
     return (mu - 0.5 * rownorm2) * dt + shock * np.sqrt(dt)
@@ -470,19 +435,23 @@ def simulate_market_path(model, config, path_index):
 
     ``states`` has shape ``(n_steps + 1, p)`` and ``log_returns`` has shape
     ``(n_steps, m)``; the pair ``(config.seed, path_index)`` fully
-    determines the output, which equals the engine's for that path.
+    determines the output, which equals the engine's for that path. Under
+    antithetic sampling the path is drawn with its partner, as a pair.
     """
     n_steps = config.n_steps
     times = np.linspace(0.0, config.horizon, n_steps + 1)
+    pair = 2 if config.antithetic else 1
+    lo = path_index - path_index % pair
+    col = path_index - lo
     y0 = _default_y0(model, config.y0)[None]
-    (z, ys), = _state_path(model, config.seed, path_index, path_index + 1, config.antithetic,
-                           y0, n_steps, config.dt, n_steps, chunk=n_steps)
-    states = np.concatenate([y0, ys[:, 0]])
+    (z, ys), = _state_path(model, config.seed, lo, lo + pair, config.antithetic,
+                           np.repeat(y0, pair, axis=0), n_steps, config.dt, n_steps, chunk=n_steps)
+    states = np.concatenate([y0, ys[:, col]])
     left = states[:-1]
     model.check_support(left)
     mu, sigma = model.mu(left), model.sigma(left)
     _check_finite(mu, sigma)
-    return times, states, _log_returns(_last(mu), _last(sigma), z[:, :, 0], config.dt).T
+    return times, states, _log_returns(_last(mu), _last(sigma), z[:, :, col], config.dt).T
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +542,16 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     S, B = len(strategies), hi - lo
     K = max(1, _CHUNK // B)
     n_rec = max(0, min(record_upto, hi) - lo)
-    band = np.array([s.kind in ("move", "pasted") for s in strategies])
+    is_band = np.array([s.kind in ("move", "pasted") for s in strategies])
     fric = np.array([s.kind == "frictionless" for s in strategies])
-    to_edge = band & np.array([s.trade_to == "boundary" for s in strategies]) & (eps > 0)
-    scale = np.array([s.halfwidth_scale for s in strategies])[:, None, None]
     rate = np.repeat(np.where(fric, 0.0, eps), B)
     timed = [(k, s.rule) for k, s in enumerate(strategies) if s.kind == "time"]
     # time rules whose A* is read off the step's geometry; beta is formed only if read
     profiled = {k for k, r in timed if isinstance(r.A, _AdaptiveProfile)
                 and r.A.model is model and r.A.gamma == gamma}
-    banded, edged = band.any(), to_edge.any()
-    band, clock = _run_of(band), _run_of(np.array([s.kind == "time" for s in strategies]))
+    banded = is_band.any()
+    edged = banded and eps > 0  # at eps = 0 the band edge is the target
+    band, clock = _run_of(is_band), _run_of(np.array([s.kind == "time" for s in strategies]))
     fric_rows = np.repeat(fric[:, None], B, axis=1)
 
     y = np.tile(_default_y0(model, config.y0), (B, 1))
@@ -661,7 +629,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
                 if timed:
                     trig[clock] |= t1 >= next_t[clock] - 1e-9 * dt
                 if banded:
-                    over = np.abs(err[band]) > HW[:, j] * scale[band]
+                    over = np.abs(err[band]) > HW[:, j]
                     traded[band] = over
                     trig[band] |= over.any(axis=1)
             if lost:
@@ -673,9 +641,9 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
                 rows = j * B + bi  # the traded paths' states in the chunk
                 w_star, w, tm = geo.w_star[rows], w_pre[si, :, bi], traded[si, :, bi]
                 u, row_rate = w_star, rate[flat]
-                if edged:  # trade back to the band edge (err = w_star - w)
-                    shift = np.sign(w_star - w) * (HW[:, j, bi].T * scale[si, 0])
-                    u = np.where(to_edge[si, None], w_star - shift, w_star)
+                if edged:  # band rows trade back to the band edge (err = w_star - w)
+                    shift = np.sign(w_star - w) * HW[:, j, bi].T
+                    u = np.where(is_band[si, None], w_star - shift, w_star)
                 sz = _rebalance_batch(w, u, row_rate, tm)
                 cost = row_rate * sz
                 keep = 1.0 - cost

@@ -149,3 +149,39 @@ def test_repeated_key_rejected(tmp_path, capsys):
         load_config(path)
     assert cli.main(["validate", "--config", path]) == 1
     assert "mean_reversion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "names, repeated",
+    [("[move, move]", "'move'"), ("[frictionless, frictionless, buy_hold]", "'frictionless'")],
+)
+def test_repeated_strategy_rejected(tmp_path, capsys, names, repeated):
+    path = write_config(tmp_path)
+    with open(path, "a") as fh:
+        fh.write(f"strategies: {names}\n")
+    with pytest.raises(InputError, match=f"repeated strategy {repeated} in config.strategies"):
+        load_config(path)
+    assert cli.main(["simulate", "--config", path]) == 1
+    err = capsys.readouterr()
+    assert repeated in err.err and err.out == ""
+
+
+@pytest.mark.parametrize("value", ["true", "12345", "[a.csv]"])
+def test_non_string_output_rejected(tmp_path, capsys, value):
+    path = write_config(tmp_path)
+    with open(path, "a") as fh:
+        fh.write(f"output: {value}\n")
+    with pytest.raises(InputError, match=r"config\.output"):
+        load_config(path)
+    assert cli.main(["simulate", "--config", path]) == 1
+    assert "config.output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, y0", [("black_scholes", "[0.05, 0.06]"),
+                                      ("kim_omberg", "[0.05, 0.06]"), ("kim_omberg", "[]")])
+def test_initial_state_of_wrong_length_rejected(tmp_path, capsys, kind, y0):
+    path = write_config(tmp_path, kind, sim_extra=f"  y0: {y0}\n")
+    with pytest.raises(InputError, match=r"simulation\.y0"):
+        load_config(path)
+    assert cli.main(["frequency", "--config", path]) == 1
+    assert "simulation.y0" in capsys.readouterr().err

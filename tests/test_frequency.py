@@ -244,7 +244,7 @@ def test_rate_grid_bits_independent_of_block(ko1d, monkeypatch):
 
 
 @pytest.mark.parametrize("market", ["ko1d", "ko2d"])
-def test_pooled_grid_bits_equal_serial(market, request, monkeypatch):
+def test_pooled_grid_bits_equal_serial(market, request):
     from concurrent.futures import ProcessPoolExecutor
 
     from rebalfreq import frequency
@@ -261,9 +261,8 @@ def test_pooled_grid_bits_equal_serial(market, request, monkeypatch):
             ranges.extend(zip(*iterables))
             return super().map(fn, *iterables, **kw)
 
-    monkeypatch.setattr(frequency, "_GRID_TASK", 7 * 126)  # 7 paths of 0.5 years
-    with RecordingPool(max_workers=2) as pool:
-        pooled = frequency._rate_grid(*args, n_workers=2, pool=pool)
+    with RecordingPool(max_workers=2) as pool:  # six ranges of 7 paths or fewer, two processes
+        pooled = frequency._rate_grid(*args, n_workers=6, pool=pool)
     assert ranges == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 35), (35, 40)]
     for name in ("n", "d", "f_rate", "opt", "tac", "da"):
         assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
@@ -450,3 +449,10 @@ def test_a_star_correlation_limit_and_nonmonotonicity(bs1d, bs2d):
     )
     diffs = np.sign(np.diff(avals))
     assert np.any(diffs > 0) and np.any(diffs < 0)  # interior extremum
+
+
+def test_schedule_of_state_dependent_rule_needs_state_path(bs1d, ko1d):
+    for model in (bs1d, ko1d):
+        adaptive = optimal_rule(model, GAMMA, allow_flagged=True)
+        with pytest.raises(ParameterError, match="needs a state_path"):
+            schedule_trading_times(adaptive, EPS, 20.0)

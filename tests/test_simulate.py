@@ -242,9 +242,9 @@ def test_market_path_deterministic(bs1d, ko1d):
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("chunk, n_steps", [(3, 11), (512, 600)])
 def test_block_normals_equal_fresh_philox_streams(antithetic, chunk, n_steps):
-    # every lane continues its own stream across chunks; (5, 12) starts at an odd path
+    # every lane continues its own stream across chunks; (4, 12) starts past path 0
     seed, d = 13, 2
-    for lo, hi in ((0, 6), (5, 12)):
+    for lo, hi in ((0, 6), (4, 12)):
         source = _BlockNormals(seed, lo, hi, d, antithetic, chunk)
         tapes, step = [], 0
         while step < n_steps:  # tapes of 5 steps, cut where a drawn chunk ends
@@ -258,12 +258,12 @@ def test_block_normals_equal_fresh_philox_streams(antithetic, chunk, n_steps):
             _same_bits(z[:, :, i], -ref if antithetic and k % 2 else ref)
 
 
-@pytest.mark.parametrize("lo, antithetic", [(0, True), (5, True), (0, False)])
+@pytest.mark.parametrize("lo, antithetic", [(0, True), (4, True), (0, False)])
 def test_block_normals_hold_one_chunk_of_drawing_lanes(lo, antithetic):
     # the buffer holds one chunk of the lanes that own a stream: no mirror lane, and the
-    # spent chunk is gone before the next is drawn; (5, True) starts at an odd path
+    # spent chunk is gone before the next is drawn; (4, True) starts past path 0
     B, d, chunk, k, n_steps = 256, 2, 512, 16, 1100  # three drawn chunks
-    drawn = len(range(lo + lo % 2, lo + B, 2)) + lo % 2 if antithetic else B
+    drawn = B // 2 if antithetic else B
     bound = 1.25 * drawn * chunk * d * 8 + d * k * B * 8  # one chunk of draws and one tape
     _BlockNormals(13, 0, 2, d, True, 1).tape(2, 1)  # numpy.random's lazy imports, untraced
     tracemalloc.start()
@@ -280,9 +280,9 @@ def test_block_normals_hold_one_chunk_of_drawing_lanes(lo, antithetic):
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_block_normals_continue_streams_across_default_chunks(antithetic):
     # each lane's own generator carries its stream over the default chunk's ends, which cut
-    # the 7-step tapes at steps 128 and 256; (5, 12) starts at an odd path
+    # the 7-step tapes at steps 128 and 256; (4, 12) starts past path 0
     seed, d, n_steps = 13, 2, 300
-    for lo, hi in ((0, 6), (5, 12)):
+    for lo, hi in ((0, 6), (4, 12)):
         source = _BlockNormals(seed, lo, hi, d, antithetic)
         tapes, step = [], 0
         while step < n_steps:
@@ -296,12 +296,12 @@ def test_block_normals_continue_streams_across_default_chunks(antithetic):
             _same_bits(z[:, :, i], -ref if antithetic and k % 2 else ref)
 
 
-@pytest.mark.parametrize("lo, antithetic", [(0, True), (5, True), (0, False)])
+@pytest.mark.parametrize("lo, antithetic", [(0, True), (4, True), (0, False)])
 def test_block_normals_hold_one_default_chunk_of_drawing_lanes(lo, antithetic):
     # at the default chunk of 128 steps the buffer still holds one chunk of the drawing
     # lanes; each of these lanes keeps its own generator, of at most 2 KiB
     B, d, chunk, k, n_steps, per_lane = 256, 2, 128, 16, 1100, 2048  # nine drawn chunks
-    drawn = len(range(lo + lo % 2, lo + B, 2)) + lo % 2 if antithetic else B
+    drawn = B // 2 if antithetic else B
     bound = 1.25 * drawn * chunk * d * 8 + d * k * B * 8 + drawn * per_lane
     _BlockNormals(13, 0, 2, d, True, 1).tape(2, 1)  # numpy.random's lazy imports, untraced
     tracemalloc.start()
@@ -320,10 +320,9 @@ def test_block_normals_hold_one_default_chunk_of_drawing_lanes(lo, antithetic):
 
 @pytest.mark.parametrize("B", [64, 2048])
 def test_mirror_negation_allocates_no_copy(B):
-    # a block from an odd path holds no whole pairs: its mirrors are negated without numpy's
-    # buffers, so a tape call that draws nothing holds the tape alone; the lanes stay the
-    # streams' own bits
-    seed, d, k, lo = 13, 2, 4, 5
+    # the mirrors of a block of whole pairs are negated without numpy's buffers, so a tape
+    # call that draws nothing holds the tape alone; the lanes stay the streams' own bits
+    seed, d, k, lo = 13, 2, 4, 4
     source = _BlockNormals(seed, lo, lo + B, d, True)
     first = source.tape(100, k)  # draws the chunk
     tracemalloc.start()
@@ -338,6 +337,14 @@ def test_mirror_negation_allocates_no_copy(B):
         stream = np.random.Generator(np.random.Philox(key=[seed, path // 2]))
         ref = stream.standard_normal((2 * k, d))
         _same_bits(z[:, :, i].T, -ref if path % 2 else ref)
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 12), (4, 11), (3, 4)])
+def test_antithetic_block_needs_whole_pairs(lo, hi):
+    # an antithetic block starts at an even path and holds an even number of paths
+    with pytest.raises(ParameterError, match="whole pairs"):
+        _BlockNormals(13, lo, hi, 2, True)
+    _BlockNormals(13, lo, hi, 2, False)  # a plain block may start and end anywhere
 
 
 def test_import_leaves_numpy_random_unloaded():
@@ -714,8 +721,8 @@ def test_engine_growth_matches_single_path_api(bs1d, ko1d):
 
 
 def test_engine_growth_matches_single_path_api_antithetic(bs1d, ko1d):
-    # an odd path mirrors its partner's lane inside an engine block, but is
-    # the first lane of its own block in the single-path API
+    # the single-path API draws an odd path with its partner, as the engine's blocks do,
+    # and keeps the odd path's column
     for model in (bs1d, ko1d):
         cfg = small_config(horizon=2.0, n_paths=8, antithetic=True, allow_flagged=model.p > 0)
         _, records = run_strategies(model, cfg, [buy_and_hold()], record_paths=8)
@@ -857,8 +864,8 @@ def _same_bits(a, b):
 
 def test_strategy_bits_independent_of_companions(ko1d, ko2d):
     cases = [
-        (ko1d, [move_based(), move_based("target", 0.5, label="move_t")]),
-        (ko2d(0.6), [pasted_move_based(), pasted_move_based("target", 2.0, label="pasted_t")]),
+        (ko1d, [move_based()]),
+        (ko2d(0.6), [pasted_move_based()]),
     ]
     for eps in (0.01, 0.0):
         for model, bands in cases:
@@ -1072,7 +1079,7 @@ def test_outputs_independent_of_market_chunk(bs1d, ko1d, ko2d, monkeypatch):
                                antithetic=antithetic, allow_flagged=True)
             band = move_based if model.m == 1 else pasted_move_based
             a_star = float(np.asarray(optimal_rule(model, GAMMA, True).A_of(np.zeros(model.p))))
-            strategies = [band(), band("target", 0.5, label="band_t"),
+            strategies = [band(),
                           time_based(optimal_rule(model, GAMMA, allow_flagged=True), label="time"),
                           time_based(DiscretizationRule("constant", 0.2 * a_star), label="time_c"),
                           buy_and_hold(), frictionless_benchmark()]
