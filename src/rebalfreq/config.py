@@ -9,20 +9,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DomainError, InputError, ParameterError
+from .evaluate import STRATEGIES
 from .markets import model_from_config
-from .simulate import SimulationConfig
-
-
-KNOWN_STRATEGIES = (
-    "frictionless",
-    "frictionless_sim",
-    "time_adaptive",
-    "time_constant",
-    "buy_hold",
-    "move",
-    "pasted",
-)
+from .simulate import SimulationConfig, _default_y0
 
 
 def _vector(value):
@@ -144,18 +134,19 @@ def load_config(path):
         sim = SimulationConfig(**{k: _SIM_TYPES[k](v) for k, v in sim_raw.items()})
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid simulation settings: {exc}") from exc
-    if sim.y0 is not None and sim.y0.shape != (model.p,):
-        raise InputError(f"simulation.y0 must hold the model's {model.p} state values, "
-                         f"got {raw['simulation']['y0']!r}")
+    if sim.y0 is not None:
+        try:
+            _default_y0(model, sim.y0)
+        except (ParameterError, DomainError) as exc:
+            raise InputError(f"simulation.y0 {raw['simulation']['y0']!r}: {exc}") from exc
 
     strategies = raw.get("strategies", ["time_adaptive"])
     if not isinstance(strategies, list) or not strategies:
         raise InputError("config.strategies must be a nonempty list")
     for s in strategies:
-        if s not in KNOWN_STRATEGIES:
+        if s not in STRATEGIES:
             raise InputError(
-                f"unknown strategy {s!r} in config.strategies; "
-                f"known: {', '.join(KNOWN_STRATEGIES)}"
+                f"unknown strategy {s!r} in config.strategies; known: {', '.join(STRATEGIES)}"
             )
     repeated = sorted({s for s in strategies if strategies.count(s) > 1})
     if repeated:

@@ -344,25 +344,26 @@ def _table_spec(table_id):
     raise InputError(f"table id must be one of {TABLE_IDS}, got {table_id!r}")
 
 
+# Each strategy name a table or run config may list, and its builder from the cell's model,
+# config and ``time_constant`` rule (:func:`_cell_predictions`); ``frictionless`` builds none,
+# since it is reported from another strategy's paths.
+STRATEGIES = {
+    "frictionless": None,
+    "frictionless_sim": lambda model, config, constant: frictionless_benchmark(),
+    "time_adaptive": lambda model, config, constant: time_based(
+        optimal_rule(model, config.gamma, config.allow_flagged), label="time_adaptive"),
+    "time_constant": lambda model, config, constant: time_based(constant, label="time_constant"),
+    "buy_hold": lambda model, config, constant: buy_and_hold(),
+    "move": lambda model, config, constant: move_based(),
+    "pasted": lambda model, config, constant: pasted_move_based(),
+}
+
+
 def _build_strategy(name, model, config, constant):
-    """The strategy a table names; ``constant`` is the ``time_constant`` rule
-    of :func:`_cell_predictions`."""
-    if name == "time_adaptive":
-        return time_based(
-            optimal_rule(model, config.gamma, allow_flagged=config.allow_flagged),
-            label="time_adaptive",
-        )
-    if name == "time_constant":
-        return time_based(constant, label="time_constant")
-    if name == "buy_hold":
-        return buy_and_hold()
-    if name == "move":
-        return move_based()
-    if name == "pasted":
-        return pasted_move_based()
-    if name == "frictionless_sim":
-        return frictionless_benchmark()
-    raise InputError(f"unknown strategy name {name!r}")
+    """The strategy a table names (:data:`STRATEGIES`)."""
+    if STRATEGIES.get(name) is None:
+        raise InputError(f"unknown strategy name {name!r}")
+    return STRATEGIES[name](model, config, constant)
 
 
 def _analytic_frictionless(model, gamma):

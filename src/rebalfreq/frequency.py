@@ -14,7 +14,8 @@ over ``[0, T]`` (per unit of ``eps^(2/3)``) is
 
 minimised pointwise by ``A*(y) = (N(y)/D(y))^(2/3)`` with minimal cost
 ``(3/2) E[ integral N^(2/3) D^(1/3) dt ]``. At the optimum the transaction
-cost rate is exactly twice the tracking-error rate.
+cost rate is exactly twice the tracking-error rate. ``N``, ``D``, ``A*`` and
+the no-leverage check live in :mod:`rebalfreq.merton`, with the geometry they read.
 
 Expectations over the state are means of per-path integrals on simulated
 state paths, drawn with the wealth simulator's per-path streams and Euler
@@ -33,14 +34,13 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import AssumptionError, DegenerateTargetError, ParameterError, RebalfreqError
+from . import simulate
+from .errors import AssumptionError, ParameterError, RebalfreqError
 from .markets import _as_batch
-from .merton import l21_norm, merton_state, tr_beta_sigma_beta
+from .merton import _AdaptiveProfile, _rate_parts, l21_norm, merton_state
 
 
 ALPHA = 2.0 / 3.0
-
-_SQRT_2_PI = np.sqrt(2.0 / np.pi)
 
 # Default number of simulated state paths behind expectations over the state.
 _GRID_PATHS = 2000
@@ -101,40 +101,6 @@ def rate_parts(model, gamma, y, allow_flagged=False):
     does not apply).
     """
     return _rate_parts(merton_state(model, y, gamma), gamma, allow_flagged)
-
-
-def _rate_parts(st, gamma, allow_flagged):
-    """``(N, D)`` of :func:`rate_parts` from an evaluated :class:`MertonState`."""
-    norm = l21_norm(st.beta)
-    if np.any(norm <= 0.0):
-        raise DegenerateTargetError(
-            "beta vanishes: the target is buy-and-hold and no finite "
-            "trading frequency is optimal"
-        )
-    if not allow_flagged and not np.all(st.assumption_ok):
-        raise AssumptionError(
-            "target weights short or leverage at evaluated states; pass "
-            "allow_flagged=True to proceed anyway"
-        )
-    quad = tr_beta_sigma_beta(st.beta, st.Sigma)
-    return _SQRT_2_PI * norm, 0.5 * gamma * quad
-
-
-@dataclass(frozen=True)
-class _AdaptiveProfile:
-    """Picklable callable ``y -> A*(y)`` (lets rules cross process boundaries); :meth:`of_state`
-    reads it off a :class:`~rebalfreq.merton.MertonState` of this model and gamma."""
-
-    model: object
-    gamma: float
-    allow_flagged: bool = False
-
-    def of_state(self, st):
-        n, d = _rate_parts(st, self.gamma, self.allow_flagged)
-        return (n / d) ** (2.0 / 3.0)
-
-    def __call__(self, y):
-        return self.of_state(merton_state(self.model, y, self.gamma))
 
 
 def optimal_rule(model, gamma, allow_flagged=False):
@@ -260,9 +226,8 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
                         out[k] = exc
 
     if p:
-        from .simulate import simulate_state_grid
-
-        simulate_state_grid(models[0], horizon_T, dt, hi - lo, y0, seed, _GRID_DRAW, lo, reduce)
+        simulate.simulate_state_grid(models[0], horizon_T, dt, hi - lo, y0, seed, _GRID_DRAW, lo,
+                                     reduce)
     else:
         reduce(0, np.zeros((1, 1, 0)))
     return out
@@ -280,11 +245,9 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
     tuple holds each model's grid, or the package error its evaluation raised. Raises as
     :func:`rate_parts` does at any grid state.
     """
-    from .simulate import _state_key, _worker_pool
-
     models = model if isinstance(model, tuple) else (model,)
     if len(models) > 1:
-        keys = {_state_key(m, y0) for m in models}
+        keys = {simulate._state_key(m, y0) for m in models}
         if None in keys or len(keys) > 1:
             raise ParameterError("the models of one grid pass must share their state process")
     task = partial(_path_integrals, models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule)
@@ -293,7 +256,7 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
     else:
         size = -(-n_paths // n_workers)
         bounds = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-        with _worker_pool(n_workers, pool) as workers:
+        with simulate._worker_pool(n_workers, pool) as workers:
             parts = list(workers.map(task, *zip(*bounds)))
     grids = []
     for ranges in zip(*parts):  # one model's integrals, range by range

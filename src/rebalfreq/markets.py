@@ -164,8 +164,8 @@ class MarketModel:
         return dsig
 
     def fused_coeffs(self, y):
-        """``(mu, dmu_dy, b)`` at the states ``y``; override to share one sweep."""
-        return self.mu(y), self.dmu_dy(y), self.b(y)
+        """``(mu, dmu_dy)`` at the states ``y``; override to share one sweep."""
+        return self.mu(y), self.dmu_dy(y)
 
     @property
     def constant_sigma(self):
@@ -373,14 +373,10 @@ class TruncatedKimOmbergModel(_ConstantVolatility):
         return vals.T, ders.T
 
     def fused_coeffs(self, y):
-        """One-sweep evaluation of ``(mu, dmu/dy, b)`` for the hot loop.
-
-        Shares the cutoff evaluation between the asset drifts, their
-        derivatives, and the state drift (which reuses asset 1's cutoff).
-        """
+        """One-sweep evaluation of ``(mu, dmu/dy)`` for the hot loop: the asset drifts and
+        their derivatives share the cutoff evaluation."""
         vals, ders = self._cutoffs(y)
-        b = (self.mean_reversion * (self.long_run_mean - vals[:, 0]))[:, None]
-        return vals, ders[:, :, None], b
+        return vals, ders[:, :, None]
 
     def mu(self, y):
         batch, _ = _as_batch(y, 1)

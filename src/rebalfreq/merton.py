@@ -21,6 +21,12 @@ state: :func:`merton_state` forms them per call, the engine per path block.
 Bit identity: both ways share one formula, summed over the small axes in
 einsum's fixed order with the states last (:func:`_fixed_sum`), so a state's
 result depends neither on its batch nor on the way it was evaluated.
+
+The optimal rule is read off this geometry too: ``N = sqrt(2/pi) ||beta||_{2,1}``
+and ``D = (gamma/2) tr(beta' Sigma beta)`` (:func:`_rate_parts`) give ``A* =
+(N/D)^(2/3)`` (:class:`_AdaptiveProfile`), at evaluated states or the engine's step
+geometry. They and the band widths refuse targets that short or leverage unless
+``allow_flagged`` (:func:`_no_leverage`).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import AssumptionError, DegenerateTargetError, ParameterError
 from .markets import _as_batch, _check_finite, evaluate_coefficients, jacobians
 
 
@@ -83,8 +89,8 @@ class MertonState:
     Field shapes carry a leading batch axis iff the query did. Units:
     ``Sigma`` in 1/years, ``sigma_tilde`` and ``beta`` in 1/sqrt(years),
     ``f_rate`` (the frictionless objective rate ``mu' Sigma^{-1} mu / 2
-    gamma``) in 1/years. ``mu``, ``sigma`` and ``b`` are the model's
-    coefficients at the state; the engine's growth reads ``mu`` and ``sigma``.
+    gamma``) in 1/years. ``mu`` and ``sigma`` are the model's coefficients at
+    the state, which the engine's growth reads.
     ``assumption_ok`` is True where the weights neither short nor leverage
     (each component in ``[0, 1)``, total in ``(0, 1]``). The engine's adaptive
     waits give only the ``w_star``, ``Sigma`` and ``beta`` the rate parts read.
@@ -94,25 +100,17 @@ class MertonState:
     w_star: np.ndarray
     Sigma: np.ndarray
     beta: np.ndarray
-    y: np.ndarray = None
     Sigma_inv: np.ndarray = None
     sigma_tilde: np.ndarray = None
     f_rate: np.ndarray = None
     mu: np.ndarray = None
     sigma: np.ndarray = None
-    b: np.ndarray = None
 
     @property
     def assumption_ok(self):
         w = self.w_star
         total = w.sum(axis=-1)
         return np.all((w >= 0.0) & (w < 1.0), axis=-1) & (total > 0.0) & (total <= 1.0)
-
-    def rows(self, idx):
-        """The states ``idx`` of a batch: an index array, or an int for one state."""
-        return MertonState(
-            **{k: v if k == "gamma" or v is None else v[idx] for k, v in vars(self).items()}
-        )
 
 
 def merton_state(model, y, gamma):
@@ -126,7 +124,8 @@ def merton_state(model, y, gamma):
         raise ParameterError(f"risk aversion must be positive, got gamma={gamma}")
     batch, batched = _as_batch(y, model.p)
     st = _geometry(model, batch, gamma, _constant_block(model, batch))
-    return st if batched else st.rows(0)
+    return st if batched else MertonState(
+        **{k: v if k == "gamma" or v is None else v[0] for k, v in vars(st).items()})
 
 
 def _constant_block(model, y):
@@ -147,7 +146,7 @@ def _geometry(model, y, gamma, const, with_beta=True):
     """The :class:`MertonState` at the states ``y`` ``(n, p)``: the one formula.
 
     ``const`` is :func:`_constant_block` of the model at these ``n``
-    states. When it is given only ``mu``, its Jacobian and ``b`` are
+    states. When it is given, only ``mu`` and its Jacobian are
     evaluated per state, in one ``fused_coeffs`` sweep, and Sigma has no
     Jacobian; otherwise every coefficient is evaluated and Sigma inverted
     at each state. The support and finiteness checks run at every state
@@ -158,10 +157,10 @@ def _geometry(model, y, gamma, const, with_beta=True):
     if const is None:
         c = evaluate_coefficients(model, y)
         dmu, dsig = jacobians(model, y)
-        mu, b, sigma, g, Sigma, Sigma_inv = c.mu, c.b, c.sigma, c.g, c.Sigma, c.Sigma_inv
+        mu, sigma, g, Sigma, Sigma_inv = c.mu, c.sigma, c.g, c.Sigma, c.Sigma_inv
     else:
         model.check_support(y)
-        mu, dmu, b = model.fused_coeffs(y)
+        mu, dmu = model.fused_coeffs(y)
         _check_finite(mu)
         dsig = None
         sigma, g, Sigma, Sigma_inv = const
@@ -184,10 +183,47 @@ def _geometry(model, y, gamma, const, with_beta=True):
         beta *= w[:, None]  # state grid has no temporary beyond beta itself
         beta = np.subtract(st, beta, out=beta)
         sigma_tilde, beta = st.transpose(2, 0, 1), beta.transpose(2, 0, 1)
-    return MertonState(
-        y=y, gamma=gamma, w_star=w.T, Sigma=Sigma, Sigma_inv=Sigma_inv,
-        sigma_tilde=sigma_tilde, beta=beta, f_rate=f_rate, mu=mu, sigma=sigma, b=b,
-    )
+    return MertonState(gamma=gamma, w_star=w.T, Sigma=Sigma, beta=beta, Sigma_inv=Sigma_inv,
+                       sigma_tilde=sigma_tilde, f_rate=f_rate, mu=mu, sigma=sigma)
+
+
+_SQRT_2_PI = np.sqrt(2.0 / np.pi)
+
+
+def _no_leverage(st, allow_flagged):
+    """Raise :class:`AssumptionError` unless the target weights of the :class:`MertonState`
+    ``st`` neither short nor leverage at any state, or ``allow_flagged``."""
+    if not allow_flagged and not np.all(st.assumption_ok):
+        raise AssumptionError("target weights short or leverage at evaluated states; pass "
+                              "allow_flagged=True to proceed anyway")
+
+
+def _rate_parts(st, gamma, allow_flagged):
+    """``(N, D)`` of :func:`rebalfreq.frequency.rate_parts` from a :class:`MertonState`."""
+    norm = l21_norm(st.beta)
+    if np.any(norm <= 0.0):
+        raise DegenerateTargetError("beta vanishes: the target is buy-and-hold and no finite "
+                                    "trading frequency is optimal")
+    _no_leverage(st, allow_flagged)
+    quad = tr_beta_sigma_beta(st.beta, st.Sigma)
+    return _SQRT_2_PI * norm, 0.5 * gamma * quad
+
+
+@dataclass(frozen=True)
+class _AdaptiveProfile:
+    """Picklable callable ``y -> A*(y)`` (lets rules cross process boundaries); :meth:`of_state`
+    reads it off a :class:`MertonState` of this model and gamma."""
+
+    model: object
+    gamma: float
+    allow_flagged: bool = False
+
+    def of_state(self, st):
+        n, d = _rate_parts(st, self.gamma, self.allow_flagged)
+        return (n / d) ** (2.0 / 3.0)
+
+    def __call__(self, y):
+        return self.of_state(merton_state(self.model, y, self.gamma))
 
 
 def merton_weights(model, y, gamma):

@@ -42,14 +42,17 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import product
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import AssumptionError, ConvergenceError, DomainError, ParameterError
-from .frequency import DiscretizationRule, _AdaptiveProfile
+from .errors import ConvergenceError, DomainError, ParameterError
 from .markets import _check_finite
-from .merton import MertonState, _constant_block, _fixed_sum, _geometry, _last, merton_state
+from .merton import (MertonState, _AdaptiveProfile, _constant_block, _fixed_sum, _geometry,
+                     _last, _no_leverage, merton_state)
+
+if TYPE_CHECKING:
+    from .frequency import DiscretizationRule
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,9 @@ class SimulationConfig:
             raise ParameterError("antithetic sampling requires an even n_paths")
         if self.seed < 0:
             raise ParameterError("seed must be a nonnegative integer")
+        for key in ("block_size", "n_workers"):
+            if getattr(self, key) < 1:
+                raise ParameterError(f"{key} must be >= 1")
 
     @property
     def n_steps(self):
@@ -178,10 +184,7 @@ def pasted_halfwidths(model, y, gamma, epsilon, allow_flagged=False):
     if epsilon <= 0:
         raise ParameterError("cost rate must be positive")
     st = merton_state(model, y, gamma)
-    if not allow_flagged and not np.all(st.assumption_ok):
-        raise AssumptionError(
-            "target weights short or leverage; pass allow_flagged=True to proceed"
-        )
+    _no_leverage(st, allow_flagged)
     return _halfwidths(st, gamma, epsilon)
 
 
@@ -324,10 +327,13 @@ class _BlockNormals:
 
 
 def _default_y0(model, y0):
+    """The start state: ``y0``, which must hold ``p`` finite values (else :class:`ParameterError`)
+    inside the model's support box (else :class:`DomainError`), or the model's default."""
     if y0 is not None:
         arr = np.atleast_1d(np.asarray(y0, dtype=float))
-        if arr.shape != (model.p,):
-            raise ParameterError(f"y0 must have shape ({model.p},)")
+        if arr.shape != (model.p,) or not np.all(np.isfinite(arr)):
+            raise ParameterError(f"y0 must hold the model's {model.p} finite state values")
+        model.check_support(arr)
         return arr
     if model.p == 0:
         return np.zeros(0)
@@ -438,6 +444,8 @@ def simulate_market_path(model, config, path_index):
     determines the output, which equals the engine's for that path. Under
     antithetic sampling the path is drawn with its partner, as a pair.
     """
+    if not 0 <= path_index < config.n_paths:
+        raise ParameterError(f"path_index must lie in [0, {config.n_paths}), got {path_index}")
     n_steps = config.n_steps
     times = np.linspace(0.0, config.horizon, n_steps + 1)
     pair = 2 if config.antithetic else 1
@@ -715,7 +723,7 @@ def run_strategies(model, config, strategies, record_paths=0, *, pool=None):
             "the single-band 'move' strategy needs m == 1; use 'pasted' for "
             "several assets"
         )
-    block = min(config.block_size, -(-config.n_paths // max(config.n_workers, 1)))  # one per worker
+    block = min(config.block_size, -(-config.n_paths // config.n_workers))  # one per worker
     if config.antithetic and block % 2:
         block += 1
     bounds = [(lo, min(lo + block, config.n_paths)) for lo in range(0, config.n_paths, block)]

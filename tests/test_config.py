@@ -67,6 +67,14 @@ def test_given_simulation_keys_read_with_their_types(tmp_path):
     np.testing.assert_array_equal(sim.y0, [0.05])
 
 
+def test_nonpositive_worker_count_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, sim_extra="  n_workers: 0\n")
+    with pytest.raises(InputError, match="n_workers must be >= 1"):
+        load_config(path)
+    assert cli.main(["simulate", "--config", path]) == 1
+    assert "n_workers" in capsys.readouterr().err
+
+
 def test_unknown_simulation_key_rejected(tmp_path):
     with pytest.raises(InputError, match=r"simulation\.block_size"):
         load_config(write_config(tmp_path, sim_extra="  block_size: 64\n"))
@@ -178,7 +186,9 @@ def test_non_string_output_rejected(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("kind, y0", [("black_scholes", "[0.05, 0.06]"),
-                                      ("kim_omberg", "[0.05, 0.06]"), ("kim_omberg", "[]")])
+                                      ("kim_omberg", "[0.05, 0.06]"), ("kim_omberg", "[]"),
+                                      ("kim_omberg", "[.nan]"), ("kim_omberg", "[.inf]"),
+                                      ("kim_omberg", "[5.0]")])
 def test_initial_state_of_wrong_length_rejected(tmp_path, capsys, kind, y0):
     path = write_config(tmp_path, kind, sim_extra=f"  y0: {y0}\n")
     with pytest.raises(InputError, match=r"simulation\.y0"):

@@ -252,10 +252,9 @@ def test_jacobians_match_finite_differences_everywhere(which, request, bs2d, ko2
 def test_fused_coeffs_consistency(ko2d):
     model = ko2d(0.3)
     states = sample_support_states(model, 50, seed=9)
-    mu, dmu, b = model.fused_coeffs(states)
+    mu, dmu = model.fused_coeffs(states)
     np.testing.assert_allclose(mu, model.mu(states), atol=0)
     np.testing.assert_allclose(dmu, model.dmu_dy(states), atol=0)
-    np.testing.assert_allclose(b, model.b(states), atol=0)
 
 
 def test_fd_fallback_for_models_without_analytic_derivatives(ko1d):

@@ -41,7 +41,7 @@ from rebalfreq import (
 from rebalfreq import simulate
 from rebalfreq.frequency import DiscretizationRule, _rate_parts, rate_parts
 from rebalfreq.markets import evaluate_coefficients, jacobians
-from rebalfreq.merton import _constant_block, _geometry, _last
+from rebalfreq.merton import MertonState, _constant_block, _geometry, _last
 from rebalfreq.simulate import (
     StrategyOutcome,
     _BlockNormals,
@@ -229,7 +229,7 @@ def test_rebalance_batch_equals_masked_loop(m):
 # ---------------------------------------------------------------------------
 
 def test_market_path_deterministic(bs1d, ko1d):
-    cfg = small_config(n_paths=4)
+    cfg = small_config(n_paths=5)
     for model in (bs1d, ko1d):
         t1, s1, r1 = simulate_market_path(model, cfg, 3)
         t2, s2, r2 = simulate_market_path(model, cfg, 3)
@@ -411,6 +411,13 @@ def test_ko_deterministic_state_matches_ode():
     assert np.max(np.abs(states[:, 0] - exact)) < 0.01 * abs(y0[0] - ybar)
 
 
+def test_market_path_index_outside_run_rejected(bs1d):
+    cfg = small_config(horizon=1.0, n_paths=4)
+    for index in (-1, 4, 100):
+        with pytest.raises(ParameterError, match="path_index"):
+            simulate_market_path(bs1d, cfg, index)
+
+
 def test_state_grid_matches_market_path(ko1d):
     cfg = small_config(n_paths=6)
     _, grid = simulate_state_grid(ko1d, cfg.horizon, cfg.dt, 6, None, cfg.seed)
@@ -530,7 +537,7 @@ def _einsum_market(model, y, z, const, dt=0.004):
         dmu, dsig = jacobians(model, y)
         mu, sigma, g, Sigma, a = c.mu, c.sigma, c.g, c.Sigma, c.Sigma_inv / GAMMA
     else:
-        mu, dmu, _ = model.fused_coeffs(y)
+        mu, dmu = model.fused_coeffs(y)
         dsig = None
         sigma, g, Sigma, Sigma_inv = const
         a = np.broadcast_to(Sigma_inv[:1] / GAMMA, Sigma_inv.shape)
@@ -600,12 +607,12 @@ def test_rate_parts_equal_einsum_reference():
         for idx in (slice(None), np.arange(3), np.array([40, 7]), np.arange(1, n, 3), 5):
             n_ref, d_ref = _einsum_rate_parts(beta[idx], merton_state(model, y[idx], GAMMA).Sigma)
             a_ref = (n_ref / d_ref) ** (2.0 / 3.0)
-            for got in (rate_parts(model, GAMMA, y[idx], True),
-                        _rate_parts(step.rows(idx), GAMMA, True)):
+            rows = MertonState(GAMMA, step.w_star[idx], step.Sigma[idx], step.beta[idx])
+            for got in (rate_parts(model, GAMMA, y[idx], True), _rate_parts(rows, GAMMA, True)):
                 np.testing.assert_array_equal(got[0], n_ref)
                 np.testing.assert_array_equal(got[1], d_ref)
             np.testing.assert_array_equal(rule(y[idx]), a_ref)
-            np.testing.assert_array_equal(rule.of_state(step.rows(idx)), a_ref)
+            np.testing.assert_array_equal(rule.of_state(rows), a_ref)
 
 
 def test_reflect_at_support_box():
@@ -1189,3 +1196,7 @@ def test_config_validation():
         SimulationConfig(horizon=20.0, dt=1 / 250, n_paths=1, epsilon=0.6, gamma=5.0)
     with pytest.raises(ParameterError):
         SimulationConfig(horizon=20.0, dt=1 / 250, n_paths=0, epsilon=0.01, gamma=5.0)
+    for key, value in (("n_workers", 0), ("n_workers", -2), ("block_size", 0), ("block_size", -4)):
+        with pytest.raises(ParameterError, match=key):
+            SimulationConfig(horizon=20.0, dt=1 / 250, n_paths=1, epsilon=0.01, gamma=5.0,
+                             **{key: value})
