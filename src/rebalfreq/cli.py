@@ -142,8 +142,8 @@ def cmd_simulate(args):
     run = load_config(args.config)
     sim = _apply_overrides(run, args)
     k, out_path = args.dump_paths, args.out or run.output
-    if k < 0:
-        raise InputError("--dump-paths must be nonnegative")
+    if not 0 <= k <= sim.n_paths:
+        raise InputError(f"--dump-paths must lie in [0, {sim.n_paths}], the run's path count")
     if k and not out_path:
         raise InputError("--dump-paths requires --out (or config.output)")
     if k and all(n == "frictionless" for n in run.strategies):

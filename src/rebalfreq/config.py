@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError, InputError, ParameterError
 from .evaluate import STRATEGIES
 from .markets import model_from_config
-from .simulate import SimulationConfig, _default_y0
+from .simulate import SimulationConfig, _default_y0, _move_fault
 
 
 def _vector(value):
@@ -151,6 +151,8 @@ def load_config(path):
     repeated = sorted({s for s in strategies if strategies.count(s) > 1})
     if repeated:
         raise InputError(f"repeated strategy {', '.join(map(repr, repeated))} in config.strategies")
+    if fault := _move_fault(strategies, model.m):
+        raise InputError(f"config.strategies: {fault}")
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise InputError(f"config.output must be a file path string, got {output!r}")

@@ -25,7 +25,6 @@ and the Monte Carlo results do not depend on blocks or workers
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -202,10 +201,13 @@ def expansion_check(model, gamma, config, alphas, epsilons, allow_flagged=False)
     seeds; one run per ``eps`` holds every exponent) and compares ``E[TAC] /
     eps^(1 - alpha/2)`` and ``E[DE] / eps^alpha`` to the limiting constants
     computed by the frequency module. Reports fitted log-log slopes
-    (expected ``1 - alpha/2`` and ``alpha``). Raises
-    :class:`ParameterError` naming the exponent and cost rate when a run
-    has no trade within the horizon, as no slope fits through zero costs.
+    (expected ``1 - alpha/2`` and ``alpha``). A slope needs two distinct cost
+    rates or more, all positive, and fits through no zero cost: else raises
+    :class:`ParameterError`, naming the exponent and cost rate of a run that
+    has no trade within the horizon.
     """
+    if not (min(epsilons, default=0) > 0 and len(set(epsilons)) > 1):
+        raise ParameterError(f"need two distinct positive cost rates or more, got {epsilons!r}")
     rule0 = optimal_rule(model, gamma, allow_flagged=allow_flagged)
     limits = lemma_constants(model, gamma, rule0, config.horizon, y0=config.y0, dt=config.dt,
                              seed=config.seed, allow_flagged=allow_flagged)
@@ -393,8 +395,7 @@ def _predictions(cells, names, pool=None):
         passes = {}
         for i, (model, config) in enumerate(cells):
             key = _state_key(model, config.y0)
-            settings = (config.gamma, config.horizon, config.dt, config.seed,
-                        config.allow_flagged, config.n_workers)
+            settings = (config.gamma, config.horizon, config.dt, config.seed, config.allow_flagged)
             passes.setdefault(i if key is None else (key, settings), []).append(i)
         for members in passes.values():
             config = cells[members[0]][1]
@@ -552,25 +553,12 @@ def figure_rows(rho_grid=None, epsilon=_EPSILON, n_paths=0, seed=_SEED):
 
 def rows_to_csv(reports):
     """Render report rows under the fixed strategy-CSV header."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
+    lines = [CSV_HEADER]
     for r in reports:
         pred = "" if r.asymptotic_prediction is None else _fmt(r.asymptotic_prediction)
-        buf.write(
-            ",".join(
-                [
-                    r.strategy,
-                    _fmt(r.F_hat),
-                    _fmt(r.stderr),
-                    _fmt(r.mean_tac),
-                    _fmt(r.mean_de),
-                    _fmt(r.mean_trades),
-                    pred,
-                ]
-            )
-            + "\n"
-        )
-    return buf.getvalue()
+        values = (r.F_hat, r.stderr, r.mean_tac, r.mean_de, r.mean_trades)
+        lines.append(",".join([r.strategy, *map(_fmt, values), pred]))
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(x):

@@ -121,12 +121,6 @@ def cost_breakdown(model, gamma, y, A=None, allow_flagged=False):
     return CostBreakdown(tac_rate=n / np.sqrt(A), de_rate=0.5 * d * A)
 
 
-# Paths per drawing block of the prediction grid. Each block is reduced to per-path integrals
-# before the next is drawn, so a process holds one block of states whatever the length of its
-# path range: 20 MiB of one-factor states at T = 20. A smaller block holds less, but each
-# block pays the Euler step's per-step overhead again.
-_GRID_DRAW = 512
-
 # States per block of the grid's reduction, whose geometry is a few MiB.
 _GRID_BLOCK = 1 << 14
 
@@ -197,15 +191,15 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
     """Per-path integrals ``(4 or 6, hi - lo)`` of :class:`_RateGrid` on state paths ``lo ..
     hi - 1``, one array for each of ``models``, which share their state process.
 
-    One :func:`rebalfreq.simulate.simulate_state_grid` call draws the paths ``_GRID_DRAW`` at
-    a time, and each drawn block is reduced for every model, ``_GRID_BLOCK`` states of whole
-    paths at a time, before the next is drawn. A model whose evaluation raises a package
-    error gets that error in place of its array. A state-dependent ``rule`` also has its
-    ``N / sqrt(A)`` and ``D * A`` integrated, with ``A`` from ``rule.A_of``.
+    One :func:`rebalfreq.simulate.simulate_state_grid` call draws the paths block by block,
+    and each drawn block is reduced for every model, ``_GRID_BLOCK`` states of whole paths at
+    a time, before the next is drawn. A model whose evaluation raises a package error gets
+    that error in place of its array. A state-dependent ``rule`` also has its ``N / sqrt(A)``
+    and ``D * A`` integrated, with ``A`` from ``rule.A_of``.
     """
     p = models[0].p
     rows = 6 if rule is not None and callable(rule.A) else 4
-    out = [np.empty((rows, hi - lo if p else 1)) for _ in models]
+    out = [np.empty((rows, hi - lo)) for _ in models]
     if p:
         weights = np.full(int(round(horizon_T / dt)) + 1, dt)
         weights[0] = weights[-1] = 0.5 * dt
@@ -214,20 +208,18 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
 
     def reduce(first, block):  # paths first .. first + len(block) - 1 of the range
         step = max(1, _GRID_BLOCK // len(weights))  # whole paths
-        for i in range(first, first + len(block), step):
-            paths = block[i - first:i - first + step]
-            states = paths.reshape(len(paths) * len(weights), p)
+        for a, b in simulate._ranges(len(block), 1, step, False):
+            states = block[a:b].reshape((b - a) * len(weights), p)
             for k, model in enumerate(models):
                 if not isinstance(out[k], RebalfreqError):
                     try:
-                        out[k][:, i:i + len(paths)] = _block_integrals(
+                        out[k][:, first + a:first + b] = _block_integrals(
                             model, gamma, allow_flagged, rule, states, weights)
                     except RebalfreqError as exc:
                         out[k] = exc
 
     if p:
-        simulate.simulate_state_grid(models[0], horizon_T, dt, hi - lo, y0, seed, _GRID_DRAW, lo,
-                                     reduce)
+        simulate.simulate_state_grid(models[0], horizon_T, dt, hi - lo, y0, seed, lo, reduce)
     else:
         reduce(0, np.zeros((1, 1, 0)))
     return out
@@ -237,10 +229,9 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
                n_workers=1, pool=None):
     """Per-path integrals of ``N``, ``D`` and the frictionless rate on simulated state paths.
 
-    With one worker :func:`_path_integrals` forms them all in this process. With
-    ``n_workers > 1`` the workers of ``pool`` (or of a pool opened and shut down here)
-    form them on ``n_workers`` contiguous path ranges; a pooled ``rule`` must pickle. ``model``
-    may also be a tuple of models whose state processes are the same (equal
+    :func:`_path_integrals` forms them on the path ranges of ``n_workers``, run by
+    :func:`rebalfreq.simulate._on_ranges` (a pooled ``rule`` must pickle). ``model`` may also
+    be a tuple of models whose state processes are the same (equal
     :func:`rebalfreq.simulate._state_key`): one pass of the grid serves them all, and a
     tuple holds each model's grid, or the package error its evaluation raised. Raises as
     :func:`rate_parts` does at any grid state.
@@ -251,13 +242,8 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
         if None in keys or len(keys) > 1:
             raise ParameterError("the models of one grid pass must share their state process")
     task = partial(_path_integrals, models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule)
-    if n_workers <= 1 or models[0].p == 0:
-        parts = [task(0, n_paths)]
-    else:
-        size = -(-n_paths // n_workers)
-        bounds = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-        with simulate._worker_pool(n_workers, pool) as workers:
-            parts = list(workers.map(task, *zip(*bounds)))
+    n = n_paths if models[0].p else 1  # a constant state is one path
+    parts = simulate._on_ranges(task, simulate._ranges(n, n_workers, n, False), n_workers, pool)
     grids = []
     for ranges in zip(*parts):  # one model's integrals, range by range
         failed = [r for r in ranges if isinstance(r, RebalfreqError)]

@@ -74,7 +74,6 @@ class SimulationConfig:
     y0: Optional[np.ndarray] = None
     seed: int = 0
     antithetic: bool = False
-    block_size: int = 2048
     n_workers: int = 1
     allow_flagged: bool = False
 
@@ -94,9 +93,8 @@ class SimulationConfig:
             raise ParameterError("antithetic sampling requires an even n_paths")
         if self.seed < 0:
             raise ParameterError("seed must be a nonnegative integer")
-        for key in ("block_size", "n_workers"):
-            if getattr(self, key) < 1:
-                raise ParameterError(f"{key} must be >= 1")
+        if self.n_workers < 1:
+            raise ParameterError("n_workers must be >= 1")
 
     @property
     def n_steps(self):
@@ -126,6 +124,11 @@ class Strategy:
             raise ParameterError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "time" and self.rule is None:
             raise ParameterError("time-based strategies need a discretization rule")
+
+
+def _move_fault(kinds, m):  # why strategy kinds cannot run on m assets, or None
+    if "move" in kinds and m != 1:
+        return "the single-band 'move' strategy needs m == 1; use 'pasted' for several assets"
 
 
 def time_based(rule, label=None):
@@ -263,6 +266,15 @@ def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
 
 # States per chunk of a block's market pass: K = max(1, _CHUNK // B) steps of B paths.
 _CHUNK = 8192
+
+_BLOCK = 2048  # paths per block of the engine, at most
+
+# Paths per drawing block of the state grid. A reduced block is dropped before the next is
+# drawn, so a process holds one block of states whatever the length of its path range: 20 MiB
+# of one-factor states at T = 20. A smaller block holds less, but each block pays the Euler
+# step's per-step overhead again.
+_GRID_DRAW = 512
+
 
 
 @cache
@@ -403,25 +415,23 @@ def _state_key(model, y0):
     return type(model), model.d, model.p, support, _default_y0(model, y0).tobytes(), params
 
 
-def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, block_size=4096, first=0,
-                        _reduce=None):
+def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, first=0, _reduce=None):
     """Euler paths of the state variable alone on the simulation grid.
 
     Returns ``(times, states)`` with ``states`` of shape
     ``(n_paths, n_steps + 1, p)``, of paths ``first .. first + n_paths - 1``.
-    Uses the same per-path streams and the same Euler recursion as the wealth
-    simulator, so expectations computed here share their sampling error
-    structure with full strategy runs at the same seed. With ``_reduce``, each
-    block of at most ``block_size`` paths goes to ``_reduce(lo, block_states)`` as
-    soon as it is drawn, ``lo`` being its offset in the grid, and ``states`` is
-    ``None``: no more than one block of states is held.
+    Path ``k`` draws the stream ``(seed, k)`` through the wealth simulator's Euler
+    step: it is the simulator's path ``k`` at the same seed, or under antithetic
+    sampling its path ``2k``, the even path of pair ``k``. With ``_reduce``, each
+    block of ``_GRID_DRAW`` paths goes to ``_reduce(lo, block_states)`` as soon as
+    it is drawn, ``lo`` being its offset in the grid, and ``states`` is ``None``:
+    no more than one block of states is held.
     """
     n_steps = int(round(horizon / dt))
     times = np.linspace(0.0, horizon, n_steps + 1)
     y0 = _default_y0(model, y0)
     states = None if _reduce else np.empty((n_paths, n_steps + 1, model.p))
-    for lo in range(0, n_paths, block_size):
-        hi = min(lo + block_size, n_paths)
+    for lo, hi in _ranges(n_paths, 1, _GRID_DRAW, False):
         block = np.empty((hi - lo, n_steps + 1, model.p)) if _reduce else states[lo:hi]
         out = block.transpose(1, 0, 2)  # step-major
         out[0] = y0
@@ -533,6 +543,16 @@ def _run_of(mask):
     return mask
 
 
+def _waits(rule, eps, y, st=None):
+    """A time rule's next waits ``eps^alpha A`` at the states ``y``, ``A`` read off their geometry
+    ``st`` if given, as :func:`~rebalfreq.frequency.schedule_trading_times` takes them."""
+    a = np.asarray(rule.A_of(y) if st is None else rule.A.of_state(st), dtype=float)
+    ok = (a > 0) & np.isfinite(a)
+    if not ok.all():
+        raise ParameterError(f"a time rule's A must be positive and finite, got {a[~ok].flat[0]}")
+    return eps**rule.alpha * a
+
+
 def _run_block(model, config, strategies, lo, hi, record_upto):
     """Paths ``lo .. hi - 1`` of all ``S`` strategies on shared draws, as stacked
     ``(S, B)`` and ``(S, m, B)`` ledgers, paths last so that ufuncs and asset sums
@@ -573,8 +593,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     traded = np.ones((S, m, B), dtype=bool)  # band rows are set at each step
     next_t = np.full((S, B), np.inf)
     for k, rule in timed:
-        next_t[k] = (eps**rule.alpha * rule.A.of_state(first) if k in profiled
-                     else rule.waiting_time(y, eps))
+        next_t[k] = _waits(rule, eps, y, first if k in profiled else None)
     fric_rate = np.zeros(B)
     left = _last(first.mu), _last(first.sigma), first.f_rate  # at a chunk's first step
 
@@ -672,10 +691,9 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
                 for k, rule in timed:  # a profiled rule reads A* off the rows' w*, Sigma and beta
                     if (mine := si == k).any():
                         r = rows[mine]
-                        wait = (eps**rule.alpha * rule.A.of_state(
-                            MertonState(gamma, geo.w_star[r], geo.Sigma[r], geo.beta[r]))
-                            if k in profiled else rule.waiting_time(ys[j, bi[mine]], eps))
-                        _rows(next_t)[flat[mine]] += np.maximum(wait, 0.0)
+                        st = (MertonState(gamma, geo.w_star[r], geo.Sigma[r], geo.beta[r])
+                              if k in profiled else None)
+                        _rows(next_t)[flat[mine]] += _waits(rule, eps, ys[j, bi[mine]], st)
                 if n_rec:
                     dl = np.where(tm, u * keep[:, None] - w, 0.0)
                     for i in np.flatnonzero(bi < n_rec):
@@ -693,15 +711,31 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     return (rel, rel2, tac, de, n_trades, V <= 0.0), fric_rate / config.horizon, rec
 
 
+def _ranges(n_paths, n_workers, cap, pairs):
+    """Paths ``0 .. n_paths - 1`` in ``(lo, hi)`` ranges of one size (the last may be shorter),
+    at most ``cap`` and one per worker at least, rounded up to whole pairs with ``pairs``."""
+    size = min(cap, -(-n_paths // n_workers))
+    size += size % 2 if pairs else 0
+    return [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+
+
 def _worker_pool(n_workers, pool=None):
-    """A context that yields ``pool`` when one is given (left open on exit), else a new
-    process pool of ``n_workers`` (default start method), shut down on exit, or ``None``
-    for one worker."""
+    """A context that yields ``pool`` if given (left open), else a new process pool of
+    ``n_workers`` (default start method), shut down on exit, or ``None`` for one worker."""
     if pool is not None or n_workers <= 1:
         return nullcontext(pool)
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(max_workers=n_workers)
+
+
+def _on_ranges(fn, ranges, n_workers, pool=None):
+    """``[fn(lo, hi) for lo, hi in ranges]``, in this process for one worker or one range,
+    else on ``pool``, left open, or on a pool opened and shut down here."""
+    if n_workers <= 1 or len(ranges) <= 1:
+        return [fn(lo, hi) for lo, hi in ranges]
+    with _worker_pool(min(n_workers, len(ranges)), pool) as workers:
+        return list(workers.map(fn, *zip(*ranges)))
 
 
 def run_strategies(model, config, strategies, record_paths=0, *, pool=None):
@@ -711,29 +745,17 @@ def run_strategies(model, config, strategies, record_paths=0, *, pool=None):
     label to a :class:`StrategyOutcome` with per-path arrays in path order,
     and ``records`` holds full ledgers for the first ``record_paths`` paths
     of the run, merged from the blocks in path order (``None`` if zero).
-    Blocks of at most ``block_size`` paths, small enough that each of ``n_workers
-    > 1`` workers gets one, run in parallel: on ``pool``, an open process pool that
-    the caller shuts down, or else on a pool opened and shut down here.
+    Blocks of paths (:func:`_ranges`) run on ``n_workers`` workers (:func:`_on_ranges`):
+    on ``pool``, an open process pool, or else on a pool opened and shut down here.
     """
     labels = [s.label for s in strategies]
     if len(set(labels)) != len(labels):
         raise ParameterError("strategy labels must be unique")
-    if any(s.kind == "move" for s in strategies) and model.m != 1:
-        raise ParameterError(
-            "the single-band 'move' strategy needs m == 1; use 'pasted' for "
-            "several assets"
-        )
-    block = min(config.block_size, -(-config.n_paths // config.n_workers))  # one per worker
-    if config.antithetic and block % 2:
-        block += 1
-    bounds = [(lo, min(lo + block, config.n_paths)) for lo in range(0, config.n_paths, block)]
-
+    if fault := _move_fault([s.kind for s in strategies], model.m):
+        raise ParameterError(fault)
+    ranges = _ranges(config.n_paths, config.n_workers, _BLOCK, config.antithetic)
     run_block = partial(_run_block, model, config, strategies, record_upto=record_paths)
-    if config.n_workers > 1 and len(bounds) > 1:
-        with _worker_pool(min(config.n_workers, len(bounds)), pool) as workers:
-            results = list(workers.map(run_block, *zip(*bounds)))
-    else:
-        results = [run_block(lo, hi) for lo, hi in bounds]
+    results = _on_ranges(run_block, ranges, config.n_workers, pool)
 
     ledger = [np.concatenate(parts, axis=1) for parts in zip(*(r[0] for r in results))]
     fric = np.concatenate([r[1] for r in results])

@@ -109,6 +109,18 @@ def test_dump_paths_without_output_rejected_before_running(tmp_path, monkeypatch
     assert out == "" and "--dump-paths requires --out" in err
 
 
+def test_dump_paths_above_path_count_rejected_before_running(tmp_path, monkeypatch, capsys):
+    calls = spy_run_table_cell(monkeypatch)
+    out = tmp_path / "sim.csv"
+    config = ko1d_config(tmp_path)  # 8 paths
+    for argv in (["--dump-paths", "9"], ["--paths", "4", "--dump-paths", "5"]):
+        assert cli.main(["simulate", "--config", config, "--out", str(out), *argv]) == 1
+    assert calls == [] and not out.exists()
+    assert "--dump-paths must lie in [0, 4]" in capsys.readouterr().err
+    monkeypatch.undo()  # every path may be dumped
+    assert cli.main(["simulate", "--config", config, "--out", str(out), "--dump-paths", "8"]) == 0
+
+
 def test_dump_paths_of_frictionless_only_rejected_before_running(tmp_path, monkeypatch, capsys):
     calls = spy_run_table_cell(monkeypatch)
     path = tmp_path / "ko1d.yaml"

@@ -195,3 +195,24 @@ def test_initial_state_of_wrong_length_rejected(tmp_path, capsys, kind, y0):
         load_config(path)
     assert cli.main(["frequency", "--config", path]) == 1
     assert "simulation.y0" in capsys.readouterr().err
+
+
+def test_move_for_several_assets_rejected(tmp_path, capsys):
+    path = tmp_path / "ko2d.yaml"
+    two = MODELS["kim_omberg"].replace("vol: [0.1428]", "vol: [0.1428, 0.1428]\n"
+                                       "  correlation: [[1.0, 0.6], [0.6, 1.0]]")
+    path.write_text("model:\n" + two + "simulation:\n" + REQUIRED_SIM
+                    + "strategies: [move, buy_hold]\n")
+    with pytest.raises(InputError, match=r"config\.strategies: .*'move'.*m == 1"):
+        load_config(str(path))
+    assert cli.main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr()
+    assert "config.strategies" in err.err and err.out == ""
+    path.write_text(path.read_text().replace("[move, buy_hold]", "[pasted, buy_hold]"))
+    assert load_config(str(path)).strategies == ["pasted", "buy_hold"]
+
+
+def test_simulation_keys_are_the_config_fields():
+    from rebalfreq import config
+
+    assert list(config._SIM_TYPES) == [f.name for f in dataclasses.fields(SimulationConfig)]

@@ -311,3 +311,10 @@ def test_expansion_check_rejects_runs_without_trades(bs1d):
     cfg = config(horizon=1.0, n_paths=64)
     with pytest.raises(ParameterError, match="alpha=0.5"):
         expansion_check(bs1d, GAMMA, cfg, alphas=[0.5], epsilons=[0.02, 0.01, 0.005])
+
+
+@pytest.mark.parametrize("epsilons", [[0.01], [0.01, 0.01], [0.0, 0.01], [0.02, -0.01], []])
+def test_expansion_check_needs_two_positive_cost_rates(bs1d, epsilons):
+    cfg = config(horizon=1.0, n_paths=64)
+    with pytest.raises(ParameterError, match="two distinct positive cost rates"):
+        expansion_check(bs1d, GAMMA, cfg, alphas=[2.0 / 3.0], epsilons=epsilons)

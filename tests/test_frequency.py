@@ -278,7 +278,7 @@ def test_streamed_grid_holds_one_drawing_block(ko1d, horizon):
     # draws plus the peak of one reduction block of the grid's own states
     import tracemalloc
 
-    from rebalfreq import frequency, simulate_state_grid
+    from rebalfreq import frequency, simulate, simulate_state_grid
 
     width, d = int(round(horizon * 250)) + 1, ko1d.d
     per_block = frequency._GRID_BLOCK // width
@@ -296,7 +296,7 @@ def test_streamed_grid_holds_one_drawing_block(ko1d, horizon):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = frequency._GRID_DRAW
+    block = simulate._GRID_DRAW
     drawn = block * width * 8 + block * 128 * d * 8 + d * (8192 // block) * block * 8
     assert peak < drawn + reduction
 

@@ -419,11 +419,13 @@ def test_market_path_index_outside_run_rejected(bs1d):
 
 
 def test_state_grid_matches_market_path(ko1d):
-    cfg = small_config(n_paths=6)
-    _, grid = simulate_state_grid(ko1d, cfg.horizon, cfg.dt, 6, None, cfg.seed)
-    for i in (0, 3, 5):
-        _, states, _ = simulate_market_path(ko1d, cfg, i)
-        np.testing.assert_array_equal(grid[i], states)
+    # grid path k is the engine's path k, or under antithetic sampling its path 2k
+    antithetic = small_config(n_paths=12, seed=7, antithetic=True)
+    for cfg, pair in ((small_config(n_paths=6), 1), (antithetic, 2)):
+        _, grid = simulate_state_grid(ko1d, cfg.horizon, cfg.dt, 6, None, cfg.seed)
+        for i in (0, 3, 5):
+            _, states, _ = simulate_market_path(ko1d, cfg, pair * i)
+            np.testing.assert_array_equal(grid[i], states)
 
 
 # ---------------------------------------------------------------------------
@@ -780,12 +782,33 @@ def test_engine_bits_independent_of_covariance_declaration():
                 )
 
 
-def test_bit_reproducibility_workers_blocks(ko1d):
+@pytest.mark.parametrize("A", [0.0, -1.0, float("nan"), "turns negative"])
+def test_time_rule_needs_positive_finite_A(bs1d, A):
+    # the first waits and the waits set at a trade are both checked; 25 steps on BS-1d
+    if A == "turns negative":
+        calls = []
+
+        def A(y):  # positive for the first waits, negative at the first trade
+            calls.append(len(y))
+            return np.full(len(y), 0.01 if len(calls) == 1 else -0.01)
+
+    cfg, rule = small_config(horizon=0.1, n_paths=4), DiscretizationRule("rule", A)
+    with pytest.raises(ParameterError, match="positive and finite"):
+        run_strategies(bs1d, cfg, [time_based(rule)])
+    if callable(A):
+        assert len(calls) == 2
+    zero_cost = dataclasses.replace(cfg, epsilon=0.0)  # a positive A waits zero at eps = 0
+    out = run_strategy(bs1d, zero_cost, time_based(DiscretizationRule("constant", 0.5)))
+    assert (out.n_trades == cfg.n_steps - 1).all()
+
+
+def test_bit_reproducibility_workers_blocks(ko1d, monkeypatch):
     base = dict(horizon=20.0, dt=1.0 / 250.0, n_paths=600, epsilon=EPS,
                 gamma=GAMMA, seed=3, allow_flagged=True)
     runs = []
     for workers, block in ((1, 600), (2, 128), (1, 250)):
-        cfg = SimulationConfig(**base, n_workers=workers, block_size=block)
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        cfg = SimulationConfig(**base, n_workers=workers)
         strategies = [
             time_based(optimal_rule(ko1d, GAMMA, allow_flagged=True), label="time"),
             move_based(),
@@ -809,7 +832,7 @@ def test_antithetic_paths_mirror(bs1d):
         small_config(n_paths=5, antithetic=True)
 
 
-def test_records_cover_every_block(ko1d):
+def test_records_cover_every_block(ko1d, monkeypatch):
     strategies = [
         time_based(optimal_rule(ko1d, GAMMA, allow_flagged=True), label="time"),
         move_based(),
@@ -817,7 +840,8 @@ def test_records_cover_every_block(ko1d):
     ]
     recs = []
     for block in (128, 256):
-        cfg = small_config(horizon=1.0, n_paths=256, block_size=block, allow_flagged=True)
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        cfg = small_config(horizon=1.0, n_paths=256, allow_flagged=True)
         recs.append(run_strategies(ko1d, cfg, strategies, record_paths=200)[1])
     split, whole = recs
     assert split.wealth["move"].shape == (200, 251)
@@ -838,17 +862,19 @@ def test_records_cover_every_block(ko1d):
             np.testing.assert_array_equal(dl, dl2)
 
 
-def test_worker_error_raised_without_thread_rerun():
+def test_worker_error_raised_without_thread_rerun(monkeypatch):
     leveraged = BlackScholesModel(mu=[0.2], vol=[0.16])  # w* = 1.5625
-    cfg = small_config(horizon=0.2, n_paths=8, block_size=4, n_workers=2)
+    monkeypatch.setattr(simulate, "_BLOCK", 4)
+    cfg = small_config(horizon=0.2, n_paths=8, n_workers=2)
     rule = optimal_rule(leveraged, GAMMA)  # raises once a worker evaluates it
     with pytest.raises(AssumptionError):
         run_strategies(leveraged, cfg, [time_based(rule, label="time")])
 
 
-def test_block_arguments_survive_pickling(ko1d):
+def test_block_arguments_survive_pickling(ko1d, monkeypatch):
     # worker processes started without fork receive every block argument pickled
-    cfg = small_config(horizon=0.2, n_paths=16, block_size=8, allow_flagged=True)
+    monkeypatch.setattr(simulate, "_BLOCK", 8)
+    cfg = small_config(horizon=0.2, n_paths=16, allow_flagged=True)
     strategies = [
         time_based(optimal_rule(ko1d, GAMMA, allow_flagged=True), label="time_adaptive"),
         time_based(DiscretizationRule("constant", 0.05), label="time_constant"),
@@ -869,15 +895,16 @@ def _same_bits(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_strategy_bits_independent_of_companions(ko1d, ko2d):
+def test_strategy_bits_independent_of_companions(ko1d, ko2d, monkeypatch):
     cases = [
         (ko1d, [move_based()]),
         (ko2d(0.6), [pasted_move_based()]),
     ]
+    monkeypatch.setattr(simulate, "_BLOCK", 32)
     for eps in (0.01, 0.0):
         for model, bands in cases:
-            cfg = small_config(horizon=1.0, n_paths=64, block_size=32, epsilon=eps,
-                               antithetic=True, allow_flagged=True)
+            cfg = small_config(horizon=1.0, n_paths=64, epsilon=eps, antithetic=True,
+                               allow_flagged=True)
             rule = optimal_rule(model, GAMMA, allow_flagged=True)
             strategies = bands + [time_based(rule, label="time"), buy_and_hold(),
                                   frictionless_benchmark()]
@@ -1027,7 +1054,7 @@ def test_trade_that_takes_all_wealth_fails_the_path():
     assert np.all(rec.weights["time"][dead, -1] == 0.0)
 
 
-def test_failed_path_bits_independent_of_blocks_and_companions():
+def test_failed_path_bits_independent_of_blocks_and_companions(monkeypatch):
     # paths fail by growth (33x leverage, never rebalanced) and at a trade (22x leverage)
     cases = [
         (BlackScholesModel(mu=[3.0], vol=[0.30]), 0.0, buy_and_hold()),
@@ -1038,8 +1065,9 @@ def test_failed_path_bits_independent_of_blocks_and_companions():
     for model, eps, strat in cases:
         runs = []
         for block, others in ((32, []), (128, []), (32, companions)):
+            monkeypatch.setattr(simulate, "_BLOCK", block)
             cfg = SimulationConfig(horizon=2.0, dt=1.0 / 250.0, n_paths=128, epsilon=eps,
-                                   gamma=1.0, seed=5, block_size=block)
+                                   gamma=1.0, seed=5)
             out, rec = run_strategies(model, cfg, [strat] + others, record_paths=128)
             runs.append((out[strat.label], rec))
         (out, rec), label = runs[0], strat.label
@@ -1081,9 +1109,10 @@ def test_outputs_independent_of_market_chunk(bs1d, ko1d, ko2d, monkeypatch):
     # end inside a chunk, and blocks of one path make chunks of one state at K = 1
     def runs():
         every = []
+        monkeypatch.setattr(simulate, "_BLOCK", 24)
         for model, eps, antithetic in product((bs1d, ko1d, ko2d(0.6)), (0.0, 0.01), (False, True)):
-            cfg = small_config(horizon=0.3, n_paths=48, block_size=24, epsilon=eps,
-                               antithetic=antithetic, allow_flagged=True)
+            cfg = small_config(horizon=0.3, n_paths=48, epsilon=eps, antithetic=antithetic,
+                               allow_flagged=True)
             band = move_based if model.m == 1 else pasted_move_based
             a_star = float(np.asarray(optimal_rule(model, GAMMA, True).A_of(np.zeros(model.p))))
             strategies = [band(),
@@ -1091,18 +1120,22 @@ def test_outputs_independent_of_market_chunk(bs1d, ko1d, ko2d, monkeypatch):
                           time_based(DiscretizationRule("constant", 0.2 * a_star), label="time_c"),
                           buy_and_hold(), frictionless_benchmark()]
             every.append(_run_arrays(model, cfg, strategies))
-        long_cfg = small_config(horizon=2.2, n_paths=8, block_size=8, allow_flagged=True)
+        monkeypatch.setattr(simulate, "_BLOCK", 8)
+        long_cfg = small_config(horizon=2.2, n_paths=8, allow_flagged=True)
         every.append(_run_arrays(ko1d, long_cfg, [move_based(), buy_and_hold()]))
-        one_cfg = small_config(horizon=0.3, n_paths=2, block_size=1, allow_flagged=True)
+        monkeypatch.setattr(simulate, "_BLOCK", 1)
+        one_cfg = small_config(horizon=0.3, n_paths=2, allow_flagged=True)
         every.append(_run_arrays(ko1d, one_cfg, [move_based(), frictionless_benchmark()]))
+        monkeypatch.setattr(simulate, "_BLOCK", 32)
         for model, eps, strat in ((BlackScholesModel(mu=[3.0], vol=[0.30]), 0.0, buy_and_hold()),
                                   (BlackScholesModel(mu=[2.0], vol=[0.30]), 0.01,
                                    time_based(DiscretizationRule("constant", 0.5), label="time"))):
             cfg = SimulationConfig(horizon=2.0, dt=1.0 / 250.0, n_paths=128, epsilon=eps,
-                                   gamma=1.0, seed=5, block_size=32)
+                                   gamma=1.0, seed=5)
             every.append(_run_arrays(model, cfg, [strat, move_based()]))
+        monkeypatch.setattr(simulate, "_GRID_DRAW", 7)
         for model in (bs1d, ko1d, ko2d(0.6)):
-            every.append(simulate_state_grid(model, 0.3, 1.0 / 250.0, 30, None, 4, block_size=7))
+            every.append(simulate_state_grid(model, 0.3, 1.0 / 250.0, 30, None, 4))
             cfg = small_config(horizon=0.3, n_paths=4, antithetic=True)
             every.append(simulate_market_path(model, cfg, 3))
         return [a for arrays in every for a in arrays]
@@ -1196,7 +1229,7 @@ def test_config_validation():
         SimulationConfig(horizon=20.0, dt=1 / 250, n_paths=1, epsilon=0.6, gamma=5.0)
     with pytest.raises(ParameterError):
         SimulationConfig(horizon=20.0, dt=1 / 250, n_paths=0, epsilon=0.01, gamma=5.0)
-    for key, value in (("n_workers", 0), ("n_workers", -2), ("block_size", 0), ("block_size", -4)):
+    for key, value in (("n_workers", 0), ("n_workers", -2)):
         with pytest.raises(ParameterError, match=key):
             SimulationConfig(horizon=20.0, dt=1 / 250, n_paths=1, epsilon=0.01, gamma=5.0,
                              **{key: value})

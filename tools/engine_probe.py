@@ -25,7 +25,6 @@ length; a longer one spans more of the normal draws' step chunks.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import statistics
@@ -51,7 +50,8 @@ def run_market(name, paths, repeats, horizon):
     table, index = MARKETS[name]
     spec = _table_spec(table)
     _, model = spec["models"][index]
-    config = dataclasses.replace(_run_config(paths, horizon=horizon), block_size=paths)
+    simulate._BLOCK = paths  # one block of B paths
+    config = _run_config(paths, horizon=horizon)
     adaptive = optimal_rule(model, config.gamma, allow_flagged=True)
     a_mean = float(np.asarray(adaptive.A_of(np.array([model.long_run_mean]))))
     kinds = {
