@@ -436,9 +436,8 @@ def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, first=0, _
         out = block.transpose(1, 0, 2)  # step-major
         out[0] = y0
         if model.p:
-            K = max(1, _CHUNK // (hi - lo))
-            chunks = _state_path(model, seed, first + lo, first + hi, False, out[0], n_steps,
-                                 dt, K, out=out[1:])
+            chunks = _state_path(model, seed, first + lo, first + hi, False, out[0], n_steps, dt,
+                                 max(1, _CHUNK // (hi - lo)), out=out[1:])
             deque(chunks, maxlen=0)  # runs them: each chunk's states land in the block
         if _reduce:
             _reduce(lo, block)
@@ -545,7 +544,7 @@ def _run_of(mask):
 
 def _waits(rule, eps, y, st=None):
     """A time rule's next waits ``eps^alpha A`` at the states ``y``, ``A`` read off their geometry
-    ``st`` if given, as :func:`~rebalfreq.frequency.schedule_trading_times` takes them."""
+    ``st`` if given; :class:`ParameterError` unless every ``A`` is positive and finite."""
     a = np.asarray(rule.A_of(y) if st is None else rule.A.of_state(st), dtype=float)
     ok = (a > 0) & np.isfinite(a)
     if not ok.all():
@@ -712,8 +711,10 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
 
 
 def _ranges(n_paths, n_workers, cap, pairs):
-    """Paths ``0 .. n_paths - 1`` in ``(lo, hi)`` ranges of one size (the last may be shorter),
-    at most ``cap`` and one per worker at least, rounded up to whole pairs with ``pairs``."""
+    """Paths ``0 .. n_paths - 1`` in ``(lo, hi)`` ranges of one size, the last maybe shorter: at
+    most ``cap`` and ``ceil(n_paths / n_workers)`` paths, rounded up to whole pairs if ``pairs``."""
+    if n_paths < 1:
+        raise ParameterError("n_paths must be >= 1")
     size = min(cap, -(-n_paths // n_workers))
     size += size % 2 if pairs else 0
     return [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]

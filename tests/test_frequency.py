@@ -316,6 +316,15 @@ def test_pooled_ranges_of_partial_drawing_blocks_equal_serial(ko1d):
         assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
 
 
+def test_grid_of_no_paths_rejected(ko1d):
+    from rebalfreq import simulate_state_grid
+
+    with pytest.raises(ParameterError, match="n_paths must be >= 1"):
+        simulate_state_grid(ko1d, 0.1, 1.0 / 250.0, 0)
+    with pytest.raises(ParameterError, match="n_paths must be >= 1"):
+        total_cost(ko1d, GAMMA, horizon_T=0.1, n_paths=0, allow_flagged=True)
+
+
 def test_grid_costs_equal_per_state_formula(ko1d):
     from rebalfreq import simulate_state_grid
 
