@@ -276,7 +276,6 @@ _BLOCK = 2048  # paths per block of the engine, at most
 _GRID_DRAW = 512
 
 
-
 @cache
 def _lane_key():
     """The class of a Philox seed that yields the key ``(seed, k)``: the stream of
