@@ -15,11 +15,12 @@ Benchmark tables 1-4 reproduce the four simulation studies shipped with the
 package (single- and two-asset constant-coefficient markets, and their
 mean-reverting counterparts); :func:`table_runner` runs them end to end, on
 one worker pool: first every cell's predictions, then every cell's Monte
-Carlo run. Bit identity: cells whose state processes are the same (table 4's
-correlations) share one pass of the prediction grid, whose per-path integrals
-are the bits each cell's own pass would give (:mod:`rebalfreq.frequency`),
-and the Monte Carlo results do not depend on blocks or workers
-(:mod:`rebalfreq.simulate`); so each cell's row is the same bytes as
+Carlo run. The prediction grid steps its state paths as the engine does and
+sums each path's rates step by step (:mod:`rebalfreq.frequency`). Bit
+identity: cells whose state processes are the same (table 4's correlations)
+share one pass of that grid, whose per-path sums are the bits each cell's own
+pass would give, and the Monte Carlo results do not depend on blocks or
+workers (:mod:`rebalfreq.simulate`); so each cell's row is the same bytes as
 :func:`run_table_cell` gives for that cell alone, at any worker count.
 """
 

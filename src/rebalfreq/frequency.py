@@ -18,12 +18,13 @@ cost rate is exactly twice the tracking-error rate. ``N``, ``D``, ``A*`` and
 the no-leverage check live in :mod:`rebalfreq.merton`, with the geometry they read.
 
 Expectations over the state are means of per-path integrals on simulated
-state paths, drawn with the wealth simulator's per-path streams and Euler
-step and reduced block by block as they are drawn. Bit identity: each path's
-integral is one trapezoid row reduction of that path's values, so it is the
-same bits whether the paths are drawn in one call or in ranges over workers,
-in drawing or reduction blocks of any size, and for one model or for several
-models that share one pass of their common state process.
+state paths. The paths are the wealth simulator's, stepped as it steps them,
+in blocks and chunks, and each chunk's rates are added into per-path running
+sums step by step, by the trapezoid the simulator sums its frictionless rate
+with. Bit identity: a path's integral is its own steps summed in step order,
+so it is the same bits in any block, chunk or range of workers, and for one
+model or for several models that share one pass of their common state
+process; its frictionless integral is the simulator's.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import numpy as np
 from . import simulate
 from .errors import AssumptionError, ParameterError, RebalfreqError
 from .markets import _as_batch
-from .merton import _AdaptiveProfile, _rate_parts, l21_norm, merton_state
+from .merton import (_AdaptiveProfile, _constant_block, _geometry, _rate_parts, l21_norm,
+                     merton_state)
 
 
 ALPHA = 2.0 / 3.0
@@ -113,16 +115,8 @@ def optimal_rule(model, gamma, allow_flagged=False):
 def cost_breakdown(model, gamma, y, A=None, allow_flagged=False):
     """Leading-order cost rates at ``y`` under rule value ``A`` (default ``A*``)."""
     n, d = rate_parts(model, gamma, y, allow_flagged)
-    if A is None:
-        A = (n / d) ** (2.0 / 3.0)
-    A = np.asarray(A, dtype=float)
-    if np.any(A <= 0):
-        raise ParameterError("rule values must be positive")
+    A = simulate._rule_values((n / d) ** (2.0 / 3.0) if A is None else A)
     return CostBreakdown(tac_rate=n / np.sqrt(A), de_rate=0.5 * d * A)
-
-
-# States per block of the grid's reduction, whose geometry is a few MiB.
-_GRID_BLOCK = 1 << 14
 
 
 def _mean(per_path):
@@ -154,9 +148,7 @@ class _RateGrid:
             if rule is not self.rule:
                 raise ParameterError("the grid holds no integrals of this state-dependent rule")
             return _mean(self.tac), _mean(self.da)
-        a = float(rule.A)
-        if not a > 0:
-            raise ParameterError("rule values must be positive")
+        a = float(simulate._rule_values(rule.A))
         return _mean(self.n) / np.sqrt(a), a * _mean(self.d)
 
     def constant_rule(self):
@@ -172,57 +164,54 @@ class _RateGrid:
         return 0.5 * da + tac
 
 
-def _block_integrals(model, gamma, allow_flagged, rule, states, weights):
-    """Per-path integrals ``(4 or 6, paths)`` of :class:`_RateGrid` on ``states``, the states
-    of whole paths, path after path, with the trapezoid ``weights`` of one path."""
-    st = merton_state(model, states, gamma)
-    n, d = _rate_parts(st, gamma, allow_flagged)
-    parts = [n, d, st.f_rate, 1.5 * n ** (2.0 / 3.0) * d ** (1.0 / 3.0)]
-    if rule is not None and callable(rule.A):
-        a = np.broadcast_to(np.asarray(rule.A_of(states), dtype=float), n.shape)
-        if np.any(a <= 0):
-            raise ParameterError("rule values must be positive")
-        parts += [n / np.sqrt(a), d * a]
-    # a row-wise add.reduce: a matrix-vector product's bits depend on the row count
-    return [np.add.reduce(v.reshape(-1, len(weights)) * weights, axis=1) for v in parts]
-
-
 def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule, lo, hi):
     """Per-path integrals ``(4 or 6, hi - lo)`` of :class:`_RateGrid` on state paths ``lo ..
     hi - 1``, one array for each of ``models``, which share their state process.
 
-    One :func:`rebalfreq.simulate.simulate_state_grid` call draws the paths block by block,
-    and each drawn block is reduced for every model, ``_GRID_BLOCK`` states of whole paths at
-    a time, before the next is drawn. A model whose evaluation raises a package error gets
-    that error in place of its array. A state-dependent ``rule`` also has its ``N / sqrt(A)``
-    and ``D * A`` integrated, with ``A`` from ``rule.A_of``.
+    One :func:`rebalfreq.simulate.simulate_state_grid` call steps the paths as the engine does,
+    block by block and chunk by chunk, and hands each chunk to every model. A model forms the
+    chunk's rates in one geometry call, with its constant coefficients formed once per block,
+    and adds each step into its per-path sums in step order
+    (:func:`rebalfreq.simulate._trapezoid`), as the engine sums the frictionless rate. A model
+    whose evaluation raises a package error gets that error in place of its array. A
+    state-dependent ``rule`` also has its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A``
+    from ``rule.A_of``.
     """
-    p = models[0].p
-    rows = 6 if rule is not None and callable(rule.A) else 4
-    out = [np.empty((rows, hi - lo)) for _ in models]
-    if p:
-        weights = np.full(int(round(horizon_T / dt)) + 1, dt)
-        weights[0] = weights[-1] = 0.5 * dt
-    else:  # one path of one state, held over [0, T]
-        weights = np.array([float(horizon_T)])
+    by_state = rule is not None and callable(rule.A)
+    out = [np.zeros((6 if by_state else 4, hi - lo)) for _ in models]
+    held = [None] * len(models)  # each model's constant block and its rates before the chunk
 
-    def reduce(first, block):  # paths first .. first + len(block) - 1 of the range
-        step = max(1, _GRID_BLOCK // len(weights))  # whole paths
-        for a, b in simulate._ranges(len(block), 1, step, False):
-            states = block[a:b].reshape((b - a) * len(weights), p)
-            for k, model in enumerate(models):
-                if not isinstance(out[k], RebalfreqError):
-                    try:
-                        out[k][:, first + a:first + b] = _block_integrals(
-                            model, gamma, allow_flagged, rule, states, weights)
-                    except RebalfreqError as exc:
-                        out[k] = exc
+    def rates(model, const, states):  # (4 or 6, states)
+        st = _geometry(model, states, gamma, const and tuple(c[:len(states)] for c in const))
+        n, d = _rate_parts(st, gamma, allow_flagged)
+        parts = [n, d, st.f_rate, 1.5 * n ** (2.0 / 3.0) * d ** (1.0 / 3.0)]
+        if by_state:
+            a = simulate._rule_values(np.broadcast_to(rule.A_of(states), n.shape))
+            parts += [n / np.sqrt(a), d * a]
+        return np.stack(parts)
 
-    if p:
+    def reduce(a, step, ys):  # paths a .. a + B - 1 of the range at steps step .. step + k - 1
+        k, B, p = ys.shape
+        for i, model in enumerate(models):
+            if isinstance(out[i], RebalfreqError):
+                continue
+            try:
+                if step == 0:  # a block's start states
+                    K = max(1, simulate._CHUNK // B)
+                    const = _constant_block(model, np.broadcast_to(ys[0, :1], (K * B, p)))
+                    held[i] = const, rates(model, const, ys[0])
+                else:
+                    const, left = held[i]
+                    right = rates(model, const, ys.reshape(k * B, p)).reshape(-1, k, B)
+                    held[i] = const, simulate._trapezoid(out[i][:, a:a + B], left, right, dt)
+            except RebalfreqError as exc:
+                out[i] = exc
+
+    if models[0].p:
         simulate.simulate_state_grid(models[0], horizon_T, dt, hi - lo, y0, seed, lo, reduce)
-    else:
-        reduce(0, np.zeros((1, 1, 0)))
-    return out
+        return out
+    reduce(0, 0, np.zeros((1, 1, 0)))  # one path of one state, held over [0, T]
+    return [o if isinstance(o, RebalfreqError) else h[1] * horizon_T for o, h in zip(out, held)]
 
 
 def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, rule=None,

@@ -39,28 +39,15 @@ def _smoothstep_integral(t):
 
 
 def smooth_cutoff(y, y_min, y_max, xi):
-    """Smoothly truncated identity.
+    """Smoothly truncated identity: ``(value, derivative)`` at the points ``y``, elementwise.
 
     Equals ``y`` on ``[y_min + xi, y_max - xi]``, is constant outside
     ``(y_min, y_max)``, and joins the two regimes with a quintic-smoothstep
-    ramp of the derivative on each transition band, so the result is (at
-    least) twice continuously differentiable with derivative in ``[0, 1]``.
-    The plateau levels are ``y_min + xi/2`` and ``y_max - xi/2``; with bands
-    placed symmetrically about a centre ``c`` the map is odd about ``(c, c)``.
-
-    Parameters
-    ----------
-    y : array_like
-        Evaluation points (any shape).
-    y_min, y_max : float
-        Outer edges of the transition bands, ``y_min + 2*xi < y_max``.
-    xi : float
-        Width of each transition band, ``> 0``.
-
-    Returns
-    -------
-    (value, derivative) : tuple of ndarray
-        Elementwise cutoff value and its first derivative.
+    ramp of the derivative on each transition band of width ``xi > 0``
+    (``y_min + 2 xi < y_max``), so the result is (at least) twice continuously
+    differentiable with derivative in ``[0, 1]``. The plateau levels are
+    ``y_min + xi/2`` and ``y_max - xi/2``; with bands placed symmetrically
+    about a centre ``c`` the map is odd about ``(c, c)``.
     """
     if xi <= 0:
         raise ParameterError(f"cutoff width must be positive, got xi={xi}")

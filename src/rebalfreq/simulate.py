@@ -21,7 +21,9 @@ holds whole pairs, an odd path is the sign flip of its even partner's stream
 ``(seed, k // 2)`` (:class:`_BlockNormals`). One driver, :func:`_state_path`,
 pairs these streams with the Euler step: it yields a block's tapes and the
 states after their steps, chunk by chunk, to the engine, the state grid and
-the single-path API alike. Strategies of one run share the market draws, which
+the single-path API alike, and one trapezoid, :func:`_trapezoid`, sums a rate
+along them step by step for the engine's frictionless rate and the state grid's
+integrals. Strategies of one run share the market draws, which
 sharpens their comparison, and one ledger of arrays stacked over (strategy,
 path), paths last.
 A block of ``B`` paths runs in chunks of ``K = max(1, _CHUNK // B)`` steps: a
@@ -37,7 +39,6 @@ can be reproduced in isolation; results are joined in path order.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -267,13 +268,7 @@ def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
 # States per chunk of a block's market pass: K = max(1, _CHUNK // B) steps of B paths.
 _CHUNK = 8192
 
-_BLOCK = 2048  # paths per block of the engine, at most
-
-# Paths per drawing block of the state grid. A reduced block is dropped before the next is
-# drawn, so a process holds one block of states whatever the length of its path range: 20 MiB
-# of one-factor states at T = 20. A smaller block holds less, but each block pays the Euler
-# step's per-step overhead again.
-_GRID_DRAW = 512
+_BLOCK = 2048  # paths per block of the engine and of the state grid, at most
 
 
 @cache
@@ -388,16 +383,16 @@ def _log_returns(mu, sigma, z, dt):
     return (mu - 0.5 * rownorm2) * dt + shock * np.sqrt(dt)
 
 
-def _state_path(model, seed, lo, hi, antithetic, y, n_steps, dt, K, chunk=128, out=None):
+def _state_path(model, seed, lo, hi, antithetic, y, n_steps, dt, K, chunk=128):
     """Paths ``lo .. hi - 1`` from the states ``y`` ``(B, p)``, ``K`` steps at a time (fewer
     where a drawn chunk ends): yields each chunk's tape ``z`` ``(d, k, B)`` and the states
-    after its steps, ``(k, B, p)``, new or the chunk's steps of ``out`` ``(n_steps, B, p)``."""
+    after its steps, ``(k, B, p)``."""
     source = _BlockNormals(seed, lo, hi, model.d, antithetic, chunk)
     step = 0
     while step < n_steps:
         z = source.tape(n_steps - step, K)
         k = z.shape[1]
-        ys = np.empty((k, hi - lo, model.p)) if out is None else out[step:step + k]
+        ys = np.empty((k, hi - lo, model.p))
         y = _euler(model, y, z, dt, ys) if model.p else y
         yield z, ys
         step += k
@@ -414,6 +409,16 @@ def _state_key(model, y0):
     return type(model), model.d, model.p, support, _default_y0(model, y0).tobytes(), params
 
 
+def _trapezoid(total, left, right, dt):
+    """Add each step's ``0.5 (left + right) dt`` into the per-path sums ``total`` ``(..., B)``,
+    in step order: ``right`` ``(..., k, B)`` holds the values after each of ``k`` steps, ``left``
+    those before the first. Returns the last step's values, the next chunk's ``left``."""
+    lefts = np.concatenate([left[..., None, :], right[..., :-1, :]], axis=-2)
+    for term in np.moveaxis(0.5 * (lefts + right) * dt, -2, 0):
+        total += term
+    return right[..., -1, :]
+
+
 def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, first=0, _reduce=None):
     """Euler paths of the state variable alone on the simulation grid.
 
@@ -421,26 +426,29 @@ def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, first=0, _
     ``(n_paths, n_steps + 1, p)``, of paths ``first .. first + n_paths - 1``.
     Path ``k`` draws the stream ``(seed, k)`` through the wealth simulator's Euler
     step: it is the simulator's path ``k`` at the same seed, or under antithetic
-    sampling its path ``2k``, the even path of pair ``k``. With ``_reduce``, each
-    block of ``_GRID_DRAW`` paths goes to ``_reduce(lo, block_states)`` as soon as
-    it is drawn, ``lo`` being its offset in the grid, and ``states`` is ``None``:
-    no more than one block of states is held.
+    sampling its path ``2k``, the even path of pair ``k``. The paths run as the
+    simulator's do, in blocks of at most ``_BLOCK`` paths stepped in chunks of
+    ``K = max(1, _CHUNK // B)`` steps, and each block goes to ``_reduce(lo, step,
+    ys)``: first its start states (``step`` 0), then each chunk in step order,
+    ``ys`` ``(k, B, p)`` being the states at steps ``step .. step + k - 1`` of
+    paths ``lo .. lo + B - 1`` of the grid. The default ``_reduce`` stores them;
+    with another, ``states`` is ``None`` and no more than one chunk is held.
     """
     n_steps = int(round(horizon / dt))
     times = np.linspace(0.0, horizon, n_steps + 1)
     y0 = _default_y0(model, y0)
     states = None if _reduce else np.empty((n_paths, n_steps + 1, model.p))
-    for lo, hi in _ranges(n_paths, 1, _GRID_DRAW, False):
-        block = np.empty((hi - lo, n_steps + 1, model.p)) if _reduce else states[lo:hi]
-        out = block.transpose(1, 0, 2)  # step-major
-        out[0] = y0
-        if model.p:
-            chunks = _state_path(model, seed, first + lo, first + hi, False, out[0], n_steps, dt,
-                                 max(1, _CHUNK // (hi - lo)), out=out[1:])
-            deque(chunks, maxlen=0)  # runs them: each chunk's states land in the block
-        if _reduce:
-            _reduce(lo, block)
-        block = out = None  # the block is freed before the next is drawn
+    if _reduce is None:
+        def _reduce(lo, step, ys):
+            states[lo:lo + ys.shape[1], step:step + len(ys)] = ys.transpose(1, 0, 2)
+    for lo, hi in _ranges(n_paths, 1, _BLOCK, False):
+        y = np.tile(y0, (hi - lo, 1))
+        _reduce(lo, 0, y[None])
+        step = 1
+        for _, ys in _state_path(model, seed, first + lo, first + hi, False, y, n_steps, dt,
+                                 max(1, _CHUNK // (hi - lo))):
+            _reduce(lo, step, ys)
+            step += len(ys)
     return times, states
 
 
@@ -541,14 +549,20 @@ def _run_of(mask):
     return mask
 
 
-def _waits(rule, eps, y, st=None):
-    """A time rule's next waits ``eps^alpha A`` at the states ``y``, ``A`` read off their geometry
-    ``st`` if given; :class:`ParameterError` unless every ``A`` is positive and finite."""
-    a = np.asarray(rule.A_of(y) if st is None else rule.A.of_state(st), dtype=float)
+def _rule_values(a):
+    """A rule's values ``A`` as floats; :class:`ParameterError` naming the first that is not
+    positive and finite."""
+    a = np.asarray(a, dtype=float)
     ok = (a > 0) & np.isfinite(a)
     if not ok.all():
-        raise ParameterError(f"a time rule's A must be positive and finite, got {a[~ok].flat[0]}")
-    return eps**rule.alpha * a
+        raise ParameterError(f"rule values must be positive and finite, got {a[~ok].flat[0]}")
+    return a
+
+
+def _waits(rule, eps, y, st=None):
+    """A time rule's next waits ``eps^alpha A`` at the states ``y``, ``A`` read off their geometry
+    ``st`` if given and checked by :func:`_rule_values`."""
+    return eps**rule.alpha * _rule_values(rule.A_of(y) if st is None else rule.A.of_state(st))
 
 
 def _run_block(model, config, strategies, lo, hi, record_upto):
@@ -559,8 +573,9 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
 
     Steps run in chunks of ``K = max(1, _CHUNK // B)`` (fewer where a drawn chunk ends). The
     market pass steps the state through the chunk's tape, then forms in one call each the
-    geometry and band half-widths after every step, the growth from each step's left-endpoint
-    coefficients and the frictionless-rate trapezoid terms. The ledger reads step ``j`` from
+    geometry and band half-widths after every step and the growth from each step's left-endpoint
+    coefficients, and adds the frictionless rate's steps into its path integral
+    (:func:`_trapezoid`). The ledger reads step ``j`` from
     states ``j B .. (j + 1) B - 1``; a bad state raises before the ledger runs its chunk.
     """
     n_steps, m, p = config.n_steps, model.m, model.p
@@ -592,8 +607,8 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     next_t = np.full((S, B), np.inf)
     for k, rule in timed:
         next_t[k] = _waits(rule, eps, y, first if k in profiled else None)
-    fric_rate = np.zeros(B)
-    left = _last(first.mu), _last(first.sigma), first.f_rate  # at a chunk's first step
+    fric_rate, f_left = np.zeros(B), first.f_rate
+    left = _last(first.mu), _last(first.sigma)  # at a chunk's first step
 
     rec = None
     if n_rec:
@@ -614,20 +629,19 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
             geo = _geometry(model, ys.reshape(n * B, p), gamma,  # the chunk's states, step-major
                             const and tuple(c[:n * B] for c in const), banded or bool(profiled))
             W = _last(geo.w_star).reshape(m, n, B)
-            right = _last(geo.mu), _last(geo.sigma), geo.f_rate
+            right = _last(geo.mu), _last(geo.sigma)
             HW = _halfwidths(geo, gamma, eps).T.reshape(m, n, B) if banded else None  # 0 at eps = 0
         # left endpoints: the previous chunk's last states, then all of this chunk's but its last
-        mu, sigma, f = (np.concatenate([a, x[..., :(n - 1) * B]], -1) for a, x in zip(left, right))
+        mu, sigma = (np.concatenate([a, x[..., :(n - 1) * B]], -1) for a, x in zip(left, right))
         sigma = right[1] if const else sigma  # a constant sigma is its broadcast column
         G = np.exp(_log_returns(mu, sigma, z.reshape(len(z), n * B), dt)).reshape(m, n, B)
-        f_terms = (0.5 * (f + right[2][:n * B]) * dt).reshape(n, B)
+        f_left = _trapezoid(fric_rate, f_left, geo.f_rate[:n * B].reshape(n, B), dt)
         left = tuple(x[..., (n - 1) * B:n * B] for x in right)
 
         for j in range(n):
             step = s0 + j
             t1 = (step + 1) * dt
             Sigma = geo.Sigma[j * B:(j + 1) * B]
-            fric_rate += f_terms[j]
 
             Vi *= G[:, j]
             v_old, V = V, V0 + Vi.sum(axis=1)
@@ -745,8 +759,7 @@ def run_strategies(model, config, strategies, record_paths=0, *, pool=None):
     label to a :class:`StrategyOutcome` with per-path arrays in path order,
     and ``records`` holds full ledgers for the first ``record_paths`` paths
     of the run, merged from the blocks in path order (``None`` if zero).
-    Blocks of paths (:func:`_ranges`) run on ``n_workers`` workers (:func:`_on_ranges`):
-    on ``pool``, an open process pool, or else on a pool opened and shut down here.
+    The blocks run on ``pool`` if given (:func:`_on_ranges`).
     """
     labels = [s.label for s in strategies]
     if len(set(labels)) != len(labels):

@@ -221,23 +221,23 @@ GRID_KW = dict(horizon_T=0.5, y0=None, n_paths=24, dt=1.0 / 250.0, seed=4, allow
 
 
 def test_rate_grid_bits_independent_of_block(ko1d, monkeypatch):
-    from rebalfreq import frequency
+    from rebalfreq import frequency, simulate
 
     adaptive = optimal_rule(ko1d, GAMMA, allow_flagged=True)
-    width = 126  # states per path: 0.5 years of 1/250 steps, both ends included
     fields = ("n", "d", "f_rate", "opt", "tac", "da")
 
-    def run(block):
-        monkeypatch.setattr(frequency, "_GRID_BLOCK", block)
+    def run(paths, steps):  # blocks of paths, stepped in chunks of steps
+        monkeypatch.setattr(simulate, "_BLOCK", paths)
+        monkeypatch.setattr(simulate, "_CHUNK", paths * steps)
         grid = frequency._rate_grid(ko1d, GAMMA, *GRID_KW.values(), adaptive)
         assert grid.n.shape == (24,)
         crule = constant_rule(ko1d, GAMMA, **GRID_KW)
         costs = [total_cost(ko1d, GAMMA, rule=r, **GRID_KW) for r in (None, crule, adaptive)]
         return [getattr(grid, f) for f in fields], crule.A, costs
 
-    whole = run(1 << 20)
-    for paths in (1, 3, 4):
-        arrays, a, costs = run(paths * width)
+    whole = run(24, 125)  # 125 steps: 0.5 years of 1/250
+    for paths, steps in ((1, 1), (3, 5), (4, 40)):
+        arrays, a, costs = run(paths, steps)
         for name, got, ref in zip(fields, arrays, whole[0]):
             np.testing.assert_array_equal(got, ref, err_msg=f"{name}, blocks of {paths} paths")
         assert a == whole[1] and costs == whole[2]
@@ -272,41 +272,50 @@ def test_pooled_grid_bits_equal_serial(market, request):
         assert pooled.total_cost(rule) == serial.total_cost(rule)
 
 
-@pytest.mark.parametrize("horizon", [1.0, 5.0])
-def test_streamed_grid_holds_one_drawing_block(ko1d, horizon):
-    # 2000 paths in drawing blocks of 512 paths: the peak stays under one block's states and
-    # draws plus the peak of one reduction block of the grid's own states
+@pytest.mark.parametrize("table, cell", [(2, 0), (4, 0)])
+def test_grid_and_engine_share_one_trapezoid(table, cell):
+    # grid path k is the engine's antithetic path 2k; its frictionless integral is the
+    # engine's, bit for bit: the same rates summed step by step in the same order
+    from rebalfreq import evaluate, frequency
+    from rebalfreq.simulate import frictionless_benchmark, run_strategies
+
+    _, model = evaluate._table_spec(table)["models"][cell]
+    cfg = evaluate._run_config(64, seed=7, horizon=0.5)
+    engine = run_strategies(model, cfg, [frictionless_benchmark()])[0]["frictionless_sim"]
+    grid = frequency._rate_grid(model, cfg.gamma, cfg.horizon, cfg.y0, 32, cfg.dt, cfg.seed,
+                                cfg.allow_flagged)
+    assert cfg.antithetic
+    np.testing.assert_array_equal(engine.frictionless_path[::2], grid.f_rate / cfg.horizon)
+
+
+def test_grid_memory_independent_of_horizon(ko1d):
+    # the grid holds per-path running sums and one chunk of states, never a path's whole row:
+    # over 2000 paths its traced peak grows by less than 1 MiB from T = 1 to T = 5
     import tracemalloc
-
-    from rebalfreq import frequency, simulate, simulate_state_grid
-
-    width, d = int(round(horizon * 250)) + 1, ko1d.d
-    per_block = frequency._GRID_BLOCK // width
-    weights = np.full(width, 1.0 / 250.0)
-    weights[0] = weights[-1] = 0.5 / 250.0
-    states = simulate_state_grid(ko1d, horizon, 1.0 / 250.0, per_block, None, 7)[1]
-    frequency._path_integrals((ko1d,), GAMMA, 0.2, None, 1.0 / 250.0, 7, True, None, 0, 4)
-    tracemalloc.start()
-    try:
-        frequency._block_integrals(ko1d, GAMMA, True, None, states.reshape(-1, 1), weights)
-        reduction = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        frequency._path_integrals((ko1d,), GAMMA, horizon, None, 1.0 / 250.0, 7, True, None, 0,
-                                  2000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    block = simulate._GRID_DRAW
-    drawn = block * width * 8 + block * 128 * d * 8 + d * (8192 // block) * block * 8
-    assert peak < drawn + reduction
-
-
-def test_pooled_ranges_of_partial_drawing_blocks_equal_serial(ko1d):
-    # two workers draw ranges of 1000 = 512 + 488 paths, one worker 2000 = 3 * 512 + 464
-    from concurrent.futures import ProcessPoolExecutor
 
     from rebalfreq import frequency
 
+    frequency._path_integrals((ko1d,), GAMMA, 0.2, None, 1.0 / 250.0, 7, True, None, 0, 4)
+    peaks = []
+    for horizon in (1.0, 5.0):
+        tracemalloc.start()
+        try:
+            frequency._path_integrals((ko1d,), GAMMA, horizon, None, 1.0 / 250.0, 7, True, None,
+                                      0, 2000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20
+
+
+def test_pooled_ranges_of_partial_drawing_blocks_equal_serial(ko1d, monkeypatch):
+    # in blocks of 512, two workers draw ranges of 1000 = 512 + 488 paths, one worker
+    # 2000 = 3 * 512 + 464
+    from concurrent.futures import ProcessPoolExecutor
+
+    from rebalfreq import frequency, simulate
+
+    monkeypatch.setattr(simulate, "_BLOCK", 512)  # set before the pool forks
     adaptive = optimal_rule(ko1d, GAMMA, allow_flagged=True)
     args = (ko1d, GAMMA, 0.1, None, 2000, 1.0 / 250.0, 4, True, adaptive)
     serial = frequency._rate_grid(*args)
@@ -314,6 +323,29 @@ def test_pooled_ranges_of_partial_drawing_blocks_equal_serial(ko1d):
         pooled = frequency._rate_grid(*args, n_workers=2, pool=pool)
     for name in ("n", "d", "f_rate", "opt", "tac", "da"):
         assert getattr(pooled, name).tobytes() == getattr(serial, name).tobytes(), name
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_rule_values_must_be_finite(bs1d, ko1d, bad):
+    from functools import partial
+
+    from rebalfreq import DiscretizationRule
+    from rebalfreq.simulate import SimulationConfig, run_strategies, time_based
+
+    kw = dict(horizon_T=0.1, n_paths=4, allow_flagged=True)
+    constant = DiscretizationRule("constant", bad)
+    by_state = DiscretizationRule("adaptive", lambda y: np.full(len(y), bad))
+    calls = [partial(cost_breakdown, bs1d, GAMMA, NOSTATE, A=bad),
+             partial(cost_breakdown, ko1d, GAMMA, [0.05], A=bad, allow_flagged=True)]
+    for model in (bs1d, ko1d):
+        for rule in (constant, by_state):
+            calls += [partial(total_cost, model, GAMMA, rule=rule, **kw),
+                      partial(lemma_constants, model, GAMMA, rule, **kw)]
+    cfg = SimulationConfig(horizon=0.1, dt=1.0 / 250.0, n_paths=4, epsilon=EPS, gamma=GAMMA)
+    calls.append(partial(run_strategies, bs1d, cfg, [time_based(constant)]))
+    for call in calls:
+        with pytest.raises(ParameterError, match=f"positive and finite, got {bad}"):
+            call()
 
 
 def test_grid_of_no_paths_rejected(ko1d):

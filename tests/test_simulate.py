@@ -1133,7 +1133,6 @@ def test_outputs_independent_of_market_chunk(bs1d, ko1d, ko2d, monkeypatch):
             cfg = SimulationConfig(horizon=2.0, dt=1.0 / 250.0, n_paths=128, epsilon=eps,
                                    gamma=1.0, seed=5)
             every.append(_run_arrays(model, cfg, [strat, move_based()]))
-        monkeypatch.setattr(simulate, "_GRID_DRAW", 7)
         for model in (bs1d, ko1d, ko2d(0.6)):
             every.append(simulate_state_grid(model, 0.3, 1.0 / 250.0, 30, None, 4))
             cfg = small_config(horizon=0.3, n_paths=4, antithetic=True)
