@@ -308,6 +308,30 @@ def test_grid_memory_independent_of_horizon(ko1d):
     assert peaks[1] - peaks[0] < 1 << 20
 
 
+@pytest.mark.parametrize("horizon", [1.0, 5.0])
+def test_streamed_grid_holds_one_drawing_block(ko1d, monkeypatch, horizon):
+    # 2000 = 3 * 512 + 464 paths in blocks of 512: the peak stays under one block's peak plus
+    # the range's per-path sums and one more chunk of states, as a block's held constants and
+    # rates are dropped only while the next block's are formed
+    import tracemalloc
+
+    from rebalfreq import frequency, simulate
+
+    monkeypatch.setattr(simulate, "_BLOCK", 512)
+    frequency._path_integrals((ko1d,), GAMMA, 0.2, None, 1.0 / 250.0, 7, True, None, 0, 4)
+    peaks = []
+    for n_paths in (512, 2000):
+        tracemalloc.start()
+        try:
+            frequency._path_integrals((ko1d,), GAMMA, horizon, None, 1.0 / 250.0, 7, True, None,
+                                      0, n_paths)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    sums, chunk = 4 * 2000 * 8, simulate._CHUNK * ko1d.p * 8
+    assert peaks[1] < peaks[0] + sums + chunk
+
+
 def test_pooled_ranges_of_partial_drawing_blocks_equal_serial(ko1d, monkeypatch):
     # in blocks of 512, two workers draw ranges of 1000 = 512 + 488 paths, one worker
     # 2000 = 3 * 512 + 464
