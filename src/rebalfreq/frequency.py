@@ -62,12 +62,11 @@ class DiscretizationRule:
     alpha: float = ALPHA
 
     def A_of(self, y):
-        if callable(self.A):
-            return self.A(y)
-        return self.A
+        """``A`` at the states ``y``; :class:`ParameterError` unless positive and finite."""
+        return simulate._rule_A(self, y)
 
     def waiting_time(self, y, epsilon):
-        """Time until the next rebalance, in years."""
+        """Time until the next rebalance, in years, from the checked :meth:`A_of`."""
         return epsilon**self.alpha * self.A_of(y)
 
     def with_alpha(self, alpha):
@@ -148,7 +147,7 @@ class _RateGrid:
             if rule is not self.rule:
                 raise ParameterError("the grid holds no integrals of this state-dependent rule")
             return _mean(self.tac), _mean(self.da)
-        a = float(simulate._rule_values(rule.A))
+        a = float(rule.A_of(None))
         return _mean(self.n) / np.sqrt(a), a * _mean(self.d)
 
     def constant_rule(self):
@@ -170,23 +169,24 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
 
     One :func:`rebalfreq.simulate.simulate_state_grid` call steps the paths as the engine does,
     block by block and chunk by chunk, and hands each chunk to every model. A model forms the
-    chunk's rates in one geometry call, with its constant coefficients formed once per block,
-    and adds each step into its per-path sums in step order
+    chunk's rates in one geometry call, with its constant block formed at the block's start
+    states, and adds each step into its per-path sums in step order
     (:func:`rebalfreq.simulate._trapezoid`), as the engine sums the frictionless rate. A model
     whose evaluation raises a package error gets that error in place of its array. A
-    state-dependent ``rule`` also has its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A``
-    from ``rule.A_of``.
+    state-dependent ``rule`` also has its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A`` read
+    by :func:`rebalfreq.simulate._rule_A`: a model's own ``A*`` off the chunk's geometry.
     """
     by_state = rule is not None and callable(rule.A)
     out = [np.zeros((6 if by_state else 4, hi - lo)) for _ in models]
     held = [None] * len(models)  # each model's constant block and its rates before the chunk
 
     def rates(model, const, states):  # (4 or 6, states)
-        st = _geometry(model, states, gamma, const and tuple(c[:len(states)] for c in const))
+        st = _geometry(model, states, gamma, const)
         n, d = _rate_parts(st, gamma, allow_flagged)
         parts = [n, d, st.f_rate, 1.5 * n ** (2.0 / 3.0) * d ** (1.0 / 3.0)]
         if by_state:
-            a = simulate._rule_values(np.broadcast_to(rule.A_of(states), n.shape))
+            own = st if simulate._reads_geometry(rule, model, gamma) else None
+            a = np.broadcast_to(simulate._rule_A(rule, states, own), n.shape)
             parts += [n / np.sqrt(a), d * a]
         return np.stack(parts)
 
@@ -197,8 +197,7 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
                 continue
             try:
                 if step == 0:  # a block's start states
-                    K = max(1, simulate._CHUNK // B)
-                    const = _constant_block(model, np.broadcast_to(ys[0, :1], (K * B, p)))
+                    const = _constant_block(model, ys[0])
                     held[i] = const, rates(model, const, ys[0])
                 else:
                     const, left = held[i]
@@ -225,6 +224,7 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
     tuple holds each model's grid, or the package error its evaluation raised. Raises as
     :func:`rate_parts` does at any grid state.
     """
+    simulate._n_steps(horizon_T, dt)  # also for a constant state, integrated as rate * horizon_T
     models = model if isinstance(model, tuple) else (model,)
     if len(models) > 1:
         keys = {simulate._state_key(m, y0) for m in models}
@@ -349,6 +349,8 @@ def schedule_trading_times(rule, epsilon, horizon_T, state_path=None):
     """
     if epsilon <= 0:
         raise ParameterError("cost rate must be positive")
+    if not 0 < horizon_T < np.inf:
+        raise ParameterError(f"horizon_T must be positive and finite, got {horizon_T}")
     if state_path is None and callable(rule.A):
         raise ParameterError("a state-dependent rule needs a state_path")
     if callable(state_path):

@@ -14,19 +14,19 @@ formulas need is derived here:
 formulas consume only row norms and the quadratic form ``tr(beta' Sigma
 beta)``, which are sign-insensitive.
 
-All of these are formed in one function, ``_geometry``, which both
-:func:`merton_state` and the simulation engine call. For a ``constant_sigma``
-model it takes ``sigma``, ``g``, ``Sigma`` and ``Sigma^{-1}`` formed at one
-state: :func:`merton_state` forms them per call, the engine per path block.
-Bit identity: both ways share one formula, summed over the small axes in
+All of these are formed in one function, ``_geometry``, which :func:`merton_state`, the
+engine and its prediction grid call. For a ``constant_sigma`` model it broadcasts ``sigma``,
+``g``, ``Sigma`` and ``Sigma^{-1}`` formed at one state (:func:`_constant_block`) to its
+batch: per call in :func:`merton_state`, per path block in the engine and the grid.
+Bit identity: all share one formula, summed over the small axes in
 einsum's fixed order with the states last (:func:`_fixed_sum`), so a state's
 result depends neither on its batch nor on the way it was evaluated.
 
 The optimal rule is read off this geometry too: ``N = sqrt(2/pi) ||beta||_{2,1}``
 and ``D = (gamma/2) tr(beta' Sigma beta)`` (:func:`_rate_parts`) give ``A* =
-(N/D)^(2/3)`` (:class:`_AdaptiveProfile`), at evaluated states or the engine's step
-geometry. They and the band widths refuse targets that short or leverage unless
-``allow_flagged`` (:func:`_no_leverage`).
+(N/D)^(2/3)`` (:class:`_AdaptiveProfile`), at evaluated states or off the geometry the
+engine and the grid have formed (:func:`rebalfreq.simulate._rule_A`). They and the band
+widths refuse targets that short or leverage unless ``allow_flagged`` (:func:`_no_leverage`).
 """
 
 from __future__ import annotations
@@ -129,11 +129,9 @@ def merton_state(model, y, gamma):
 
 
 def _constant_block(model, y):
-    """``(sigma, g, Sigma, Sigma_inv)`` of a ``constant_sigma`` model at the states ``y``.
-
-    They are formed at the first state and broadcast over all of them as
-    read-only views; ``None`` for a state-dependent covariance.
-    """
+    """``(sigma, g, Sigma, Sigma_inv)`` of a ``constant_sigma`` model at the states ``y``, formed
+    at the first and broadcast over all as read-only views (``None`` for a state-dependent
+    covariance). :func:`_geometry` broadcasts them again to its own batch."""
     if not model.constant_sigma:
         return None
     c = evaluate_coefficients(model, y[:1])
@@ -145,8 +143,8 @@ def _constant_block(model, y):
 def _geometry(model, y, gamma, const, with_beta=True):
     """The :class:`MertonState` at the states ``y`` ``(n, p)``: the one formula.
 
-    ``const`` is :func:`_constant_block` of the model at these ``n``
-    states. When it is given, only ``mu`` and its Jacobian are
+    ``const`` is :func:`_constant_block` of the model at any states, broadcast
+    here to these ``n``. When it is given, only ``mu`` and its Jacobian are
     evaluated per state, in one ``fused_coeffs`` sweep, and Sigma has no
     Jacobian; otherwise every coefficient is evaluated and Sigma inverted
     at each state. The support and finiteness checks run at every state
@@ -163,7 +161,7 @@ def _geometry(model, y, gamma, const, with_beta=True):
         mu, dmu = model.fused_coeffs(y)
         _check_finite(mu)
         dsig = None
-        sigma, g, Sigma, Sigma_inv = const
+        sigma, g, Sigma, Sigma_inv = (np.broadcast_to(c[:1], (len(y), *c.shape[1:])) for c in const)
     a, mu_, sig = _last(Sigma_inv) / gamma, _last(mu), _last(sigma)  # last axis n or 1
     # w* = (Sigma^{-1} / gamma) mu, and by the chain rule
     #   dw*/dy_j = (Sigma^{-1} / gamma) (dmu/dy_j - gamma (dSigma/dy_j) w*)

@@ -49,22 +49,33 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .markets import _check_finite
-from .merton import (MertonState, _AdaptiveProfile, _constant_block, _fixed_sum, _geometry,
-                     _last, _no_leverage, merton_state)
+from .merton import (MertonState, _constant_block, _fixed_sum, _geometry, _last, _no_leverage,
+                     merton_state)
 
 if TYPE_CHECKING:
     from .frequency import DiscretizationRule
+
+
+def _n_steps(horizon, dt):
+    """The number of ``dt`` steps in ``horizon``: :class:`ParameterError` unless ``dt`` is positive
+    and finite and ``horizon`` a finite whole number of at least one step."""
+    if not 0 < dt < np.inf:
+        raise ParameterError(f"dt must be positive and finite, got {dt}")
+    ratio = horizon / dt
+    if not (np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1):
+        raise ParameterError(f"horizon must be a whole number (>= 1) of dt steps, got {horizon}")
+    return int(round(ratio))
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """Grid, cost, preference, and reproducibility settings for one run.
 
-    ``horizon / dt`` must be integral; initial wealth is normalised to one.
-    ``antithetic`` pairs path ``2k+1`` with the sign-flipped draws of path
-    ``2k`` (requires an even ``n_paths``). ``n_workers`` only spreads the
-    engine's path blocks and the prediction grid's path ranges over worker
-    processes; it never changes results.
+    ``horizon`` holds a whole number of ``dt`` steps, at least one (:func:`_n_steps`);
+    initial wealth is normalised to one. ``antithetic`` pairs path ``2k+1`` with the
+    sign-flipped draws of path ``2k`` (requires an even ``n_paths``). ``n_workers``
+    only spreads the engine's path blocks and the prediction grid's path ranges over
+    worker processes; it never changes results.
     """
 
     horizon: float
@@ -79,11 +90,7 @@ class SimulationConfig:
     allow_flagged: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
-        ratio = self.horizon / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ParameterError("horizon must be an integral number of dt steps")
+        _n_steps(self.horizon, self.dt)
         if not 0.0 <= self.epsilon < 0.5:
             raise ParameterError("epsilon must lie in [0, 0.5)")
         if self.n_paths < 1:
@@ -99,7 +106,7 @@ class SimulationConfig:
 
     @property
     def n_steps(self):
-        return int(round(self.horizon / self.dt))
+        return _n_steps(self.horizon, self.dt)
 
 
 @dataclass(frozen=True)
@@ -196,11 +203,11 @@ def pasted_halfwidths(model, y, gamma, epsilon, allow_flagged=False):
 # trade-size fixed point
 # ---------------------------------------------------------------------------
 
-def rebalance_solve(d, w_star, epsilon, tol=1e-14, max_iter=200):
+def rebalance_solve(d, w_star, epsilon):
     """Solve for the traded weight fractions when rebalancing to ``w_star``.
 
     ``d = w_star - w_pre`` is the weight gap just before the trade. Solves
-    the scalar fixed point ``s = sum_i |d_i - eps w*_i s|`` by iteration
+    the scalar fixed point ``s = sum_i |d_i - eps w*_i s|`` to 1e-14 by iteration
     from ``s0 = sum_i |d_i|`` (a contraction with factor ``<= eps sum w*``),
     as a batch of one for the engine's solver, and returns ``(DeltaL,
     cost_fraction)`` with ``DeltaL_i = d_i - eps w*_i s`` and
@@ -216,11 +223,11 @@ def rebalance_solve(d, w_star, epsilon, tol=1e-14, max_iter=200):
     if epsilon == 0.0:
         return d.copy(), 0.0
     traded = np.ones((1, d.size), dtype=bool)
-    s = _rebalance_batch((u - d)[None], u[None], epsilon, traded, tol, max_iter)[0]
+    s = _rebalance_batch((u - d)[None], u[None], epsilon, traded)[0]
     return u * (1.0 - epsilon * s) - (u - d), float(epsilon * s)
 
 
-def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
+def _rebalance_batch(w_pre, u, epsilon, traded, max_iter=200):
     """Trade sizes ``s`` ``(B,)`` of the fixed point over paths; only ``traded`` assets move.
 
     ``epsilon`` is the cost rate, one value or one per path, and may be zero.
@@ -250,7 +257,7 @@ def _rebalance_batch(w_pre, u, epsilon, traded, tol=1e-14, max_iter=200):
         done = np.zeros(sp.shape, dtype=bool)
         for _ in range(max_iter):
             s_new = total(np.abs(up * (1.0 - e * sp) - wp))
-            converged = np.abs(s_new - sp) < tol
+            converged = np.abs(s_new - sp) < 1e-14
             np.copyto(sp, s_new, where=~done)
             done |= converged
             if done.all():
@@ -420,7 +427,7 @@ def _trapezoid(total, left, right, dt):
 
 
 def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, first=0, _reduce=None):
-    """Euler paths of the state variable alone on the simulation grid.
+    """Euler paths of the state variable alone on the grid of :func:`_n_steps` steps.
 
     Returns ``(times, states)`` with ``states`` of shape
     ``(n_paths, n_steps + 1, p)``, of paths ``first .. first + n_paths - 1``.
@@ -434,7 +441,7 @@ def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, first=0, _
     paths ``lo .. lo + B - 1`` of the grid. The default ``_reduce`` stores them;
     with another, ``states`` is ``None`` and no more than one chunk is held.
     """
-    n_steps = int(round(horizon / dt))
+    n_steps = _n_steps(horizon, dt)
     times = np.linspace(0.0, horizon, n_steps + 1)
     y0 = _default_y0(model, y0)
     states = None if _reduce else np.empty((n_paths, n_steps + 1, model.p))
@@ -559,10 +566,18 @@ def _rule_values(a):
     return a
 
 
-def _waits(rule, eps, y, st=None):
-    """A time rule's next waits ``eps^alpha A`` at the states ``y``, ``A`` read off their geometry
-    ``st`` if given and checked by :func:`_rule_values`."""
-    return eps**rule.alpha * _rule_values(rule.A_of(y) if st is None else rule.A.of_state(st))
+def _reads_geometry(rule, model, gamma):
+    """Whether a time rule's ``A`` is ``model``'s own ``A*`` at ``gamma``
+    (:class:`~rebalfreq.merton._AdaptiveProfile`), which :func:`_rule_A` reads off a geometry."""
+    return hasattr(rule.A, "of_state") and rule.A.model is model and rule.A.gamma == gamma
+
+
+def _rule_A(rule, y, st=None):
+    """A time rule's ``A`` at the states ``y``, checked by :func:`_rule_values`: its constant, else
+    read off their geometry ``st`` if given (where :func:`_reads_geometry`), else ``A(y)``."""
+    if callable(rule.A):
+        return _rule_values(rule.A(y) if st is None else rule.A.of_state(st))
+    return _rule_values(rule.A)
 
 
 def _run_block(model, config, strategies, lo, hi, record_upto):
@@ -588,17 +603,15 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     rate = np.repeat(np.where(fric, 0.0, eps), B)
     timed = [(k, s.rule) for k, s in enumerate(strategies) if s.kind == "time"]
     # time rules whose A* is read off the step's geometry; beta is formed only if read
-    profiled = {k for k, r in timed if isinstance(r.A, _AdaptiveProfile)
-                and r.A.model is model and r.A.gamma == gamma}
+    profiled = {k for k, r in timed if _reads_geometry(r, model, gamma)}
     banded = is_band.any()
     edged = banded and eps > 0  # at eps = 0 the band edge is the target
     band, clock = _run_of(is_band), _run_of(np.array([s.kind == "time" for s in strategies]))
     fric_rows = np.repeat(fric[:, None], B, axis=1)
 
     y = np.tile(_default_y0(model, config.y0), (B, 1))
-    const = _constant_block(model, np.broadcast_to(y[:1], (K * B, p)))  # sliced per call
-    first = _geometry(model, y, gamma, const and tuple(c[:B] for c in const),
-                      banded or bool(profiled))
+    const = _constant_block(model, y)
+    first = _geometry(model, y, gamma, const, banded or bool(profiled))
     Vi = np.repeat(first.w_star.T[None], S, axis=0)
     V0, V = 1.0 - Vi.sum(axis=1), np.ones((S, B))
     rel, rel2, tac, de, f_post = (np.zeros((S, B)) for _ in range(5))
@@ -606,7 +619,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     traded = np.ones((S, m, B), dtype=bool)  # band rows are set at each step
     next_t = np.full((S, B), np.inf)
     for k, rule in timed:
-        next_t[k] = _waits(rule, eps, y, first if k in profiled else None)
+        next_t[k] = eps**rule.alpha * _rule_A(rule, y, first if k in profiled else None)
     fric_rate, f_left = np.zeros(B), first.f_rate
     left = _last(first.mu), _last(first.sigma)  # at a chunk's first step
 
@@ -626,8 +639,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     for z, ys in _state_path(model, config.seed, lo, hi, config.antithetic, y, n_steps, dt, K):
         n = len(ys)  # steps in this chunk
         if p or geo is None:  # a state that never moves keeps its first chunk's geometry
-            geo = _geometry(model, ys.reshape(n * B, p), gamma,  # the chunk's states, step-major
-                            const and tuple(c[:n * B] for c in const), banded or bool(profiled))
+            geo = _geometry(model, ys.reshape(n * B, p), gamma, const, banded or bool(profiled))
             W = _last(geo.w_star).reshape(m, n, B)
             right = _last(geo.mu), _last(geo.sigma)
             HW = _halfwidths(geo, gamma, eps).T.reshape(m, n, B) if banded else None  # 0 at eps = 0
@@ -705,7 +717,8 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
                         r = rows[mine]
                         st = (MertonState(gamma, geo.w_star[r], geo.Sigma[r], geo.beta[r])
                               if k in profiled else None)
-                        _rows(next_t)[flat[mine]] += _waits(rule, eps, ys[j, bi[mine]], st)
+                        a = _rule_A(rule, ys[j, bi[mine]], st)
+                        _rows(next_t)[flat[mine]] += eps**rule.alpha * a
                 if n_rec:
                     dl = np.where(tm, u * keep[:, None] - w, 0.0)
                     for i in np.flatnonzero(bi < n_rec):

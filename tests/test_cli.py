@@ -196,6 +196,13 @@ def test_table_flags_failing_config_checks_are_input_errors(monkeypatch, capsys,
     assert message in capsys.readouterr().err
 
 
+def test_infinite_horizon_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "inf.yaml"
+    path.write_text(KO1D_CONFIG.replace("horizon: 1.0", "horizon: .inf"))
+    assert cli.main(["simulate", "--config", str(path)]) == 1
+    assert "horizon must be a whole number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["frequency", "simulate", "validate"])
 def test_config_flags_failing_config_checks_are_input_errors(tmp_path, capsys, command):
     assert cli.main([command, "--config", ko1d_config(tmp_path), "--seed", "-1"]) == 1

@@ -365,6 +365,9 @@ def test_rule_values_must_be_finite(bs1d, ko1d, bad):
         for rule in (constant, by_state):
             calls += [partial(total_cost, model, GAMMA, rule=rule, **kw),
                       partial(lemma_constants, model, GAMMA, rule, **kw)]
+    for rule, y in ((constant, NOSTATE), (by_state, np.array([[0.05]]))):
+        calls += [partial(rule.waiting_time, y, EPS),
+                  partial(schedule_trading_times, rule, EPS, 1.0, state_path=y)]
     cfg = SimulationConfig(horizon=0.1, dt=1.0 / 250.0, n_paths=4, epsilon=EPS, gamma=GAMMA)
     calls.append(partial(run_strategies, bs1d, cfg, [time_based(constant)]))
     for call in calls:
@@ -379,6 +382,49 @@ def test_grid_of_no_paths_rejected(ko1d):
         simulate_state_grid(ko1d, 0.1, 1.0 / 250.0, 0)
     with pytest.raises(ParameterError, match="n_paths must be >= 1"):
         total_cost(ko1d, GAMMA, horizon_T=0.1, n_paths=0, allow_flagged=True)
+
+
+@pytest.mark.parametrize("horizon, dt", [(0.0, 0.004), (-1.0, 0.004), (0.001, 0.004),
+                                         (1.001, 0.004), (np.nan, 0.004), (np.inf, 0.004),
+                                         (1.0, 0.0), (1.0, np.nan), (1.0, np.inf)])
+def test_horizon_must_be_whole_steps(bs1d, ko1d, horizon, dt):
+    from functools import partial
+
+    from rebalfreq import DiscretizationRule, simulate_state_grid
+    from rebalfreq.simulate import SimulationConfig
+
+    kw = dict(horizon_T=horizon, n_paths=4, dt=dt, allow_flagged=True)
+    calls = [partial(SimulationConfig, horizon, dt, 4, EPS, GAMMA)]
+    for model in (bs1d, ko1d):
+        calls += [partial(simulate_state_grid, model, horizon, dt, 2),
+                  partial(total_cost, model, GAMMA, **kw),
+                  partial(constant_rule, model, GAMMA, **kw),
+                  partial(lemma_constants, model, GAMMA, DiscretizationRule("constant", 1.0), **kw)]
+    for call in calls:
+        with pytest.raises(ParameterError, match="horizon must be a whole|dt must be positive"):
+            call()
+
+
+@pytest.mark.parametrize("market", ["ko1d", "ko2d"])
+def test_grid_reads_optimal_rule_off_its_geometry(market, request, monkeypatch):
+    # the grid reads the model's own A* off each chunk's geometry, as the engine does: the same
+    # bits as the profile called on the states, and no second geometry (merton_state) per chunk
+    from rebalfreq import DiscretizationRule, merton
+
+    model = request.getfixturevalue(market)
+    model = model if market == "ko1d" else model(0.6)
+    profile = optimal_rule(model, GAMMA, allow_flagged=True)
+    calls, merton_state = [], merton.merton_state
+    monkeypatch.setattr(merton, "merton_state", lambda *a: calls.append(a) or merton_state(*a))
+
+    def run(rule):
+        return (total_cost(model, GAMMA, rule=rule, **GRID_KW),
+                lemma_constants(model, GAMMA, rule, **GRID_KW))
+
+    read = run(profile)
+    assert not calls
+    assert run(DiscretizationRule("adaptive", lambda y: profile.A(y))) == read
+    assert calls
 
 
 def test_grid_costs_equal_per_state_formula(ko1d):
