@@ -574,7 +574,7 @@ def _reads_geometry(rule, model, gamma):
 
 def _rule_A(rule, y, st=None):
     """A time rule's ``A`` at the states ``y``, checked by :func:`_rule_values`: its constant, else
-    read off their geometry ``st`` if given (where :func:`_reads_geometry`), else ``A(y)``."""
+    ``A.of_state(st)`` given their geometry ``st`` (see :func:`_reads_geometry`), else ``A(y)``."""
     if callable(rule.A):
         return _rule_values(rule.A(y) if st is None else rule.A.of_state(st))
     return _rule_values(rule.A)
