@@ -37,9 +37,9 @@ import numpy as np
 
 from . import simulate
 from .errors import AssumptionError, ParameterError, RebalfreqError
-from .markets import _as_batch
-from .merton import (_AdaptiveProfile, _constant_block, _geometry, _rate_parts, l21_norm,
-                     merton_state)
+from .markets import _as_batch, _checked
+from .merton import (_AdaptiveProfile, _constant_block, _geometry, _optimal_A, _rate_parts,
+                     l21_norm, merton_state)
 
 
 ALPHA = 2.0 / 3.0
@@ -52,8 +52,8 @@ _GRID_PATHS = 2000
 class DiscretizationRule:
     """Waiting-time generator ``(y, eps) -> eps^alpha * A(y)``.
 
-    ``A`` is either a scalar (``kind="constant"``) or a batched callable of
-    the state (``kind="adaptive"``). ``alpha`` defaults to the optimal 2/3
+    ``A`` is either a scalar (``kind="constant"``) or a batched callable of the state
+    (``kind="adaptive"``), read by :meth:`A_at` alone. ``alpha`` defaults to the optimal 2/3
     and should only be changed by scaling diagnostics.
     """
 
@@ -61,13 +61,31 @@ class DiscretizationRule:
     A: Union[float, Callable[[np.ndarray], np.ndarray]]
     alpha: float = ALPHA
 
+    def reads(self, model, gamma):
+        """Whether ``A`` is ``model``'s own ``A*`` at ``gamma``, read off a formed geometry."""
+        A = self.A
+        return isinstance(A, _AdaptiveProfile) and A.model is model and A.gamma == gamma
+
+    def A_at(self, y, model=None, st=None, rows=None, parts=None):
+        """``A`` at the states ``y``, :class:`ParameterError` unless positive and finite:
+        ``model``'s own ``A*`` (:meth:`reads`) off the states' geometry ``st``, at its ``rows`` or
+        from the ``(N, D)`` formed there (:meth:`~rebalfreq.merton._AdaptiveProfile.off`); else
+        ``A(y)`` or the constant."""
+        if st is not None and self.reads(model, st.gamma):
+            return _checked("rule values", self.A.off(st, rows, parts))
+        return _checked("rule values", self.A(y) if callable(self.A) else self.A)
+
     def A_of(self, y):
-        """``A`` at the states ``y``; :class:`ParameterError` unless positive and finite."""
-        return simulate._rule_A(self, y)
+        """``A`` at the states ``y`` (:meth:`A_at`)."""
+        return self.A_at(y)
+
+    def wait_at(self, epsilon, y, model=None, st=None, rows=None):
+        """Time until the next rebalance, ``eps^alpha A`` in years, ``A`` by :meth:`A_at`."""
+        return epsilon**self.alpha * self.A_at(y, model, st, rows)
 
     def waiting_time(self, y, epsilon):
-        """Time until the next rebalance, in years, from the checked :meth:`A_of`."""
-        return epsilon**self.alpha * self.A_of(y)
+        """Time until the next rebalance at the states ``y``, in years (:meth:`wait_at`)."""
+        return self.wait_at(epsilon, y)
 
     def with_alpha(self, alpha):
         if not 0.0 < alpha < 2.0:
@@ -114,7 +132,7 @@ def optimal_rule(model, gamma, allow_flagged=False):
 def cost_breakdown(model, gamma, y, A=None, allow_flagged=False):
     """Leading-order cost rates at ``y`` under rule value ``A`` (default ``A*``)."""
     n, d = rate_parts(model, gamma, y, allow_flagged)
-    A = simulate._rule_values((n / d) ** (2.0 / 3.0) if A is None else A)
+    A = _checked("rule values", _optimal_A(n, d) if A is None else A)
     return CostBreakdown(tac_rate=n / np.sqrt(A), de_rate=0.5 * d * A)
 
 
@@ -152,8 +170,7 @@ class _RateGrid:
 
     def constant_rule(self):
         """Best state-independent rule: ``A = (E[int N dt] / E[int D dt])^(2/3)``."""
-        a = (_mean(self.n) / _mean(self.d)) ** (2.0 / 3.0)
-        return DiscretizationRule(kind="constant", A=float(a))
+        return DiscretizationRule("constant", float(_optimal_A(_mean(self.n), _mean(self.d))))
 
     def total_cost(self, rule=None):
         """Leading-order total cost of ``rule`` (``None``: pointwise optimal)."""
@@ -174,7 +191,7 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
     (:func:`rebalfreq.simulate._trapezoid`), as the engine sums the frictionless rate. A model
     whose evaluation raises a package error gets that error in place of its array. A
     state-dependent ``rule`` also has its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A`` read
-    by :func:`rebalfreq.simulate._rule_A`: a model's own ``A*`` off the chunk's geometry.
+    by :meth:`DiscretizationRule.A_at`: a model's own ``A*`` from the ``N`` and ``D`` just formed.
     """
     by_state = rule is not None and callable(rule.A)
     out = [np.zeros((6 if by_state else 4, hi - lo)) for _ in models]
@@ -185,8 +202,7 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
         n, d = _rate_parts(st, gamma, allow_flagged)
         parts = [n, d, st.f_rate, 1.5 * n ** (2.0 / 3.0) * d ** (1.0 / 3.0)]
         if by_state:
-            own = st if simulate._reads_geometry(rule, model, gamma) else None
-            a = np.broadcast_to(simulate._rule_A(rule, states, own), n.shape)
+            a = np.broadcast_to(rule.A_at(states, model, st, parts=(n, d)), n.shape)
             parts += [n / np.sqrt(a), d * a]
         return np.stack(parts)
 
@@ -225,6 +241,7 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
     :func:`rate_parts` does at any grid state.
     """
     simulate._n_steps(horizon_T, dt)  # also for a constant state, integrated as rate * horizon_T
+    _checked("gamma", gamma)
     models = model if isinstance(model, tuple) else (model,)
     if len(models) > 1:
         keys = {simulate._state_key(m, y0) for m in models}
@@ -316,12 +333,9 @@ def bs1d_closed_forms(mu, sigma, gamma, epsilon):
     time-based rule and of the optimal threshold (move-based) rule, and
     their universal ratio ``(12/pi)^(1/3)``.
     """
-    if gamma <= 0:
-        raise ParameterError("risk aversion must be positive")
-    if sigma <= 0:
-        raise ParameterError("volatility must be positive")
-    if epsilon <= 0:
-        raise ParameterError("cost rate must be positive")
+    for name, value, kind in (("mu", mu, ""), ("sigma", sigma, "positive"),
+                              ("gamma", gamma, "positive"), ("epsilon", epsilon, "positive")):
+        _checked(name, value, kind)
     w = mu / (gamma * sigma**2)
     if not 0.0 < w < 1.0:
         raise AssumptionError(f"target weight w*={w:.4g} outside (0, 1)")
@@ -347,10 +361,8 @@ def schedule_trading_times(rule, epsilon, horizon_T, state_path=None):
     constant rules. The sequence is strictly increasing, starts at 0, and is
     truncated before the first time ``>= T``.
     """
-    if epsilon <= 0:
-        raise ParameterError("cost rate must be positive")
-    if not 0 < horizon_T < np.inf:
-        raise ParameterError(f"horizon_T must be positive and finite, got {horizon_T}")
+    _checked("epsilon", epsilon)
+    _checked("horizon_T", horizon_T)
     if state_path is None and callable(rule.A):
         raise ParameterError("a state-dependent rule needs a state_path")
     if callable(state_path):

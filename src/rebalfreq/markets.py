@@ -87,6 +87,19 @@ def _cutoff_fast(y, y_min, y_max, xi, deriv=True):
     return value, slope
 
 
+def _checked(name, x, kind="positive"):
+    """``x`` as floats; :class:`ParameterError` naming ``name`` and its first value that is not
+    finite and of ``kind``: ``"positive"``, ``"nonnegative"`` or ``""`` (any sign)."""
+    a = np.asarray(x, dtype=float)
+    ok = np.isfinite(a)
+    if kind:
+        ok &= (a > 0) if kind == "positive" else (a >= 0)
+        kind += " and "
+    if not ok.all():
+        raise ParameterError(f"{name} must be {kind}finite, got {a[~ok].flat[0]}")
+    return a
+
+
 def _as_batch(y, p):
     """Normalise a state argument to shape (n, p); report whether it was batched."""
     arr = np.asarray(y, dtype=float)
@@ -227,12 +240,9 @@ class BlackScholesModel(_ConstantVolatility):
     """
 
     def __init__(self, mu, vol, correlation=None):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        vol = np.atleast_1d(np.asarray(vol, dtype=float))
+        mu, vol = np.atleast_1d(_checked("mu", mu, "")), np.atleast_1d(_checked("vol", vol))
         if mu.shape != vol.shape or mu.ndim != 1:
             raise ParameterError("mu and vol must be 1-D arrays of equal length")
-        if np.any(vol <= 0):
-            raise ParameterError("volatilities must be positive")
         self.m = len(mu)
         self.d = self.m
         self.p = 0
@@ -289,22 +299,16 @@ class TruncatedKimOmbergModel(_ConstantVolatility):
         cutoff_high=None,
         cutoff_width=None,
     ):
-        vol = np.atleast_1d(np.asarray(vol, dtype=float))
-        if np.any(vol <= 0):
-            raise ParameterError("volatilities must be positive")
-        if mean_reversion < 0:
-            raise ParameterError("mean_reversion must be >= 0")
-        if state_vol < 0:
-            raise ParameterError("state_vol must be >= 0")
+        vol = np.atleast_1d(_checked("vol", vol))
         if not -1.0 < state_correlation < 1.0:
             raise ParameterError("state_correlation must lie in (-1, 1)")
         self.m = len(vol)
         self.d = max(self.m, 2)
         self.p = 1
         self.vol = vol
-        self.mean_reversion = float(mean_reversion)
-        self.long_run_mean = float(long_run_mean)
-        self.state_vol = float(state_vol)
+        self.mean_reversion = float(_checked("mean_reversion", mean_reversion, "nonnegative"))
+        self.long_run_mean = float(_checked("long_run_mean", long_run_mean, ""))
+        self.state_vol = float(_checked("state_vol", state_vol, "nonnegative"))
         self.eta = float(state_correlation)
 
         self.correlation, chol = _validate_correlation(correlation, self.m)
@@ -335,12 +339,11 @@ class TruncatedKimOmbergModel(_ConstantVolatility):
                 else 0.05 * (np.max(np.atleast_1d(cutoff_high)) - np.min(np.atleast_1d(cutoff_low)))
             )
         self.cutoff_low, self.cutoff_high, self.cutoff_width = (
-            np.broadcast_to(np.asarray(v, dtype=float), (self.m,)).copy()
-            for v in (cutoff_low, cutoff_high, cutoff_width)
+            np.broadcast_to(_checked(name, v, kind), (self.m,)).copy() for name, v, kind in
+            (("cutoff_low", cutoff_low, ""), ("cutoff_high", cutoff_high, ""),
+             ("cutoff_width", cutoff_width, "positive"))
         )
         for lo, hi, xi in zip(self.cutoff_low, self.cutoff_high, self.cutoff_width):
-            if xi <= 0:
-                raise ParameterError("cutoff_width must be positive")
             if not lo + 2 * xi < hi:
                 raise ParameterError("cutoff bands overlap: need low + 2*width < high")
         margin = 10.0 * stat_sd if stat_sd > 0 else np.max(self.cutoff_width)

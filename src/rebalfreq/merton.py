@@ -24,9 +24,9 @@ result depends neither on its batch nor on the way it was evaluated.
 
 The optimal rule is read off this geometry too: ``N = sqrt(2/pi) ||beta||_{2,1}``
 and ``D = (gamma/2) tr(beta' Sigma beta)`` (:func:`_rate_parts`) give ``A* =
-(N/D)^(2/3)`` (:class:`_AdaptiveProfile`), at evaluated states or off the geometry the
-engine and the grid have formed (:func:`rebalfreq.simulate._rule_A`). They and the band
-widths refuse targets that short or leverage unless ``allow_flagged`` (:func:`_no_leverage`).
+(N/D)^(2/3)`` (:func:`_optimal_A`), at evaluated states or off a geometry the engine or the
+grid formed (:class:`_AdaptiveProfile`, read by :class:`~rebalfreq.frequency.DiscretizationRule`).
+They and the band widths refuse targets that short or leverage unless ``allow_flagged``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, DegenerateTargetError, ParameterError
-from .markets import _as_batch, _check_finite, evaluate_coefficients, jacobians
+from .errors import AssumptionError, DegenerateTargetError
+from .markets import _as_batch, _check_finite, _checked, evaluate_coefficients, jacobians
 
 
 class AssumptionWarning(UserWarning):
@@ -92,8 +92,8 @@ class MertonState:
     gamma``) in 1/years. ``mu`` and ``sigma`` are the model's coefficients at
     the state, which the engine's growth reads.
     ``assumption_ok`` is True where the weights neither short nor leverage
-    (each component in ``[0, 1)``, total in ``(0, 1]``). The engine's adaptive
-    waits give only the ``w_star``, ``Sigma`` and ``beta`` the rate parts read.
+    (each component in ``[0, 1)``, total in ``(0, 1]``). Rows that :meth:`_AdaptiveProfile.off`
+    takes of a geometry hold only the ``w_star``, ``Sigma`` and ``beta`` the rate parts read.
     """
 
     gamma: float
@@ -117,11 +117,10 @@ def merton_state(model, y, gamma):
     """Compute the frictionless target and its diffusion geometry at ``y``.
 
     ``y`` may be a single state of shape ``(p,)`` (or a scalar for ``p = 1``)
-    or a batch ``(n, p)``. Requires ``gamma > 0`` and a positive definite
+    or a batch ``(n, p)``. Requires a positive, finite ``gamma`` and a positive definite
     covariance at every evaluated state.
     """
-    if gamma <= 0:
-        raise ParameterError(f"risk aversion must be positive, got gamma={gamma}")
+    _checked("gamma", gamma)
     batch, batched = _as_batch(y, model.p)
     st = _geometry(model, batch, gamma, _constant_block(model, batch))
     return st if batched else MertonState(
@@ -207,6 +206,11 @@ def _rate_parts(st, gamma, allow_flagged):
     return _SQRT_2_PI * norm, 0.5 * gamma * quad
 
 
+def _optimal_A(n, d):
+    """The optimal rule ``A* = (N/D)^(2/3)`` from its rate parts."""
+    return (n / d) ** (2.0 / 3.0)
+
+
 @dataclass(frozen=True)
 class _AdaptiveProfile:
     """Picklable callable ``y -> A*(y)`` (lets rules cross process boundaries); :meth:`of_state`
@@ -217,8 +221,18 @@ class _AdaptiveProfile:
     allow_flagged: bool = False
 
     def of_state(self, st):
-        n, d = _rate_parts(st, self.gamma, self.allow_flagged)
-        return (n / d) ** (2.0 / 3.0)
+        return _optimal_A(*_rate_parts(st, self.gamma, self.allow_flagged))
+
+    def off(self, st, rows=None, parts=None):
+        """``A*`` off a geometry ``st`` of this model and gamma that a caller formed: at its
+        ``rows`` (all if ``None``), or from the rate parts ``(N, D)`` formed there, under this
+        profile's own no-leverage check."""
+        if parts is not None:
+            _no_leverage(st, self.allow_flagged)
+            return _optimal_A(*parts)
+        if rows is not None:
+            st = MertonState(self.gamma, st.w_star[rows], st.Sigma[rows], st.beta[rows])
+        return self.of_state(st)
 
     def __call__(self, y):
         return self.of_state(merton_state(self.model, y, self.gamma))

@@ -48,9 +48,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .markets import _check_finite
-from .merton import (MertonState, _constant_block, _fixed_sum, _geometry, _last, _no_leverage,
-                     merton_state)
+from .markets import _check_finite, _checked
+from .merton import _constant_block, _fixed_sum, _geometry, _last, _no_leverage, merton_state
 
 if TYPE_CHECKING:
     from .frequency import DiscretizationRule
@@ -59,8 +58,7 @@ if TYPE_CHECKING:
 def _n_steps(horizon, dt):
     """The number of ``dt`` steps in ``horizon``: :class:`ParameterError` unless ``dt`` is positive
     and finite and ``horizon`` a finite whole number of at least one step."""
-    if not 0 < dt < np.inf:
-        raise ParameterError(f"dt must be positive and finite, got {dt}")
+    _checked("dt", dt)
     ratio = horizon / dt
     if not (np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 and round(ratio) >= 1):
         raise ParameterError(f"horizon must be a whole number (>= 1) of dt steps, got {horizon}")
@@ -95,8 +93,7 @@ class SimulationConfig:
             raise ParameterError("epsilon must lie in [0, 0.5)")
         if self.n_paths < 1:
             raise ParameterError("n_paths must be >= 1")
-        if self.gamma <= 0:
-            raise ParameterError("gamma must be positive")
+        _checked("gamma", self.gamma)
         if self.antithetic and self.n_paths % 2:
             raise ParameterError("antithetic sampling requires an even n_paths")
         if self.seed < 0:
@@ -192,8 +189,7 @@ def pasted_halfwidths(model, y, gamma, epsilon, allow_flagged=False):
     Applies the univariate width formula asset by asset, using each asset's
     own row of ``beta`` and its marginal variance ``Sigma_ii``.
     """
-    if epsilon <= 0:
-        raise ParameterError("cost rate must be positive")
+    _checked("epsilon", epsilon)
     st = merton_state(model, y, gamma)
     _no_leverage(st, allow_flagged)
     return _halfwidths(st, gamma, epsilon)
@@ -218,8 +214,7 @@ def rebalance_solve(d, w_star, epsilon):
     u = np.atleast_1d(np.asarray(w_star, dtype=float))
     if d.shape != u.shape:
         raise ParameterError("d and w_star must have the same shape")
-    if epsilon < 0:
-        raise ParameterError("epsilon must be nonnegative")
+    _checked("epsilon", epsilon, "nonnegative")
     if epsilon == 0.0:
         return d.copy(), 0.0
     traded = np.ones((1, d.size), dtype=bool)
@@ -556,30 +551,6 @@ def _run_of(mask):
     return mask
 
 
-def _rule_values(a):
-    """A rule's values ``A`` as floats; :class:`ParameterError` naming the first that is not
-    positive and finite."""
-    a = np.asarray(a, dtype=float)
-    ok = (a > 0) & np.isfinite(a)
-    if not ok.all():
-        raise ParameterError(f"rule values must be positive and finite, got {a[~ok].flat[0]}")
-    return a
-
-
-def _reads_geometry(rule, model, gamma):
-    """Whether a time rule's ``A`` is ``model``'s own ``A*`` at ``gamma``
-    (:class:`~rebalfreq.merton._AdaptiveProfile`), which :func:`_rule_A` reads off a geometry."""
-    return hasattr(rule.A, "of_state") and rule.A.model is model and rule.A.gamma == gamma
-
-
-def _rule_A(rule, y, st=None):
-    """A time rule's ``A`` at the states ``y``, checked by :func:`_rule_values`: its constant, else
-    ``A.of_state(st)`` given their geometry ``st`` (see :func:`_reads_geometry`), else ``A(y)``."""
-    if callable(rule.A):
-        return _rule_values(rule.A(y) if st is None else rule.A.of_state(st))
-    return _rule_values(rule.A)
-
-
 def _run_block(model, config, strategies, lo, hi, record_upto):
     """Paths ``lo .. hi - 1`` of all ``S`` strategies on shared draws, as stacked
     ``(S, B)`` and ``(S, m, B)`` ledgers, paths last so that ufuncs and asset sums
@@ -602,16 +573,16 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     fric = np.array([s.kind == "frictionless" for s in strategies])
     rate = np.repeat(np.where(fric, 0.0, eps), B)
     timed = [(k, s.rule) for k, s in enumerate(strategies) if s.kind == "time"]
-    # time rules whose A* is read off the step's geometry; beta is formed only if read
-    profiled = {k for k, r in timed if _reads_geometry(r, model, gamma)}
     banded = is_band.any()
+    # beta is formed only if read: by the bands, or by a time rule's A* off the step's geometry
+    with_beta = banded or any(r.reads(model, gamma) for _, r in timed)
     edged = banded and eps > 0  # at eps = 0 the band edge is the target
     band, clock = _run_of(is_band), _run_of(np.array([s.kind == "time" for s in strategies]))
     fric_rows = np.repeat(fric[:, None], B, axis=1)
 
     y = np.tile(_default_y0(model, config.y0), (B, 1))
     const = _constant_block(model, y)
-    first = _geometry(model, y, gamma, const, banded or bool(profiled))
+    first = _geometry(model, y, gamma, const, with_beta)
     Vi = np.repeat(first.w_star.T[None], S, axis=0)
     V0, V = 1.0 - Vi.sum(axis=1), np.ones((S, B))
     rel, rel2, tac, de, f_post = (np.zeros((S, B)) for _ in range(5))
@@ -619,7 +590,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     traded = np.ones((S, m, B), dtype=bool)  # band rows are set at each step
     next_t = np.full((S, B), np.inf)
     for k, rule in timed:
-        next_t[k] = eps**rule.alpha * _rule_A(rule, y, first if k in profiled else None)
+        next_t[k] = rule.wait_at(eps, y, model, first)
     fric_rate, f_left = np.zeros(B), first.f_rate
     left = _last(first.mu), _last(first.sigma)  # at a chunk's first step
 
@@ -639,7 +610,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     for z, ys in _state_path(model, config.seed, lo, hi, config.antithetic, y, n_steps, dt, K):
         n = len(ys)  # steps in this chunk
         if p or geo is None:  # a state that never moves keeps its first chunk's geometry
-            geo = _geometry(model, ys.reshape(n * B, p), gamma, const, banded or bool(profiled))
+            geo = _geometry(model, ys.reshape(n * B, p), gamma, const, with_beta)
             W = _last(geo.w_star).reshape(m, n, B)
             right = _last(geo.mu), _last(geo.sigma)
             HW = _halfwidths(geo, gamma, eps).T.reshape(m, n, B) if banded else None  # 0 at eps = 0
@@ -712,13 +683,10 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
                 broke = flat[keep <= 0.0]  # the trade cost all the wealth: the path fails
                 if broke.size:
                     _rows(V0)[broke], Vi[broke // B, :, broke % B], _rows(V)[broke] = 0.0, 0.0, 0.0
-                for k, rule in timed:  # a profiled rule reads A* off the rows' w*, Sigma and beta
+                for k, rule in timed:  # at the traded rows of the chunk's geometry
                     if (mine := si == k).any():
-                        r = rows[mine]
-                        st = (MertonState(gamma, geo.w_star[r], geo.Sigma[r], geo.beta[r])
-                              if k in profiled else None)
-                        a = _rule_A(rule, ys[j, bi[mine]], st)
-                        _rows(next_t)[flat[mine]] += eps**rule.alpha * a
+                        _rows(next_t)[flat[mine]] += rule.wait_at(eps, ys[j, bi[mine]], model,
+                                                                  geo, rows[mine])
                 if n_rec:
                     dl = np.where(tm, u * keep[:, None] - w, 0.0)
                     for i in np.flatnonzero(bi < n_rec):

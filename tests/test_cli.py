@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from rebalfreq import cli, evaluate, simulate
+from rebalfreq import ParameterError, cli, evaluate, simulate
 
 KO1D_CONFIG = """\
 model:
@@ -201,6 +203,44 @@ def test_infinite_horizon_is_an_input_error(tmp_path, capsys):
     path.write_text(KO1D_CONFIG.replace("horizon: 1.0", "horizon: .inf"))
     assert cli.main(["simulate", "--config", str(path)]) == 1
     assert "horizon must be a whole number" in capsys.readouterr().err
+
+
+def _nonfinite_call(entry, bad, tmp_path):
+    """The name of the value that ``entry`` is given as ``bad``, and a call of ``entry``."""
+    from rebalfreq import (BlackScholesModel, SimulationConfig, bs1d_closed_forms, merton_state,
+                           pasted_halfwidths, rebalance_solve, total_cost)
+
+    bs1d = BlackScholesModel(mu=[0.08], vol=[0.16])
+    calls = {
+        "SimulationConfig": ("gamma", lambda: SimulationConfig(1.0, 0.004, 4, 0.01, bad)),
+        "merton_state": ("gamma", lambda: merton_state(bs1d, np.zeros(0), bad)),
+        "total_cost": ("gamma", lambda: total_cost(bs1d, bad, horizon_T=1.0)),
+        "bs1d_closed_forms": ("epsilon", lambda: bs1d_closed_forms(0.08, 0.16, 5.0, bad)),
+        "pasted_halfwidths": ("epsilon", lambda: pasted_halfwidths(bs1d, np.zeros(0), 5.0, bad)),
+        "rebalance_solve": ("epsilon", lambda: rebalance_solve([0.1], [0.5], bad)),
+    }
+    if entry in calls:
+        return calls[entry]
+    path = tmp_path / "bad.yaml"
+    path.write_text(KO1D_CONFIG.replace("gamma: 5.0", f"gamma: {'.nan' if bad != bad else '.inf'}"))
+    return "simulation.gamma", lambda: cli.main([entry, "--config", str(path)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", ["SimulationConfig", "merton_state", "total_cost",
+                                   "bs1d_closed_forms", "pasted_halfwidths", "rebalance_solve",
+                                   "frequency", "simulate"])
+def test_nonfinite_gamma_and_cost_rate_rejected(tmp_path, capsys, entry, bad):
+    # a parameter error naming the value, where NaN results or a rule-value error came out;
+    # from a config file an input error (exit 1) at the key
+    name, call = _nonfinite_call(entry, bad, tmp_path)
+    message = f"{name} must be (positive|nonnegative) and finite, got {bad}"
+    if name.startswith("simulation."):
+        assert call() == 1
+        assert re.search(message, capsys.readouterr().err)
+    else:
+        with pytest.raises(ParameterError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("command", ["frequency", "simulate", "validate"])

@@ -290,6 +290,33 @@ def test_ko_parameter_errors():
         TruncatedKimOmbergModel(vol=[0.1], **{**KO_PARAMS, "state_vol": 0.0})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("black_scholes", "mu", [NAN]), ("black_scholes", "vol", [NAN]),
+    ("black_scholes", "vol", [INF]), ("kim_omberg", "vol", [INF]),
+    ("kim_omberg", "mean_reversion", NAN), ("kim_omberg", "mean_reversion", INF),
+    ("kim_omberg", "state_vol", NAN), ("kim_omberg", "long_run_mean", NAN),
+    ("kim_omberg", "cutoff_low", NAN), ("kim_omberg", "cutoff_width", INF),
+])
+def test_nonfinite_model_parameters_rejected(kind, key, value):
+    # at construction, naming the parameter, where a later check misnamed the fault (a
+    # deterministic state, overlapping cutoff bands) or a run failed on its coefficients
+    if kind == "black_scholes":
+        params = {"mu": [0.08], "vol": [0.16], key: value}
+        build = BlackScholesModel
+    else:
+        params = {"vol": [0.1428], **KO_PARAMS, key: value}
+        if key == "cutoff_low":  # read only beside an explicit cutoff_high
+            params["cutoff_high"] = 0.2
+        build = TruncatedKimOmbergModel
+    shown = value[0] if isinstance(value, list) else value
+    for call in (lambda: build(**params), lambda: model_from_config({"kind": kind, **params})):
+        with pytest.raises(ParameterError, match=rf"^{key} must be .*finite, got {shown}$"):
+            call()
+
+
 def test_model_from_config_black_scholes():
     m = model_from_config({"kind": "black_scholes", "mu": [0.08], "vol": [0.16]})
     assert isinstance(m, BlackScholesModel)

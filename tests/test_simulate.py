@@ -598,7 +598,8 @@ def test_rate_parts_equal_einsum_reference():
     # beta is now a view of a paths-last array, and einsum's loop order may follow its
     # operands' layout: N, D and A* are held to the einsum form on a contiguous beta (the
     # einsum geometry's value in the full batch) and Sigma as merton_state forms it, for
-    # a batch, for one state, and for rows taken from the engine's step geometry
+    # a batch, for one state, and for rows taken from the engine's step geometry, by hand or
+    # by the profile's reader (off), which also takes rate parts formed elsewhere
     rng = np.random.default_rng(6)
     n = 64
     for model in _geometry_models():
@@ -615,6 +616,8 @@ def test_rate_parts_equal_einsum_reference():
                 np.testing.assert_array_equal(got[1], d_ref)
             np.testing.assert_array_equal(rule(y[idx]), a_ref)
             np.testing.assert_array_equal(rule.of_state(rows), a_ref)
+            np.testing.assert_array_equal(rule.off(step, idx), a_ref)
+            np.testing.assert_array_equal(rule.off(rows, parts=(n_ref, d_ref)), a_ref)
 
 
 def test_reflect_at_support_box():
