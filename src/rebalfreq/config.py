@@ -133,9 +133,7 @@ def load_config(path):
                 raise TypeError(f"simulation.{key} must be {kind.__name__}, got {value!r}")
         sim = SimulationConfig(**{k: _SIM_TYPES[k](v) for k, v in sim_raw.items()})
     except (TypeError, ValueError) as exc:
-        key = str(exc).split(" ", 1)[0]  # a check that names its key gets the key's location
-        where = "simulation." if key in sim_raw else ""
-        raise InputError(f"invalid simulation settings: {where}{exc}") from exc
+        raise InputError(f"invalid simulation settings: {exc}") from exc
     if sim.y0 is not None:
         try:
             _default_y0(model, sim.y0)

@@ -53,7 +53,7 @@ class DiscretizationRule:
     """Waiting-time generator ``(y, eps) -> eps^alpha * A(y)``.
 
     ``A`` is either a scalar (``kind="constant"``) or a batched callable of the state
-    (``kind="adaptive"``), read by :meth:`A_at` alone. ``alpha`` defaults to the optimal 2/3
+    (``kind="adaptive"``), read by :meth:`A_of` alone. ``alpha`` defaults to the optimal 2/3
     and should only be changed by scaling diagnostics.
     """
 
@@ -66,26 +66,19 @@ class DiscretizationRule:
         A = self.A
         return isinstance(A, _AdaptiveProfile) and A.model is model and A.gamma == gamma
 
-    def A_at(self, y, model=None, st=None, rows=None, parts=None):
-        """``A`` at the states ``y``, :class:`ParameterError` unless positive and finite:
-        ``model``'s own ``A*`` (:meth:`reads`) off the states' geometry ``st``, at its ``rows`` or
-        from the ``(N, D)`` formed there (:meth:`~rebalfreq.merton._AdaptiveProfile.off`); else
-        ``A(y)`` or the constant."""
+    def A_of(self, y, *, model=None, st=None, rows=None, parts=None):
+        """``A`` at the states ``y``; :class:`ParameterError` unless positive and finite. Given
+        the states' geometry ``st`` and a rule that :meth:`reads` ``model``'s own ``A*``, it is read
+        off ``st``, at its ``rows`` or from the ``(N, D)`` formed there
+        (:meth:`~rebalfreq.merton._AdaptiveProfile.off`); else it is ``A(y)`` or the constant."""
         if st is not None and self.reads(model, st.gamma):
             return _checked("rule values", self.A.off(st, rows, parts))
         return _checked("rule values", self.A(y) if callable(self.A) else self.A)
 
-    def A_of(self, y):
-        """``A`` at the states ``y`` (:meth:`A_at`)."""
-        return self.A_at(y)
-
-    def wait_at(self, epsilon, y, model=None, st=None, rows=None):
-        """Time until the next rebalance, ``eps^alpha A`` in years, ``A`` by :meth:`A_at`."""
-        return epsilon**self.alpha * self.A_at(y, model, st, rows)
-
-    def waiting_time(self, y, epsilon):
-        """Time until the next rebalance at the states ``y``, in years (:meth:`wait_at`)."""
-        return self.wait_at(epsilon, y)
+    def waiting_time(self, y, epsilon, *, model=None, st=None, rows=None):
+        """Time until the next rebalance at the states ``y``, ``eps^alpha A`` in years, with ``A``
+        from :meth:`A_of` (which takes the same geometry arguments)."""
+        return epsilon**self.alpha * self.A_of(y, model=model, st=st, rows=rows)
 
     def with_alpha(self, alpha):
         if not 0.0 < alpha < 2.0:
@@ -191,7 +184,7 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
     (:func:`rebalfreq.simulate._trapezoid`), as the engine sums the frictionless rate. A model
     whose evaluation raises a package error gets that error in place of its array. A
     state-dependent ``rule`` also has its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A`` read
-    by :meth:`DiscretizationRule.A_at`: a model's own ``A*`` from the ``N`` and ``D`` just formed.
+    by :meth:`DiscretizationRule.A_of`: a model's own ``A*`` from the ``N`` and ``D`` just formed.
     """
     by_state = rule is not None and callable(rule.A)
     out = [np.zeros((6 if by_state else 4, hi - lo)) for _ in models]
@@ -202,7 +195,7 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
         n, d = _rate_parts(st, gamma, allow_flagged)
         parts = [n, d, st.f_rate, 1.5 * n ** (2.0 / 3.0) * d ** (1.0 / 3.0)]
         if by_state:
-            a = np.broadcast_to(rule.A_at(states, model, st, parts=(n, d)), n.shape)
+            a = np.broadcast_to(rule.A_of(states, model=model, st=st, parts=(n, d)), n.shape)
             parts += [n / np.sqrt(a), d * a]
         return np.stack(parts)
 

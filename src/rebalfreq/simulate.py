@@ -590,7 +590,7 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     traded = np.ones((S, m, B), dtype=bool)  # band rows are set at each step
     next_t = np.full((S, B), np.inf)
     for k, rule in timed:
-        next_t[k] = rule.wait_at(eps, y, model, first)
+        next_t[k] = rule.waiting_time(y, eps, model=model, st=first)
     fric_rate, f_left = np.zeros(B), first.f_rate
     left = _last(first.mu), _last(first.sigma)  # at a chunk's first step
 
@@ -685,8 +685,8 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
                     _rows(V0)[broke], Vi[broke // B, :, broke % B], _rows(V)[broke] = 0.0, 0.0, 0.0
                 for k, rule in timed:  # at the traded rows of the chunk's geometry
                     if (mine := si == k).any():
-                        _rows(next_t)[flat[mine]] += rule.wait_at(eps, ys[j, bi[mine]], model,
-                                                                  geo, rows[mine])
+                        _rows(next_t)[flat[mine]] += rule.waiting_time(
+                            ys[j, bi[mine]], eps, model=model, st=geo, rows=rows[mine])
                 if n_rec:
                     dl = np.where(tm, u * keep[:, None] - w, 0.0)
                     for i in np.flatnonzero(bi < n_rec):

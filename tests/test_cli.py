@@ -223,7 +223,7 @@ def _nonfinite_call(entry, bad, tmp_path):
         return calls[entry]
     path = tmp_path / "bad.yaml"
     path.write_text(KO1D_CONFIG.replace("gamma: 5.0", f"gamma: {'.nan' if bad != bad else '.inf'}"))
-    return "simulation.gamma", lambda: cli.main([entry, "--config", str(path)])
+    return "invalid simulation settings: gamma", lambda: cli.main([entry, "--config", str(path)])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -232,10 +232,10 @@ def _nonfinite_call(entry, bad, tmp_path):
                                    "frequency", "simulate"])
 def test_nonfinite_gamma_and_cost_rate_rejected(tmp_path, capsys, entry, bad):
     # a parameter error naming the value, where NaN results or a rule-value error came out;
-    # from a config file an input error (exit 1) at the key
+    # from a config file an input error (exit 1) naming the section and the key
     name, call = _nonfinite_call(entry, bad, tmp_path)
     message = f"{name} must be (positive|nonnegative) and finite, got {bad}"
-    if name.startswith("simulation."):
+    if name.startswith("invalid simulation settings"):
         assert call() == 1
         assert re.search(message, capsys.readouterr().err)
     else:

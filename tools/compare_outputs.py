@@ -13,10 +13,11 @@ In each checkout it runs, with ``PYTHONPATH`` set to the checkout's ``src``:
 * ``frequency``, ``tc``, ``validate`` and ``simulate --paths 64 --dump-paths 6`` on the
   checkout's ``perfbench/configs/ko2d_engine.yaml``.
 
-Each command writes its CSV with ``--out`` into a scratch directory per checkout (kept
-under ``--keep DIR`` if given, else removed). The script prints one line per output file,
-``identical`` or ``DIFFERENT`` (or ``missing`` on one side), and one line for each command
-that exited non-zero. It exits 1 on any difference, missing file or failed command, else 0.
+Each command writes its CSV with ``--out`` into a temporary directory, one per checkout. The
+script prints one line per output file, ``identical`` or ``DIFFERENT`` (or ``missing`` on one
+side), and one line for each command that exited non-zero. It exits 1 on any difference,
+missing file or failed command, and then keeps the outputs and prints where they are; else it
+removes them and exits 0.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -81,18 +83,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="the checkout to compare against")
     parser.add_argument("change", help="the checkout with the change")
-    parser.add_argument("--keep", default=None, metavar="DIR",
-                        help="write the outputs under DIR/parent and DIR/change and keep them")
     args = parser.parse_args(argv)
     for checkout in (args.parent, args.change):
         if not os.path.isfile(os.path.join(checkout, CONFIG)):
             parser.error(f"{checkout} is not a checkout of this repository (no {CONFIG})")
-    if args.keep:
-        problems = compare(args.parent, args.change, args.keep)
-    else:
-        with tempfile.TemporaryDirectory() as work:
-            problems = compare(args.parent, args.change, work)
-    return 1 if problems else 0
+    work = tempfile.mkdtemp(prefix="compare_outputs_")
+    if compare(args.parent, args.change, work):
+        print(f"outputs kept in {work}")
+        return 1
+    shutil.rmtree(work)
+    return 0
 
 
 if __name__ == "__main__":
