@@ -67,9 +67,7 @@ def _rate_grid_of(run, y0):
 
 
 def cmd_frequency(args):
-    run = load_config(args.config)
-    sim = _apply_overrides(run, args)
-    y0 = _default_y0(run.model, sim.y0)
+    run, sim, y0 = _load_run(args)
     rule = optimal_rule(run.model, sim.gamma, allow_flagged=sim.allow_flagged)
     a_star = float(np.asarray(rule.A_of(y0)))
     wait = float(rule.waiting_time(y0, sim.epsilon))
@@ -95,9 +93,7 @@ def cmd_frequency(args):
 
 
 def cmd_tc(args):
-    run = load_config(args.config)
-    sim = _apply_overrides(run, args)
-    y0 = _default_y0(run.model, sim.y0)
+    run, sim, y0 = _load_run(args)
     grid = _rate_grid_of(run, y0)
     tc_opt, tc_const = grid.total_cost(), grid.total_cost(grid.constant_rule())
     parts = cost_breakdown(run.model, sim.gamma, y0, allow_flagged=sim.allow_flagged)
@@ -132,15 +128,16 @@ def _given_flags(args, base, min_paths=1):
     return kw
 
 
-def _apply_overrides(run, args):
-    """Apply the given run flags to ``run.simulation`` and return it."""
+def _load_run(args):
+    """``(run, run.simulation, start state)`` of the ``--config`` run, its simulation settings
+    replaced by the run flags given (:func:`_given_flags`)."""
+    run = load_config(args.config)
     run.simulation = dataclasses.replace(run.simulation, **_given_flags(args, run.simulation))
-    return run.simulation
+    return run, run.simulation, _default_y0(run.model, run.simulation.y0)
 
 
 def cmd_simulate(args):
-    run = load_config(args.config)
-    sim = _apply_overrides(run, args)
+    run, sim, _ = _load_run(args)
     k, out_path = args.dump_paths, args.out or run.output
     if not 0 <= k <= sim.n_paths:
         raise InputError(f"--dump-paths must lie in [0, {sim.n_paths}], the run's path count")
@@ -187,10 +184,8 @@ def cmd_figure(args):
 
 
 def cmd_validate(args):
-    run = load_config(args.config)
-    sim = _apply_overrides(run, args)
+    run, sim, y0 = _load_run(args)
     model = run.model
-    y0 = _default_y0(run.model, sim.y0)
     lines = ["check,value,status"]
 
     states = _sample_states(run)

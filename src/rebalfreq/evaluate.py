@@ -362,20 +362,6 @@ STRATEGIES = {
 }
 
 
-def _build_strategy(name, model, config, constant):
-    """The strategy a table names (:data:`STRATEGIES`)."""
-    if STRATEGIES.get(name) is None:
-        raise InputError(f"unknown strategy name {name!r}")
-    return STRATEGIES[name](model, config, constant)
-
-
-def _analytic_frictionless(model, gamma):
-    """Exact frictionless rate for constant-coefficient models, else None."""
-    if model.p == 0:
-        return float(merton_state(model, np.zeros(0), gamma).f_rate)
-    return None
-
-
 # Errors that mean a prediction's formula does not apply to the cell, which
 # is then left blank; any other error is a fault and propagates.
 _NOT_APPLICABLE = (AssumptionError, DegenerateTargetError, DomainError, DegenerateCovarianceError)
@@ -421,7 +407,8 @@ def _cell_predictions(model, config, names, grid):
     does not apply; the constant rule is ``None`` only when ``time_constant`` is not
     among ``names``.
     """
-    fr = _analytic_frictionless(model, config.gamma)
+    # the exact frictionless rate of a constant-coefficient model, else None
+    fr = float(merton_state(model, np.zeros(0), config.gamma).f_rate) if model.p == 0 else None
     eps23 = config.epsilon ** (2.0 / 3.0)
     preds = {"frictionless": fr}
     rule = None
@@ -438,12 +425,8 @@ def _cell_predictions(model, config, names, grid):
                 preds[name] = base - eps23 * cost / config.horizon
     if "move" in names and model.p == 0 and model.m == 1 and config.epsilon > 0:
         try:
-            forms = bs1d_closed_forms(
-                float(model.mu(np.zeros(0))[0, 0]),
-                float(model.vol[0]),
-                config.gamma,
-                config.epsilon,
-            )
+            forms = bs1d_closed_forms(float(model.mu(np.zeros(0))[0, 0]), float(model.vol[0]),
+                                      config.gamma, config.epsilon)
             preds["move"] = fr - forms.move_based_loss_rate
         except _NOT_APPLICABLE:
             pass
@@ -453,11 +436,10 @@ def _cell_predictions(model, config, names, grid):
 def _cell_reports(model, config, names, suffix, rule, predictions, pool, record_paths=0):
     """The report rows of one cell, and its records, from its ``time_constant`` rule and
     predictions; the Monte Carlo blocks run on ``pool``."""
-    sims = [
-        _build_strategy(n, model, config, rule)
-        for n in names
-        if n != "frictionless"
-    ] or [frictionless_benchmark()]
+    if unknown := [n for n in names if n not in STRATEGIES]:
+        raise InputError(f"unknown strategy name {unknown[0]!r}")
+    sims = [STRATEGIES[n](model, config, rule) for n in names if n != "frictionless"]
+    sims = sims or [frictionless_benchmark()]
     outcomes, records = run_strategies(model, config, sims, record_paths, pool=pool)
     sample = outcomes[sims[0].label]
     fr_analytic = predictions["frictionless"]

@@ -29,7 +29,7 @@ process; its frictionless integral is the simulator's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Union
 
@@ -53,13 +53,17 @@ class DiscretizationRule:
     """Waiting-time generator ``(y, eps) -> eps^alpha * A(y)``.
 
     ``A`` is either a scalar (``kind="constant"``) or a batched callable of the state
-    (``kind="adaptive"``), read by :meth:`A_of` alone. ``alpha`` defaults to the optimal 2/3
-    and should only be changed by scaling diagnostics.
+    (``kind="adaptive"``), read by :meth:`A_of` alone. ``alpha``, in ``(0, 2)``, defaults to the
+    optimal 2/3 and should only be changed by scaling diagnostics.
     """
 
     kind: str
     A: Union[float, Callable[[np.ndarray], np.ndarray]]
     alpha: float = ALPHA
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 2.0:
+            raise ParameterError(f"waiting-time exponent must lie in (0, 2), got {self.alpha}")
 
     def reads(self, model, gamma):
         """Whether ``A`` is ``model``'s own ``A*`` at ``gamma``, read off a formed geometry."""
@@ -77,13 +81,13 @@ class DiscretizationRule:
 
     def waiting_time(self, y, epsilon, *, model=None, st=None, rows=None):
         """Time until the next rebalance at the states ``y``, ``eps^alpha A`` in years, with ``A``
-        from :meth:`A_of` (which takes the same geometry arguments)."""
+        from :meth:`A_of` (which takes the same geometry arguments); :class:`ParameterError`
+        unless ``epsilon`` is nonnegative and finite."""
+        _checked("epsilon", epsilon, "nonnegative")
         return epsilon**self.alpha * self.A_of(y, model=model, st=st, rows=rows)
 
     def with_alpha(self, alpha):
-        if not 0.0 < alpha < 2.0:
-            raise ParameterError("waiting-time exponent must lie in (0, 2)")
-        return DiscretizationRule(self.kind, self.A, alpha)
+        return replace(self, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -129,10 +133,6 @@ def cost_breakdown(model, gamma, y, A=None, allow_flagged=False):
     return CostBreakdown(tac_rate=n / np.sqrt(A), de_rate=0.5 * d * A)
 
 
-def _mean(per_path):
-    return float(per_path.mean())
-
-
 @dataclass(frozen=True)
 class _RateGrid:
     """Per-path integrals over ``[0, T]`` on a state grid, each ``(n_paths,)``.
@@ -157,18 +157,19 @@ class _RateGrid:
         if callable(rule.A):
             if rule is not self.rule:
                 raise ParameterError("the grid holds no integrals of this state-dependent rule")
-            return _mean(self.tac), _mean(self.da)
+            return float(self.tac.mean()), float(self.da.mean())
         a = float(rule.A_of(None))
-        return _mean(self.n) / np.sqrt(a), a * _mean(self.d)
+        return float(self.n.mean()) / np.sqrt(a), a * float(self.d.mean())
 
     def constant_rule(self):
         """Best state-independent rule: ``A = (E[int N dt] / E[int D dt])^(2/3)``."""
-        return DiscretizationRule("constant", float(_optimal_A(_mean(self.n), _mean(self.d))))
+        n, d = float(self.n.mean()), float(self.d.mean())
+        return DiscretizationRule("constant", _optimal_A(n, d))
 
     def total_cost(self, rule=None):
         """Leading-order total cost of ``rule`` (``None``: pointwise optimal)."""
         if rule is None:
-            return _mean(self.opt)
+            return float(self.opt.mean())
         tac, da = self.rule_integrals(rule)
         return 0.5 * da + tac
 

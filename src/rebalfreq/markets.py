@@ -284,7 +284,8 @@ class TruncatedKimOmbergModel(_ConstantVolatility):
     that keeps the truncation far enough out not to distort moments near the
     mean while bounding all coefficients. Pass explicit ``cutoff_low`` /
     ``cutoff_high`` / ``cutoff_width`` (scalars or per-asset arrays) to
-    control the bands, e.g. to enforce weights in (0, 1).
+    control the bands, e.g. to enforce weights in (0, 1); a level not given
+    keeps its default.
     """
 
     def __init__(
@@ -324,14 +325,13 @@ class TruncatedKimOmbergModel(_ConstantVolatility):
             if self.mean_reversion > 0 and self.state_vol > 0
             else 0.0
         )
-        if cutoff_low is None or cutoff_high is None:
-            if stat_sd == 0.0:
-                raise ParameterError(
-                    "explicit cutoff levels are required when the state is "
-                    "deterministic (state_vol == 0 or mean_reversion == 0)"
-                )
-            cutoff_low = self.long_run_mean - 4.0 * stat_sd
-            cutoff_high = self.long_run_mean + 4.0 * stat_sd
+        if (cutoff_low is None or cutoff_high is None) and stat_sd == 0.0:
+            raise ParameterError(
+                "explicit cutoff levels are required when the state is "
+                "deterministic (state_vol == 0 or mean_reversion == 0)"
+            )
+        cutoff_low = self.long_run_mean - 4.0 * stat_sd if cutoff_low is None else cutoff_low
+        cutoff_high = self.long_run_mean + 4.0 * stat_sd if cutoff_high is None else cutoff_high
         if cutoff_width is None:
             cutoff_width = (
                 0.5 * stat_sd

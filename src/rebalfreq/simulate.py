@@ -527,11 +527,6 @@ class PathRecords:
 # the engine
 # ---------------------------------------------------------------------------
 
-def _rows(a):
-    """Flat-row view ``(S * B,)`` of a C-contiguous ``(S, B)`` ledger array."""
-    return a.reshape(-1)
-
-
 def _quad_form(x, Sigma):
     """``x' Sigma x`` for ``x`` ``(..., m, n)`` and ``Sigma`` ``(n, m, m)``, paths last.
 
@@ -670,22 +665,23 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
                 cost = row_rate * sz
                 keep = 1.0 - cost
                 w_post = np.where(tm, u, w / keep[:, None])
-                v_new = _rows(V)[flat] * keep
-                _rows(rel)[flat] -= cost
-                _rows(rel2)[flat] += cost * cost
-                _rows(tac)[flat] += cost
-                _rows(n_trades)[flat] += 1
+                v_new = V.reshape(-1)[flat] * keep
+                rel.reshape(-1)[flat] -= cost
+                rel2.reshape(-1)[flat] += cost * cost
+                tac.reshape(-1)[flat] += cost
+                n_trades.reshape(-1)[flat] += 1
                 Vi[si, :, bi] = w_post * v_new[:, None]
-                _rows(V0)[flat] = v_new * (1.0 - w_post.sum(axis=1))
-                _rows(V)[flat] = v_new
+                V0.reshape(-1)[flat] = v_new * (1.0 - w_post.sum(axis=1))
+                V.reshape(-1)[flat] = v_new
                 gap = (w_star - w_post).T  # a constant Sigma is read as its broadcast column
-                _rows(f_post)[flat] = _quad_form(gap, Sigma if const else Sigma[bi])
+                f_post.reshape(-1)[flat] = _quad_form(gap, Sigma if const else Sigma[bi])
                 broke = flat[keep <= 0.0]  # the trade cost all the wealth: the path fails
                 if broke.size:
-                    _rows(V0)[broke], Vi[broke // B, :, broke % B], _rows(V)[broke] = 0.0, 0.0, 0.0
+                    V0.reshape(-1)[broke] = V.reshape(-1)[broke] = 0.0
+                    Vi[broke // B, :, broke % B] = 0.0
                 for k, rule in timed:  # at the traded rows of the chunk's geometry
                     if (mine := si == k).any():
-                        _rows(next_t)[flat[mine]] += rule.waiting_time(
+                        next_t.reshape(-1)[flat[mine]] += rule.waiting_time(
                             ys[j, bi[mine]], eps, model=model, st=geo, rows=rows[mine])
                 if n_rec:
                     dl = np.where(tm, u * keep[:, None] - w, 0.0)

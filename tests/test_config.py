@@ -54,6 +54,12 @@ def test_model_keys_of_each_kind_accepted(tmp_path):
     assert ko.model.p == 1
 
 
+def test_lone_cutoff_level_kept(tmp_path):
+    default = load_config(write_config(tmp_path, "kim_omberg")).model
+    model = load_config(write_config(tmp_path, "kim_omberg", "  cutoff_low: 0.0\n")).model
+    assert model.cutoff_low[0] == 0.0 and model.cutoff_high[0] == default.cutoff_high[0]
+
+
 def test_omitted_simulation_keys_take_config_defaults(tmp_path):
     sim = load_config(write_config(tmp_path)).simulation
     expected = SimulationConfig(horizon=1.0, dt=0.004, n_paths=8, epsilon=0.01, gamma=5.0)

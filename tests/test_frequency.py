@@ -375,6 +375,25 @@ def test_rule_values_must_be_finite(bs1d, ko1d, bad):
             call()
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+def test_waiting_time_checks_epsilon(bs1d, eps):
+    with pytest.raises(ParameterError, match=f"epsilon must be nonnegative and finite, got {eps}"):
+        optimal_rule(bs1d, GAMMA).waiting_time(NOSTATE, eps)
+    assert optimal_rule(bs1d, GAMMA).waiting_time(NOSTATE, 0.0) == 0.0  # the engine's eps = 0
+
+
+@pytest.mark.parametrize("alpha", [5.0, 2.0, 0.0, -1.0, float("nan")])
+def test_waiting_time_exponent_checked(alpha):
+    from rebalfreq import DiscretizationRule
+
+    with pytest.raises(ParameterError, match=f"exponent must lie in \\(0, 2\\), got {alpha}"):
+        DiscretizationRule("constant", 1.0, alpha=alpha)
+    with pytest.raises(ParameterError, match="exponent must lie in"):
+        DiscretizationRule("constant", 1.0).with_alpha(alpha)
+    assert DiscretizationRule("constant", 1.0).with_alpha(1.5) == DiscretizationRule(
+        "constant", 1.0, 1.5)
+
+
 def test_grid_of_no_paths_rejected(ko1d):
     from rebalfreq import simulate_state_grid
 

@@ -279,6 +279,17 @@ def test_ko_cutoff_defaults(ko1d):
     assert ko1d.support[0, 0] == pytest.approx(ko1d.cutoff_low[0] - 10 * sd)
 
 
+def test_ko_lone_cutoff_level_kept(ko1d):
+    # a level given alone stands, and the other takes its default, four SDs from the mean
+    low = TruncatedKimOmbergModel(vol=[0.1428], cutoff_low=0.0, **KO_PARAMS)
+    assert low.cutoff_low[0] == 0.0 and low.cutoff_high[0] == ko1d.cutoff_high[0]
+    high = TruncatedKimOmbergModel(vol=[0.1428], cutoff_high=0.2, **KO_PARAMS)
+    assert high.cutoff_high[0] == 0.2 and high.cutoff_low[0] == ko1d.cutoff_low[0]
+    for lone in ({"cutoff_low": 0.0}, {"cutoff_high": 0.2}):  # no default without a spread
+        with pytest.raises(ParameterError, match="explicit cutoff levels"):
+            TruncatedKimOmbergModel(vol=[0.1428], **lone, **{**KO_PARAMS, "state_vol": 0.0})
+
+
 def test_ko_parameter_errors():
     with pytest.raises(ParameterError):
         TruncatedKimOmbergModel(vol=[0.1], cutoff_width=0.0, cutoff_low=0.0,

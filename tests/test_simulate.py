@@ -899,18 +899,25 @@ def _same_bits(a, b):
 
 
 def test_strategy_bits_independent_of_companions(ko1d, ko2d, monkeypatch):
+    def band_first(band, rule):  # each kind's rows form one run: `_run_of` slices them
+        return [band, time_based(rule, label="time"), buy_and_hold(), frictionless_benchmark()]
+
+    def band_between(band, rule):  # the time rows form no run: `_run_of` selects them by mask
+        return [time_based(rule, label="time"), band,
+                time_based(DiscretizationRule("constant", 0.4), label="time_constant"),
+                buy_and_hold(), frictionless_benchmark()]
+
     cases = [
-        (ko1d, [move_based()]),
-        (ko2d(0.6), [pasted_move_based()]),
+        (ko1d, move_based(), band_first),
+        (ko2d(0.6), pasted_move_based(), band_first),
+        (ko2d(0.6), pasted_move_based(), band_between),
     ]
     monkeypatch.setattr(simulate, "_BLOCK", 32)
     for eps in (0.01, 0.0):
-        for model, bands in cases:
+        for model, band, order in cases:
             cfg = small_config(horizon=1.0, n_paths=64, epsilon=eps, antithetic=True,
                                allow_flagged=True)
-            rule = optimal_rule(model, GAMMA, allow_flagged=True)
-            strategies = bands + [time_based(rule, label="time"), buy_and_hold(),
-                                  frictionless_benchmark()]
+            strategies = order(band, optimal_rule(model, GAMMA, allow_flagged=True))
             together, rec = run_strategies(model, cfg, strategies, record_paths=40)
             for s in strategies:
                 alone, rec1 = run_strategies(model, cfg, [s], record_paths=40)
