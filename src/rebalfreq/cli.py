@@ -67,7 +67,8 @@ def _rate_grid_of(run, y0):
 
 
 def cmd_frequency(args):
-    run, sim, y0 = _load_run(args)
+    run, y0 = _load_run(args)
+    sim = run.simulation
     rule = optimal_rule(run.model, sim.gamma, allow_flagged=sim.allow_flagged)
     a_star = float(np.asarray(rule.A_of(y0)))
     wait = float(rule.waiting_time(y0, sim.epsilon))
@@ -93,7 +94,8 @@ def cmd_frequency(args):
 
 
 def cmd_tc(args):
-    run, sim, y0 = _load_run(args)
+    run, y0 = _load_run(args)
+    sim = run.simulation
     grid = _rate_grid_of(run, y0)
     tc_opt, tc_const = grid.total_cost(), grid.total_cost(grid.constant_rule())
     parts = cost_breakdown(run.model, sim.gamma, y0, allow_flagged=sim.allow_flagged)
@@ -129,15 +131,16 @@ def _given_flags(args, base, min_paths=1):
 
 
 def _load_run(args):
-    """``(run, run.simulation, start state)`` of the ``--config`` run, its simulation settings
-    replaced by the run flags given (:func:`_given_flags`)."""
+    """``(run, start state)`` of the ``--config`` run, its simulation settings replaced by the
+    run flags given (:func:`_given_flags`)."""
     run = load_config(args.config)
     run.simulation = dataclasses.replace(run.simulation, **_given_flags(args, run.simulation))
-    return run, run.simulation, _default_y0(run.model, run.simulation.y0)
+    return run, _default_y0(run.model, run.simulation.y0)
 
 
 def cmd_simulate(args):
-    run, sim, _ = _load_run(args)
+    run, _ = _load_run(args)
+    sim = run.simulation
     k, out_path = args.dump_paths, args.out or run.output
     if not 0 <= k <= sim.n_paths:
         raise InputError(f"--dump-paths must lie in [0, {sim.n_paths}], the run's path count")
@@ -184,8 +187,8 @@ def cmd_figure(args):
 
 
 def cmd_validate(args):
-    run, sim, y0 = _load_run(args)
-    model = run.model
+    run, y0 = _load_run(args)
+    model, sim = run.model, run.simulation
     lines = ["check,value,status"]
 
     states = _sample_states(run)

@@ -425,8 +425,12 @@ def _cell_predictions(model, config, names, grid):
                 preds[name] = base - eps23 * cost / config.horizon
     if "move" in names and model.p == 0 and model.m == 1 and config.epsilon > 0:
         try:
-            forms = bs1d_closed_forms(float(model.mu(np.zeros(0))[0, 0]), float(model.vol[0]),
-                                      config.gamma, config.epsilon)
+            forms = bs1d_closed_forms(
+                float(model.mu(np.zeros(0))[0, 0]),
+                float(model.vol[0]),
+                config.gamma,
+                config.epsilon,
+            )
             preds["move"] = fr - forms.move_based_loss_rate
         except _NOT_APPLICABLE:
             pass
@@ -438,8 +442,11 @@ def _cell_reports(model, config, names, suffix, rule, predictions, pool, record_
     predictions; the Monte Carlo blocks run on ``pool``."""
     if unknown := [n for n in names if n not in STRATEGIES]:
         raise InputError(f"unknown strategy name {unknown[0]!r}")
-    sims = [STRATEGIES[n](model, config, rule) for n in names if n != "frictionless"]
-    sims = sims or [frictionless_benchmark()]
+    sims = [
+        STRATEGIES[n](model, config, rule)
+        for n in names
+        if n != "frictionless"
+    ] or [frictionless_benchmark()]
     outcomes, records = run_strategies(model, config, sims, record_paths, pool=pool)
     sample = outcomes[sims[0].label]
     fr_analytic = predictions["frictionless"]

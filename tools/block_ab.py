@@ -21,9 +21,10 @@ Run from anywhere, on two extractions made with ``tools/archive_checkout.py``::
 ``--market table1`` (default) is table 1's one constant-coefficient asset, with its
 simulated set ``move``, ``time_adaptive`` and ``buy_hold``; ``--market ko2d`` is table 4's
 two mean-reverting assets at rho = 0.6, with ``pasted``, ``time_adaptive`` and
-``buy_hold``. The block holds ``--paths`` paths (default 2048, the engine's largest block)
-over ``--horizon`` years at the tables' dt, seed and cost rate. It exits 1 if the two
-sides' results differ in any bit.
+``buy_hold``. The block holds ``PATHS`` paths, the engine's largest block, over ``HORIZON``
+years at the tables' dt, seed and cost rate; the identity check also compares the full
+records of its first ``RECORDS`` paths. It exits 1 if the two sides' results differ in any
+bit.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 
 MARKETS = {"table1": (1, 0), "ko2d": (4, 1)}  # table id, index of its model
 SIDES = ("parent", "change")
+PATHS, HORIZON, RECORDS = 2048, 1.0, 8  # one full engine block of 250 steps
 
 
 def load_package(checkout, name):
@@ -54,17 +56,17 @@ def load_package(checkout, name):
     return importlib.import_module(f"{name}.simulate"), importlib.import_module(f"{name}.evaluate")
 
 
-def block_call(checkout, name, market, paths, horizon):
-    """A function that runs one block of ``paths`` paths of ``market`` in ``checkout``'s
+def block_call(checkout, name, market):
+    """A function that runs one block of ``PATHS`` paths of ``market`` in ``checkout``'s
     package, with the table's simulated strategy set, and records its first ``upto`` paths."""
     simulate, evaluate = load_package(checkout, name)
     table, index = MARKETS[market]
     spec = evaluate._table_spec(table)
     _, model = spec["models"][index]
-    config = evaluate._run_config(paths, horizon=horizon, allow_flagged=model.p > 0)
+    config = evaluate._run_config(PATHS, horizon=HORIZON, allow_flagged=model.p > 0)
     strategies = [evaluate.STRATEGIES[n](model, config, None)
                   for n in spec["strategies"] if n != "frictionless"]
-    return lambda upto=0: simulate._run_block(model, config, strategies, 0, paths, upto)
+    return lambda upto=0: simulate._run_block(model, config, strategies, 0, PATHS, upto)
 
 
 def differences(a, b, where="result"):
@@ -85,19 +87,14 @@ def main(argv=None):
     parser.add_argument("parent", help="the checkout to compare against")
     parser.add_argument("change", help="the checkout with the change")
     parser.add_argument("--market", choices=sorted(MARKETS), default="table1")
-    parser.add_argument("--paths", type=int, default=2048, help="paths in the block (even)")
-    parser.add_argument("--horizon", type=float, default=1.0, metavar="YEARS",
-                        help="run length in years (default 1.0, 250 steps)")
     parser.add_argument("--pairs", type=int, default=10, help="timed pairs of calls (>= 2)")
-    parser.add_argument("--records", type=int, default=8,
-                        help="paths whose full records the identity check compares")
     args = parser.parse_args(argv)
-    if args.paths < 2 or args.paths % 2 or args.pairs < 2 or args.horizon <= 0:
-        parser.error("--paths must be even and >= 2, --pairs >= 2 and --horizon positive")
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
 
-    calls = {side: block_call(checkout, f"rebalfreq_{side}", args.market, args.paths, args.horizon)
+    calls = {side: block_call(checkout, f"rebalfreq_{side}", args.market)
              for side, checkout in zip(SIDES, (args.parent, args.change))}
-    found = differences(*(calls[side](min(args.records, args.paths)) for side in SIDES))
+    found = differences(*(calls[side](RECORDS) for side in SIDES))
     times = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -105,8 +102,7 @@ def main(argv=None):
             calls[side]()
             times[side].append(time.perf_counter() - start)
 
-    print(f"market {args.market}, {args.paths} paths, {args.horizon:g} years, "
-          f"{args.pairs} pairs")
+    print(f"market {args.market}, {PATHS} paths, {HORIZON:g} years, {args.pairs} pairs")
     print("results: bit-identical" if not found else
           f"results: DIFFERENT in {len(found)} places, first {', '.join(found[:5])}")
     for side in SIDES:
