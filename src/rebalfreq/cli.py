@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -20,14 +21,9 @@ import numpy as np
 from . import __version__
 from .config import load_config
 from .errors import InputError, ParameterError, RebalfreqError
-from .evaluate import _fmt, _run_config, figure_rows, rows_to_csv, run_table_cell, table_runner
-from .frequency import (
-    _GRID_PATHS,
-    _rate_grid,
-    check_nondegeneracy,
-    cost_breakdown,
-    optimal_rule,
-)
+from .evaluate import (_config_grid, _fmt, _run_config, figure_rows, rows_to_csv, run_table_cell,
+                       table_runner)
+from .frequency import check_nondegeneracy, cost_breakdown, optimal_rule
 from .markets import finite_difference_jacobians, jacobians
 from .merton import l21_norm, merton_state
 from .simulate import _default_y0, simulate_state_grid
@@ -36,6 +32,14 @@ from .simulate import _default_y0, simulate_state_grid
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _out_checked(path):
+    """``path``, a file to write or ``None``; :class:`InputError` if its directory is missing."""
+    folder = os.path.dirname(path or "")
+    if folder and not os.path.isdir(folder):
+        raise InputError(f"output directory not found: {folder}")
+    return path
 
 
 def _emit(text, out_path):
@@ -58,14 +62,6 @@ def _sample_states(run, n=100):
     return flat[idx]
 
 
-def _rate_grid_of(run, y0):
-    """Per-path integrals on the run's state grid, as the table predictions use them, on
-    ``simulation.n_workers`` workers."""
-    sim = run.simulation
-    return _rate_grid(run.model, sim.gamma, sim.horizon, y0, _GRID_PATHS, sim.dt, sim.seed,
-                      sim.allow_flagged, n_workers=sim.n_workers)
-
-
 def cmd_frequency(args):
     run, y0 = _load_run(args)
     sim = run.simulation
@@ -84,7 +80,7 @@ def cmd_frequency(args):
     lines.append(f"loss_rate_annualized,{_fmt(eps23 * float(parts.tc_rate))}")
     lines.append(f"loss_rate_percent,{format(100 * eps23 * float(parts.tc_rate), '.4g')}")
     if run.model.p > 0:
-        crule = _rate_grid_of(run, y0).constant_rule()
+        crule = _config_grid(run.model, sim).constant_rule()
         cwait = float(crule.waiting_time(y0, sim.epsilon))
         lines.append(f"constant_A_star,{_fmt(crule.A)}")
         lines.append(f"constant_waiting_time_years,{format(cwait, '.4g')}")
@@ -96,7 +92,7 @@ def cmd_frequency(args):
 def cmd_tc(args):
     run, y0 = _load_run(args)
     sim = run.simulation
-    grid = _rate_grid_of(run, y0)
+    grid = _config_grid(run.model, sim)
     tc_opt, tc_const = grid.total_cost(), grid.total_cost(grid.constant_rule())
     parts = cost_breakdown(run.model, sim.gamma, y0, allow_flagged=sim.allow_flagged)
     split = float(parts.tac_rate / parts.de_rate)
@@ -141,7 +137,7 @@ def _load_run(args):
 def cmd_simulate(args):
     run, _ = _load_run(args)
     sim = run.simulation
-    k, out_path = args.dump_paths, args.out or run.output
+    k, out_path = args.dump_paths, args.out or _out_checked(run.output)
     if not 0 <= k <= sim.n_paths:
         raise InputError(f"--dump-paths must lie in [0, {sim.n_paths}], the run's path count")
     if k and not out_path:
@@ -295,6 +291,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _out_checked(args.out)  # before any work
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -367,6 +367,13 @@ STRATEGIES = {
 _NOT_APPLICABLE = (AssumptionError, DegenerateTargetError, DomainError, DegenerateCovarianceError)
 
 
+def _config_grid(model, config, pool=None):
+    """The state grid of ``model``, or of a tuple of models as
+    :func:`~rebalfreq.frequency._rate_grid` takes them, at ``config``'s settings."""
+    return _rate_grid(model, config.gamma, config.horizon, config.y0, _GRID_PATHS, config.dt,
+                      config.seed, config.allow_flagged, n_workers=config.n_workers, pool=pool)
+
+
 def _predictions(cells, names, pool=None):
     """The ``time_constant`` rule and the predictions of the strategies ``names`` for each
     ``(model, config)`` cell, as :func:`_cell_predictions` forms them.
@@ -375,9 +382,12 @@ def _predictions(cells, names, pool=None):
     frictionless rate they are measured from come from the cell's state grid. Cells whose
     grids are provably the same (equal :func:`rebalfreq.simulate._state_key` and grid
     settings) share one pass of it; with ``n_workers > 1`` its path ranges run on ``pool``
-    (or on a pool of their own).
+    (or on a pool of their own). This is the one place where a failing grid becomes blank
+    cells: a ``_NOT_APPLICABLE`` error of a pass leaves every cell of that pass without a
+    grid, unless ``time_constant`` is among ``names``, whose strategy needs the grid's
+    constant rule; then, as any other error, it propagates.
     """
-    grids = [None] * len(cells)
+    grids = {}
     if {"time_adaptive", "time_constant"} & set(names):
         passes = {}
         for i, (model, config) in enumerate(cells):
@@ -385,37 +395,29 @@ def _predictions(cells, names, pool=None):
             settings = (config.gamma, config.horizon, config.dt, config.seed, config.allow_flagged)
             passes.setdefault(i if key is None else (key, settings), []).append(i)
         for members in passes.values():
-            config = cells[members[0]][1]
+            models, config = tuple(cells[i][0] for i in members), cells[members[0]][1]
             try:
-                found = _rate_grid(
-                    tuple(cells[i][0] for i in members), config.gamma, config.horizon,
-                    config.y0, _GRID_PATHS, config.dt, config.seed, config.allow_flagged,
-                    n_workers=config.n_workers, pool=pool,
-                )
-            except _NOT_APPLICABLE as exc:
-                found = [exc] * len(members)
-            for i, grid in zip(members, found):
-                grids[i] = grid
-    return [_cell_predictions(model, config, names, grid)
-            for (model, config), grid in zip(cells, grids)]
+                grids.update(zip(members, _config_grid(models, config, pool)))
+            except _NOT_APPLICABLE:
+                if "time_constant" in names:
+                    raise
+    return [_cell_predictions(model, config, names, grids.get(i))
+            for i, (model, config) in enumerate(cells)]
 
 
 def _cell_predictions(model, config, names, grid):
     """The ``time_constant`` rule and the prediction of each strategy, from the cell's
-    :class:`~rebalfreq.frequency._RateGrid` (``None`` without a time-based strategy), or
-    the package error its evaluation raised. A prediction is ``None`` where its formula
-    does not apply; the constant rule is ``None`` only when ``time_constant`` is not
-    among ``names``.
+    :class:`~rebalfreq.frequency._RateGrid`, or ``None`` without a time-based strategy or
+    where :func:`_predictions` found the grid's formula inapplicable. A prediction is
+    ``None`` where its formula does not apply; the constant rule is ``None`` only when
+    ``time_constant`` is not among ``names``.
     """
     # the exact frictionless rate of a constant-coefficient model, else None
     fr = float(merton_state(model, np.zeros(0), config.gamma).f_rate) if model.p == 0 else None
     eps23 = config.epsilon ** (2.0 / 3.0)
     preds = {"frictionless": fr}
     rule = None
-    if isinstance(grid, Exception):
-        if "time_constant" in names or not isinstance(grid, _NOT_APPLICABLE):
-            raise grid
-    elif grid is not None:
+    if grid is not None:
         base = fr if fr is not None else float(grid.f_rate.mean()) / config.horizon
         if "time_constant" in names:
             rule = grid.constant_rule()

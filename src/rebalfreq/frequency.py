@@ -36,7 +36,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import simulate
-from .errors import AssumptionError, ParameterError, RebalfreqError
+from .errors import AssumptionError, ParameterError
 from .markets import _as_batch, _checked
 from .merton import (_AdaptiveProfile, _constant_block, _geometry, _optimal_A, _rate_parts,
                      l21_norm, merton_state)
@@ -182,10 +182,10 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
     block by block and chunk by chunk, and hands each chunk to every model. A model forms the
     chunk's rates in one geometry call, with its constant block formed at the block's start
     states, and adds each step into its per-path sums in step order
-    (:func:`rebalfreq.simulate._trapezoid`), as the engine sums the frictionless rate. A model
-    whose evaluation raises a package error gets that error in place of its array. A
+    (:func:`rebalfreq.simulate._trapezoid`), as the engine sums the frictionless rate. A
     state-dependent ``rule`` also has its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A`` read
     by :meth:`DiscretizationRule.A_of`: a model's own ``A*`` from the ``N`` and ``D`` just formed.
+    Any model's error raises at once and ends the pass for all of them.
     """
     by_state = rule is not None and callable(rule.A)
     out = [np.zeros((6 if by_state else 4, hi - lo)) for _ in models]
@@ -203,24 +203,19 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
     def reduce(a, step, ys):  # paths a .. a + B - 1 of the range at steps step .. step + k - 1
         k, B, p = ys.shape
         for i, model in enumerate(models):
-            if isinstance(out[i], RebalfreqError):
-                continue
-            try:
-                if step == 0:  # a block's start states
-                    const = _constant_block(model, ys[0])
-                    held[i] = const, rates(model, const, ys[0])
-                else:
-                    const, left = held[i]
-                    right = rates(model, const, ys.reshape(k * B, p)).reshape(-1, k, B)
-                    held[i] = const, simulate._trapezoid(out[i][:, a:a + B], left, right, dt)
-            except RebalfreqError as exc:
-                out[i] = exc
+            if step == 0:  # a block's start states
+                const = _constant_block(model, ys[0])
+                held[i] = const, rates(model, const, ys[0])
+            else:
+                const, left = held[i]
+                right = rates(model, const, ys.reshape(k * B, p)).reshape(-1, k, B)
+                held[i] = const, simulate._trapezoid(out[i][:, a:a + B], left, right, dt)
 
     if models[0].p:
         simulate.simulate_state_grid(models[0], horizon_T, dt, hi - lo, y0, seed, lo, reduce)
         return out
     reduce(0, 0, np.zeros((1, 1, 0)))  # one path of one state, held over [0, T]
-    return [o if isinstance(o, RebalfreqError) else h[1] * horizon_T for o, h in zip(out, held)]
+    return [h[1] * horizon_T for h in held]
 
 
 def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, rule=None,
@@ -231,8 +226,9 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
     :func:`rebalfreq.simulate._on_ranges` (a pooled ``rule`` must pickle). ``model`` may also
     be a tuple of models whose state processes are the same (equal
     :func:`rebalfreq.simulate._state_key`): one pass of the grid serves them all, and a
-    tuple holds each model's grid, or the package error its evaluation raised. Raises as
-    :func:`rate_parts` does at any grid state.
+    tuple of their grids is returned. Raises as :func:`rate_parts` does at the first grid
+    state where any model fails; :func:`rebalfreq.evaluate._predictions` alone turns such an
+    error into blank table cells.
     """
     simulate._n_steps(horizon_T, dt)  # also for a constant state, integrated as rate * horizon_T
     _checked("gamma", gamma)
@@ -244,16 +240,9 @@ def _rate_grid(model, gamma, horizon_T, y0, n_paths, dt, seed, allow_flagged, ru
     task = partial(_path_integrals, models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule)
     n = n_paths if models[0].p else 1  # a constant state is one path
     parts = simulate._on_ranges(task, simulate._ranges(n, n_workers, n, False), n_workers, pool)
-    grids = []
-    for ranges in zip(*parts):  # one model's integrals, range by range
-        failed = [r for r in ranges if isinstance(r, RebalfreqError)]
-        grids.append(failed[0] if failed else
-                     _RateGrid(*np.concatenate(ranges, axis=1), rule=rule))
-    if isinstance(model, tuple):
-        return tuple(grids)
-    if isinstance(grids[0], RebalfreqError):
-        raise grids[0]
-    return grids[0]
+    # one model's integrals, range by range
+    grids = tuple(_RateGrid(*np.concatenate(ranges, axis=1), rule=rule) for ranges in zip(*parts))
+    return grids if isinstance(model, tuple) else grids[0]
 
 
 def constant_rule(model, gamma, horizon_T, y0=None, n_paths=_GRID_PATHS, dt=1.0 / 250.0, seed=0,

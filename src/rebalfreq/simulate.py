@@ -73,7 +73,8 @@ class SimulationConfig:
     initial wealth is normalised to one. ``antithetic`` pairs path ``2k+1`` with the
     sign-flipped draws of path ``2k`` (requires an even ``n_paths``). ``n_workers``
     only spreads the engine's path blocks and the prediction grid's path ranges over
-    worker processes; it never changes results.
+    worker processes; it never changes results. ``n_paths``, ``seed`` and ``n_workers``
+    are integers (Python or numpy, not bool), and ``seed`` lies in ``[0, 2**64)``.
     """
 
     horizon: float
@@ -91,13 +92,17 @@ class SimulationConfig:
         _n_steps(self.horizon, self.dt)
         if not 0.0 <= self.epsilon < 0.5:
             raise ParameterError("epsilon must lie in [0, 0.5)")
+        for name in ("n_paths", "seed", "n_workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise ParameterError("n_paths must be >= 1")
         _checked("gamma", self.gamma)
         if self.antithetic and self.n_paths % 2:
             raise ParameterError("antithetic sampling requires an even n_paths")
-        if self.seed < 0:
-            raise ParameterError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:  # the first word of a path's Philox key
+            raise ParameterError(f"seed must be a nonnegative integer below 2**64, got {self.seed}")
         if self.n_workers < 1:
             raise ParameterError("n_workers must be >= 1")
 

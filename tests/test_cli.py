@@ -245,5 +245,72 @@ def test_nonfinite_gamma_and_cost_rate_rejected(tmp_path, capsys, entry, bad):
 
 @pytest.mark.parametrize("command", ["frequency", "simulate", "validate"])
 def test_config_flags_failing_config_checks_are_input_errors(tmp_path, capsys, command):
-    assert cli.main([command, "--config", ko1d_config(tmp_path), "--seed", "-1"]) == 1
-    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    for seed in ("-1", str(2**64)):  # a seed beyond the 64 bits of a Philox key word
+        assert cli.main([command, "--config", ko1d_config(tmp_path), "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: invalid flag value: seed must be a nonnegative integer")
+
+
+BS1D_CONFIG = """\
+model:
+  kind: black_scholes
+  mu: [0.08]
+  vol: [0.16]
+simulation:
+  horizon: 1.0
+  dt: 0.004
+  n_paths: 8
+  epsilon: 0.01
+  gamma: 5.0
+"""
+
+
+def frequency_rows(tmp_path, text):
+    path, out = tmp_path / "run.yaml", tmp_path / "frequency.csv"
+    path.write_text(text)
+    assert cli.main(["frequency", "--config", str(path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "quantity,value"
+    return dict(line.split(",") for line in lines[1:])
+
+
+def test_frequency_of_bs1d_prints_closed_forms(tmp_path):
+    from rebalfreq import bs1d_closed_forms
+
+    rows = frequency_rows(tmp_path, BS1D_CONFIG)
+    forms = bs1d_closed_forms(0.08, 0.16, 5.0, 0.01)
+    assert rows["A_star"] == evaluate._fmt(forms.A_star) == "47.99019852"
+    assert rows["loss_rate_annualized"] == evaluate._fmt(forms.time_based_loss_rate)
+    assert rows["loss_rate_annualized"] == "0.000300713539"
+    assert not [key for key in rows if key.startswith("constant_")]
+
+
+def test_frequency_of_ko1d_prints_the_constant_rule(tmp_path):
+    from rebalfreq import constant_rule, load_config
+
+    rows = frequency_rows(tmp_path, KO1D_CONFIG)
+    model = load_config(str(tmp_path / "run.yaml")).model
+    rule = constant_rule(model, 5.0, 1.0, dt=0.004, seed=0, allow_flagged=True)
+    assert rows["constant_A_star"] == evaluate._fmt(rule.A)
+
+
+def test_leveraged_target_is_a_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text(BS1D_CONFIG.replace("gamma: 5.0", "gamma: 1.0"))  # w* = 3.125
+    assert cli.main(["frequency", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: target weights short or leverage")
+
+
+def test_missing_output_directory_rejected_before_running(tmp_path, monkeypatch, capsys):
+    calls = spy_table_runner(monkeypatch)
+    out = tmp_path / "missing" / "table.csv"
+    assert cli.main(["table", "--table", "1", "--paths", "8", "--out", str(out)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith("input error: output directory not found")
+    runs = spy_run_table_cell(monkeypatch)
+    path = tmp_path / "ko1d.yaml"
+    path.write_text(KO1D_CONFIG + f"output: {tmp_path / 'missing' / 'sim.csv'}\n")
+    assert cli.main(["simulate", "--config", str(path)]) == 1
+    assert runs == [] and not (tmp_path / "missing").exists()
+    assert "input error: output directory not found" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rebalfreq import InputError, SimulationConfig, cli, load_config
+from rebalfreq import InputError, ParameterError, SimulationConfig, cli, load_config
 
 MODELS = {
     "black_scholes": "  kind: black_scholes\n  mu: [0.08]\n  vol: [0.16]\n",
@@ -222,3 +222,56 @@ def test_simulation_keys_are_the_config_fields():
     from rebalfreq import config
 
     assert list(config._SIM_TYPES) == [f.name for f in dataclasses.fields(SimulationConfig)]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.9), ("seed", 2**64), ("seed", True), ("n_paths", 4.0), ("n_workers", 2.0),
+     ("n_paths", np.float64(8.0))],
+)
+def test_integer_keys_must_be_integers_in_range(key, value):
+    base = dict(horizon=1.0, dt=0.004, n_paths=8, epsilon=0.01, gamma=5.0)
+    with pytest.raises(ParameterError, match=key):
+        SimulationConfig(**{**base, key: value})
+
+
+def test_numpy_integer_keys_accepted():
+    cfg = SimulationConfig(horizon=1.0, dt=0.004, n_paths=np.int64(8), epsilon=0.01, gamma=5.0,
+                           seed=np.uint64(2**64 - 1), n_workers=np.int32(2))
+    assert (cfg.n_paths, cfg.seed, cfg.n_workers) == (8, 2**64 - 1, 2)
+
+
+def test_seed_beyond_64_bits_rejected_in_config(tmp_path, capsys):
+    path = write_config(tmp_path, sim_extra=f"  seed: {2**64}\n")
+    with pytest.raises(InputError, match="invalid simulation settings: seed"):
+        load_config(path)
+    assert cli.main(["simulate", "--config", path]) == 1
+    assert "input error:" in capsys.readouterr().err
+    assert load_config(write_config(tmp_path, sim_extra=f"  seed: {2**64 - 1}\n")).simulation.seed
+
+
+SIM = "simulation:\n" + REQUIRED_SIM
+BS = "model:\n" + MODELS["black_scholes"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "config file not found: "),
+        (BS + SIM.replace("dt: 0.004", "dt: : 0.004"),
+         r"config parse error in .*run\.yaml \(line 7, column 7\)"),
+        ("- model\n- simulation\n", "config root must be a mapping"),
+        (SIM, "config requires 'model' and 'simulation' sections"),
+        (BS, "config requires 'model' and 'simulation' sections"),
+        (BS + "simulation: [1, 2]\n", "config.simulation must be a mapping"),
+        (BS + SIM + "strategies: []\n", "config.strategies must be a nonempty list"),
+        (BS + SIM + "strategies: move\n", "config.strategies must be a nonempty list"),
+        (BS + SIM + "strategies: [move, hold]\n", "unknown strategy 'hold' in config.strategies"),
+    ],
+)
+def test_loader_messages(tmp_path, text, message):
+    path = tmp_path / "run.yaml"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(InputError, match=message):
+        load_config(str(path))

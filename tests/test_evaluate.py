@@ -152,6 +152,28 @@ def test_inapplicable_prediction_left_blank(monkeypatch, bs1d):
     assert rows_to_csv(reports).splitlines()[2].endswith(",")
 
 
+def test_inapplicable_grid_raises_for_time_constant(monkeypatch, bs1d):
+    # the constant rule is a strategy of the cell, so without a grid the cell cannot run
+    monkeypatch.setattr(evaluate, "_rate_grid", _raise(AssumptionError("leveraged")))
+    with pytest.raises(AssumptionError, match="leveraged"):
+        run_table_cell(bs1d, config(horizon=0.2, n_paths=8), ["frictionless", "time_constant"])
+
+
+def test_move_prediction_of_bs1d_cell(bs1d):
+    from rebalfreq import bs1d_closed_forms
+
+    names = ["frictionless", "move"]
+    reports = run_table_cell(bs1d, config(horizon=0.2, n_paths=8), names)
+    forms = bs1d_closed_forms(0.08, 0.16, GAMMA, EPS)
+    expected = 0.025 - forms.move_based_loss_rate
+    assert reports[1].asymptotic_prediction == pytest.approx(expected, abs=1e-15)
+    assert rows_to_csv(reports).splitlines()[2].endswith(",0.02480762771")
+    leveraged = BlackScholesModel(mu=[0.2], vol=[0.16])  # w* = 1.5625
+    for model, cfg in ((bs1d, config(epsilon=0.0)), (leveraged, config())):
+        (_, preds), = evaluate._predictions([(model, cfg)], names)
+        assert preds.get("move") is None and preds["frictionless"] is not None
+
+
 def test_table_spec_validation():
     with pytest.raises(InputError):
         _table_spec(7)
@@ -241,6 +263,24 @@ def test_table4_cells_share_one_grid_pass(monkeypatch):
     assert rows_to_csv(reports) == rows_to_csv(alone)
     for shared, own in zip(reports, alone):
         assert shared.asymptotic_prediction == own.asymptotic_prediction
+
+
+def test_inapplicable_shared_pass_blanks_all_its_cells(monkeypatch):
+    # one pass serves both cells, so its error leaves both without a time-based prediction
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise AssumptionError("leveraged")
+
+    monkeypatch.setattr(simulate, "simulate_state_grid", fail)
+    spec = _table_spec(4)
+    cfg = evaluate._run_config(8, horizon=0.2, allow_flagged=True)
+    cells = [(model, cfg) for _, model in spec["models"][:2]]
+    found = evaluate._predictions(cells, spec["strategies"])
+    assert len(calls) == 1
+    for rule, preds in found:
+        assert rule is None and preds.get("time_adaptive") is None
 
 
 @pytest.mark.parametrize("change", [{"mean_reversion": 0.3}, {"state_vol": 0.04}])

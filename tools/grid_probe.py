@@ -17,9 +17,6 @@ with ``n_workers = N`` does. ``peak_rss_mib`` is the interpreter's own peak,
 ``child_mib`` the largest worker's (0 with one worker), ``import_mib`` the
 peak after importing the package, before the predictions run, and
 ``grid_calls`` the number of ``simulate_state_grid`` calls in all processes.
-On a source tree that forms predictions one cell at a time
-(``_cell_predictions(model, config, names, pool)``), the cells run one after
-another on one pool.
 """
 
 from __future__ import annotations
@@ -63,11 +60,7 @@ def run_cells(name, n_workers):
     before = peak_mib()
     start = time.perf_counter()
     with simulate._worker_pool(n_workers) as pool:
-        if hasattr(evaluate, "_predictions"):
-            evaluate._predictions(cells, spec["strategies"], pool)
-        else:
-            for model, cfg in cells:
-                evaluate._cell_predictions(model, cfg, spec["strategies"], pool)
+        evaluate._predictions(cells, spec["strategies"], pool)
     wall = time.perf_counter() - start
     child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     return {"cell": name, "wall_s": round(wall, 3), "peak_rss_mib": round(peak_mib(), 1),
