@@ -35,10 +35,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_checked(path):
-    """``path``, a file to write or ``None``; :class:`InputError` if its directory is missing."""
+    """``path``, a file to write or ``None``; :class:`InputError` if its directory is missing
+    or it is itself a directory."""
     folder = os.path.dirname(path or "")
     if folder and not os.path.isdir(folder):
         raise InputError(f"output directory not found: {folder}")
+    if path and os.path.isdir(path):
+        raise InputError(f"output path is a directory: {path}")
     return path
 
 
@@ -142,29 +145,25 @@ def cmd_simulate(args):
         raise InputError(f"--dump-paths must lie in [0, {sim.n_paths}], the run's path count")
     if k and not out_path:
         raise InputError("--dump-paths requires --out (or config.output)")
+    dump = k and _out_checked(out_path + ".paths.csv")
     if k and all(n == "frictionless" for n in run.strategies):
         raise InputError("path dumps need at least one simulated strategy")
     result = run_table_cell(run.model, sim, run.strategies, record_paths=k)
     reports, records = result if k else (result, None)
     _emit(rows_to_csv(reports), out_path)
-    if k:
-        _dump_paths(run, records, out_path + ".paths.csv")
+    if dump:
+        _dump_paths(run, records, dump)
     return 0
 
 
 def _dump_paths(run, records, path):
     lines = ["strategy,path,time,wealth," + ",".join(f"weight_{i+1}" for i in range(run.model.m))]
-    for label in records.wealth:
-        w = records.wealth[label]
+    for label, w in records.wealth.items():
         ww = records.weights[label]
         for pi in range(w.shape[0]):
             for ti, t in enumerate(records.times):
-                lines.append(
-                    f"{label},{pi},{_fmt(t)},{_fmt(w[pi, ti])},"
-                    + ",".join(_fmt(ww[pi, ti, j]) for j in range(run.model.m))
-                )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+                lines.append(f"{label},{pi}," + ",".join(map(_fmt, (t, w[pi, ti], *ww[pi, ti]))))
+    _emit("\n".join(lines) + "\n", path)
 
 
 def cmd_table(args):

@@ -178,10 +178,10 @@ def _path_integrals(models, gamma, horizon_T, y0, dt, seed, allow_flagged, rule,
     """Per-path integrals ``(4 or 6, hi - lo)`` of :class:`_RateGrid` on state paths ``lo ..
     hi - 1``, one array for each of ``models``, which share their state process.
 
-    One :func:`rebalfreq.simulate.simulate_state_grid` call steps the paths as the engine does,
-    block by block and chunk by chunk, and hands each chunk to every model. A model forms the
-    chunk's rates in one geometry call, with its constant block formed at the block's start
-    states, and adds each step into its per-path sums in step order
+    One :func:`rebalfreq.simulate.simulate_state_grid` call runs the engine's block walk (see
+    :mod:`rebalfreq.simulate`) and hands each chunk to every model. A model forms the chunk's
+    rates in one geometry call, with its constant block formed at the block's start states,
+    and adds each step into its per-path sums in step order
     (:func:`rebalfreq.simulate._trapezoid`), as the engine sums the frictionless rate. A
     state-dependent ``rule`` also has its ``N / sqrt(A)`` and ``D * A`` integrated, with ``A`` read
     by :meth:`DiscretizationRule.A_of`: a model's own ``A*`` from the ``N`` and ``D`` just formed.

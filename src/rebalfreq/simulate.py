@@ -25,10 +25,11 @@ the single-path API alike, and one trapezoid, :func:`_trapezoid`, sums a rate
 along them step by step for the engine's frictionless rate and the state grid's
 integrals. Strategies of one run share the market draws, which
 sharpens their comparison, and one ledger of arrays stacked over (strategy,
-path), paths last.
-A block of ``B`` paths runs in chunks of ``K = max(1, _CHUNK // B)`` steps: a
-market pass forms the geometry, band widths and growth of a chunk's ``K B``
-states at once, and the ledger pass reads step slices of these.
+path), paths last. The block walk: paths run in blocks of at most ``_BLOCK``, and a block of
+``B`` paths from its start states, then in chunks of ``K = max(1, _CHUNK // B)`` steps (fewer
+where a drawn chunk ends) in step order. The engine's market pass (:func:`_market_pass`) forms
+the geometry, band widths and growth of a chunk's ``k B`` states at once; its ledger
+(:func:`_run_block`) reads step slices of these.
 
 Bit identity: a path's draws depend only on the seed and its index, and every
 step acts on each path alone, elementwise or by sums in one fixed order. So a
@@ -390,12 +391,12 @@ def _log_returns(mu, sigma, z, dt):
     return (mu - 0.5 * rownorm2) * dt + shock * np.sqrt(dt)
 
 
-def _state_path(model, seed, lo, hi, antithetic, y, n_steps, dt, K, chunk=128):
-    """Paths ``lo .. hi - 1`` from the states ``y`` ``(B, p)``, ``K`` steps at a time (fewer
-    where a drawn chunk ends): yields each chunk's tape ``z`` ``(d, k, B)`` and the states
-    after its steps, ``(k, B, p)``."""
+def _state_path(model, seed, lo, hi, antithetic, y, n_steps, dt, K=None, chunk=128):
+    """Paths ``lo .. hi - 1`` from the states ``y`` ``(B, p)``, ``K`` steps at a time (by default
+    the block walk's; fewer where a drawn chunk ends): yields each chunk's tape ``z`` ``(d, k,
+    B)`` and the states after its steps, ``(k, B, p)``."""
     source = _BlockNormals(seed, lo, hi, model.d, antithetic, chunk)
-    step = 0
+    K, step = K or max(1, _CHUNK // (hi - lo)), 0
     while step < n_steps:
         z = source.tape(n_steps - step, K)
         k = z.shape[1]
@@ -429,16 +430,13 @@ def _trapezoid(total, left, right, dt):
 def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, first=0, _reduce=None):
     """Euler paths of the state variable alone on the grid of :func:`_n_steps` steps.
 
-    Returns ``(times, states)`` with ``states`` of shape
-    ``(n_paths, n_steps + 1, p)``, of paths ``first .. first + n_paths - 1``.
-    Path ``k`` draws the stream ``(seed, k)`` through the wealth simulator's Euler
-    step: it is the simulator's path ``k`` at the same seed, or under antithetic
-    sampling its path ``2k``, the even path of pair ``k``. The paths run as the
-    simulator's do, in blocks of at most ``_BLOCK`` paths stepped in chunks of
-    ``K = max(1, _CHUNK // B)`` steps, and each block goes to ``_reduce(lo, step,
-    ys)``: first its start states (``step`` 0), then each chunk in step order,
-    ``ys`` ``(k, B, p)`` being the states at steps ``step .. step + k - 1`` of
-    paths ``lo .. lo + B - 1`` of the grid. The default ``_reduce`` stores them;
+    Returns ``(times, states)``, ``states`` ``(n_paths, n_steps + 1, p)`` of paths ``first ..
+    first + n_paths - 1``. Path ``k`` draws the stream ``(seed, k)`` through the wealth
+    simulator's Euler step: it is the simulator's path ``k`` at the same seed, or under
+    antithetic sampling its path ``2k``, the even path of pair ``k``. The paths run in the
+    block walk (module docstring); each block's start states (``step`` 0) and chunks go to
+    ``_reduce(lo, step, ys)``, ``ys`` ``(k, B, p)`` being the states at steps ``step .. step +
+    k - 1`` of paths ``lo .. lo + B - 1`` of the grid. The default ``_reduce`` stores them;
     with another, ``states`` is ``None`` and no more than one chunk is held.
     """
     n_steps = _n_steps(horizon, dt)
@@ -452,8 +450,7 @@ def simulate_state_grid(model, horizon, dt, n_paths, y0=None, seed=0, first=0, _
         y = np.tile(y0, (hi - lo, 1))
         _reduce(lo, 0, y[None])
         step = 1
-        for _, ys in _state_path(model, seed, first + lo, first + hi, False, y, n_steps, dt,
-                                 max(1, _CHUNK // (hi - lo))):
+        for _, ys in _state_path(model, seed, first + lo, first + hi, False, y, n_steps, dt):
             _reduce(lo, step, ys)
             step += len(ys)
     return times, states
@@ -551,23 +548,45 @@ def _run_of(mask):
     return mask
 
 
-def _run_block(model, config, strategies, lo, hi, record_upto):
-    """Paths ``lo .. hi - 1`` of all ``S`` strategies on shared draws, as stacked
-    ``(S, B)`` and ``(S, m, B)`` ledgers, paths last so that ufuncs and asset sums
-    run along contiguous memory; trades use rows ``strategy * B + path``. Returns the
-    ledgers, frictionless rates and records.
+def _market_pass(model, config, lo, hi, with_beta, banded):
+    """The market of paths ``lo .. hi - 1`` in the block walk. Yields the start states
+    ``(B, p)``, their geometry and the per-path sums by :class:`StrategyOutcome` field name,
+    complete once the pass is spent (``frictionless_path``: the frictionless rate's time
+    average, its :func:`_trapezoid` integral divided by ``T``); then per chunk its states ``ys``
+    ``(k, B, p)``, their geometry, targets ``W``, growth ``G`` from each step's left-endpoint
+    coefficients and, if ``banded``, band half-widths ``HW``, all three ``(m, k, B)``. A bad
+    state raises before its chunk is yielded."""
+    m, p, B, dt, gamma = model.m, model.p, hi - lo, config.dt, config.gamma
+    y = np.tile(_default_y0(model, config.y0), (B, 1))
+    const = _constant_block(model, y)
+    first = _geometry(model, y, gamma, const, with_beta)
+    sums = {"frictionless_path": np.zeros(B)}
+    yield y, first, sums
+    f_left, left, geo = first.f_rate, (_last(first.mu), _last(first.sigma)), None
+    for z, ys in _state_path(model, config.seed, lo, hi, config.antithetic, y, config.n_steps, dt):
+        n = len(ys)  # steps in this chunk
+        if p or geo is None:  # a state that never moves keeps its first chunk's geometry
+            geo = _geometry(model, ys.reshape(n * B, p), gamma, const, with_beta)
+            W = _last(geo.w_star).reshape(m, n, B)
+            right = _last(geo.mu), _last(geo.sigma)
+            HW = _halfwidths(geo, gamma, config.epsilon).T.reshape(m, n, B) if banded else None
+        # left endpoints: the previous chunk's last states, then all of this chunk's but its last
+        mu, sigma = (np.concatenate([a, x[..., :(n - 1) * B]], -1) for a, x in zip(left, right))
+        sigma = right[1] if const else sigma  # a constant sigma is its broadcast column
+        G = np.exp(_log_returns(mu, sigma, z.reshape(len(z), n * B), dt)).reshape(m, n, B)
+        f_left = _trapezoid(sums["frictionless_path"], f_left, geo.f_rate[:n * B].reshape(n, B), dt)
+        left = tuple(x[..., (n - 1) * B:n * B] for x in right)
+        yield ys, geo, W, G, HW
+    sums["frictionless_path"] /= config.horizon
 
-    Steps run in chunks of ``K = max(1, _CHUNK // B)`` (fewer where a drawn chunk ends). The
-    market pass steps the state through the chunk's tape, then forms in one call each the
-    geometry and band half-widths after every step and the growth from each step's left-endpoint
-    coefficients, and adds the frictionless rate's steps into its path integral
-    (:func:`_trapezoid`). The ledger reads step ``j`` from
-    states ``j B .. (j + 1) B - 1``; a bad state raises before the ledger runs its chunk.
-    """
-    n_steps, m, p = config.n_steps, model.m, model.p
-    dt, eps, gamma = config.dt, config.epsilon, config.gamma
-    S, B = len(strategies), hi - lo
-    K = max(1, _CHUNK // B)
+
+def _run_block(model, config, strategies, lo, hi, record_upto):
+    """The ledgers of all ``S`` strategies on one :func:`_market_pass` of paths ``lo .. hi - 1``,
+    stacked ``(S, B)`` and ``(S, m, B)``, paths last; trades use rows ``strategy * B + path``.
+    Returns the ``(S, B)`` ledger and the pass's ``(B,)`` sums, both by :class:`StrategyOutcome`
+    field name, and the records of the paths below ``record_upto`` (or ``None``)."""
+    n_steps, m, dt, eps = config.n_steps, model.m, config.dt, config.epsilon
+    S, B, const = len(strategies), hi - lo, model.constant_sigma
     n_rec = max(0, min(record_upto, hi) - lo)
     is_band = np.array([s.kind in ("move", "pasted") for s in strategies])
     fric = np.array([s.kind == "frictionless" for s in strategies])
@@ -575,14 +594,13 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     timed = [(k, s.rule) for k, s in enumerate(strategies) if s.kind == "time"]
     banded = is_band.any()
     # beta is formed only if read: by the bands, or by a time rule's A* off the step's geometry
-    with_beta = banded or any(r.reads(model, gamma) for _, r in timed)
+    with_beta = banded or any(r.reads(model, config.gamma) for _, r in timed)
     edged = banded and eps > 0  # at eps = 0 the band edge is the target
     band, clock = _run_of(is_band), _run_of(np.array([s.kind == "time" for s in strategies]))
     fric_rows = np.repeat(fric[:, None], B, axis=1)
 
-    y = np.tile(_default_y0(model, config.y0), (B, 1))
-    const = _constant_block(model, y)
-    first = _geometry(model, y, gamma, const, with_beta)
+    market = _market_pass(model, config, lo, hi, with_beta, banded)
+    y, first, sums = next(market)
     Vi = np.repeat(first.w_star.T[None], S, axis=0)
     V0, V = 1.0 - Vi.sum(axis=1), np.ones((S, B))
     rel, rel2, tac, de, f_post = (np.zeros((S, B)) for _ in range(5))
@@ -591,38 +609,20 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     next_t = np.full((S, B), np.inf)
     for k, rule in timed:
         next_t[k] = rule.waiting_time(y, eps, model=model, st=first)
-    fric_rate, f_left = np.zeros(B), first.f_rate
-    left = _last(first.mu), _last(first.sigma)  # at a chunk's first step
 
-    rec = None
-    if n_rec:
-        vi_rec = Vi[:, :, :n_rec].transpose(0, 2, 1)  # live view; records put paths before assets
-        rec = {
-            "growth": np.empty((n_rec, n_steps, m)),
-            "wealth": np.ones((S, n_rec, n_steps + 1)),
-            "positions": np.repeat(vi_rec[:, :, None], n_steps + 1, axis=2),
-            "w_pre_min": vi_rec.copy(),
-            "w_pre_max": vi_rec.copy(),
-            "trades": [[] for _ in strategies],
-        }
+    vi_rec = Vi[:, :, :n_rec].transpose(0, 2, 1)  # live view; records put paths before assets
+    rec = {
+        "growth": np.empty((n_rec, n_steps, m)),
+        "wealth": np.ones((S, n_rec, n_steps + 1)),
+        "positions": np.repeat(vi_rec[:, :, None], n_steps + 1, axis=2),
+        "w_pre_min": vi_rec.copy(),
+        "w_pre_max": vi_rec.copy(),
+        "trades": [[] for _ in strategies],
+    } if n_rec else None
 
-    geo, s0 = None, 0
-    for z, ys in _state_path(model, config.seed, lo, hi, config.antithetic, y, n_steps, dt, K):
-        n = len(ys)  # steps in this chunk
-        if p or geo is None:  # a state that never moves keeps its first chunk's geometry
-            geo = _geometry(model, ys.reshape(n * B, p), gamma, const, with_beta)
-            W = _last(geo.w_star).reshape(m, n, B)
-            right = _last(geo.mu), _last(geo.sigma)
-            HW = _halfwidths(geo, gamma, eps).T.reshape(m, n, B) if banded else None  # 0 at eps = 0
-        # left endpoints: the previous chunk's last states, then all of this chunk's but its last
-        mu, sigma = (np.concatenate([a, x[..., :(n - 1) * B]], -1) for a, x in zip(left, right))
-        sigma = right[1] if const else sigma  # a constant sigma is its broadcast column
-        G = np.exp(_log_returns(mu, sigma, z.reshape(len(z), n * B), dt)).reshape(m, n, B)
-        f_left = _trapezoid(fric_rate, f_left, geo.f_rate[:n * B].reshape(n, B), dt)
-        left = tuple(x[..., (n - 1) * B:n * B] for x in right)
-
-        for j in range(n):
-            step = s0 + j
+    step = 0
+    for ys, geo, W, G, HW in market:
+        for j in range(len(ys)):
             t1 = (step + 1) * dt
             Sigma = geo.Sigma[j * B:(j + 1) * B]
 
@@ -700,9 +700,11 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
                 w_rec = w_pre[:, :, :n_rec].transpose(0, 2, 1)
                 np.minimum(rec["w_pre_min"], w_rec, out=rec["w_pre_min"])
                 np.maximum(rec["w_pre_max"], w_rec, out=rec["w_pre_max"])
-        s0 += n
+            step += 1
+        del ys, geo, W, G, HW  # let the pass free this chunk as it forms the next
 
-    return (rel, rel2, tac, de, n_trades, V <= 0.0), fric_rate / config.horizon, rec
+    ledger = dict(rel_sum=rel, rel_sq_sum=rel2, tac=tac, de=de, n_trades=n_trades, failed=V <= 0.0)
+    return ledger, sums, rec
 
 
 def _ranges(n_paths, n_workers, cap, pairs):
@@ -752,12 +754,10 @@ def run_strategies(model, config, strategies, record_paths=0, *, pool=None):
     run_block = partial(_run_block, model, config, strategies, record_upto=record_paths)
     results = _on_ranges(run_block, ranges, config.n_workers, pool)
 
-    ledger = [np.concatenate(parts, axis=1) for parts in zip(*(r[0] for r in results))]
-    fric = np.concatenate([r[1] for r in results])
-    outcomes = {
-        label: StrategyOutcome(label, *(a[k] for a in ledger), fric)
-        for k, label in enumerate(labels)
-    }
+    ledger, sums = ({name: np.concatenate([r[i][name] for r in results], axis=-1)
+                     for name in results[0][i]} for i in (0, 1))  # each along the path axis
+    outcomes = {label: StrategyOutcome(label, **{name: a[k] for name, a in ledger.items()}, **sums)
+                for k, label in enumerate(labels)}
     return outcomes, _merge_records(config, labels, [r[2] for r in results if r[2] is not None])
 
 

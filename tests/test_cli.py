@@ -314,3 +314,23 @@ def test_missing_output_directory_rejected_before_running(tmp_path, monkeypatch,
     assert cli.main(["simulate", "--config", str(path)]) == 1
     assert runs == [] and not (tmp_path / "missing").exists()
     assert "input error: output directory not found" in capsys.readouterr().err
+
+
+def test_directory_as_output_file_rejected_before_running(tmp_path, monkeypatch, capsys):
+    calls = spy_table_runner(monkeypatch)
+    assert cli.main(["table", "--table", "1", "--paths", "8", "--out", str(tmp_path)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == f"input error: output path is a directory: {tmp_path}\n"
+    runs = spy_run_table_cell(monkeypatch)
+    path = tmp_path / "ko1d.yaml"
+    path.write_text(KO1D_CONFIG + f"output: {tmp_path}\n")
+    assert cli.main(["simulate", "--config", str(path)]) == 1
+    assert "input error: output path is a directory" in capsys.readouterr().err
+    # the path dump's own file, beside a CSV that may be written
+    (tmp_path / "sim.csv.paths.csv").mkdir()
+    argv = ["simulate", "--config", ko1d_config(tmp_path), "--dump-paths", "2",
+            "--out", str(tmp_path / "sim.csv")]
+    assert cli.main(argv) == 1
+    assert runs == [] and not (tmp_path / "sim.csv").exists()
+    assert "output path is a directory: " + str(tmp_path / "sim.csv.paths.csv") in (
+        capsys.readouterr().err)

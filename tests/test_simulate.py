@@ -1163,6 +1163,42 @@ def test_outputs_independent_of_market_chunk(bs1d, ko1d, ko2d, monkeypatch):
         _same_bits(rec.growth[i], np.exp(simulate_market_path(ko2d(0.6), cfg, i)[2]))
 
 
+def test_still_state_keeps_its_first_chunk_geometry(bs1d, ko1d, monkeypatch):
+    # a state that never moves (p = 0) forms its geometry at the start and on the first chunk
+    # only, whatever the steps; a moving state forms it at the start and on every chunk
+    geometry, state_path = simulate._geometry, simulate._state_path
+
+    def counts(model, horizon):  # geometry calls, and the steps of each chunk
+        calls, chunks = [], []
+
+        def counted_geometry(*args, **kw):
+            calls.append(1)
+            return geometry(*args, **kw)
+
+        def counted_path(*args, **kw):
+            for chunk in state_path(*args, **kw):
+                chunks.append(len(chunk[1]))
+                yield chunk
+
+        strategies = [time_based(optimal_rule(model, GAMMA, allow_flagged=True), label="time"),
+                      move_based(), buy_and_hold()]
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_geometry", counted_geometry)
+            patch.setattr(simulate, "_state_path", counted_path)
+            run_strategies(model, small_config(horizon=horizon, n_paths=8, allow_flagged=True),
+                           strategies)
+        return len(calls), chunks
+
+    (short, short_chunks), (long, long_chunks) = counts(bs1d, 1.0), counts(bs1d, 3.0)
+    assert sum(short_chunks) == 250 and sum(long_chunks) == 750
+    assert len(long_chunks) > len(short_chunks) > 1
+    assert short == long == 2
+    for horizon in (1.0, 3.0):
+        n, ko_chunks = counts(ko1d, horizon)
+        assert ko_chunks == (short_chunks if horizon == 1.0 else long_chunks)
+        assert n == 1 + len(ko_chunks)
+
+
 def test_state_leaving_support_mid_chunk_raises(ko1d, monkeypatch):
     # a drift that throws the state far out of its box once it passes y0 + 0.01: the
     # reflection cannot bring it back. Up to then the paths are ko1d's, which first pass

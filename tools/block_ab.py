@@ -3,11 +3,14 @@
 On a shared two-core machine, ``perfbench/run.py``'s ``wall_s`` on two workers can drift by
 tens of percent from run to run, so it cannot show a change of a few percent. This script
 loads ``src/rebalfreq`` of two checkouts side by side, as the packages ``rebalfreq_parent``
-and ``rebalfreq_change``, and alternates one ``simulate._run_block`` call per side on one
-block of a table's market, in one worker, so that the machine's drift falls on both sides
-alike. The side that goes first alternates from pair to pair. It prints:
+and ``rebalfreq_change``, and alternates one ``simulate.run_strategies`` call per side on
+one block of a table's market, so that the machine's drift falls on both sides alike. The
+run's settings are ``evaluate._run_config(PATHS, ...)``: one worker, so the run is one
+engine block, run in this process. The side that goes first alternates from pair to pair.
+Going through ``run_strategies``, not the block itself, keeps the comparison independent of
+the shape of a block's return. It prints:
 
-* whether the two sides' ledgers, frictionless rates and path records are bit-identical;
+* whether the two sides' outcomes, field by field, and merged path records are bit-identical;
 * each side's median and quartiles of the call time;
 * in how many pairs the change's call was the faster one.
 
@@ -21,7 +24,7 @@ Run from anywhere, on two extractions made with ``tools/archive_checkout.py``::
 ``--market table1`` (default) is table 1's one constant-coefficient asset, with its
 simulated set ``move``, ``time_adaptive`` and ``buy_hold``; ``--market ko2d`` is table 4's
 two mean-reverting assets at rho = 0.6, with ``pasted``, ``time_adaptive`` and
-``buy_hold``. The block holds ``PATHS`` paths, the engine's largest block, over ``HORIZON``
+``buy_hold``. The run holds ``PATHS`` paths, the engine's largest block, over ``HORIZON``
 years at the tables' dt, seed and cost rate; the identity check also compares the full
 records of its first ``RECORDS`` paths. It exits 1 if the two sides' results differ in any
 bit.
@@ -30,6 +33,7 @@ bit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -57,8 +61,9 @@ def load_package(checkout, name):
 
 
 def block_call(checkout, name, market):
-    """A function that runs one block of ``PATHS`` paths of ``market`` in ``checkout``'s
-    package, with the table's simulated strategy set, and records its first ``upto`` paths."""
+    """A function that runs ``PATHS`` paths of ``market``, one block in one worker, through
+    ``checkout``'s ``run_strategies`` with the table's simulated strategy set, and records its
+    first ``upto`` paths."""
     simulate, evaluate = load_package(checkout, name)
     table, index = MARKETS[market]
     spec = evaluate._table_spec(table)
@@ -66,11 +71,16 @@ def block_call(checkout, name, market):
     config = evaluate._run_config(PATHS, horizon=HORIZON, allow_flagged=model.p > 0)
     strategies = [evaluate.STRATEGIES[n](model, config, None)
                   for n in spec["strategies"] if n != "frictionless"]
-    return lambda upto=0: simulate._run_block(model, config, strategies, 0, PATHS, upto)
+    return lambda upto=0: simulate.run_strategies(model, config, strategies, upto)
 
 
 def differences(a, b, where="result"):
-    """The places where two block results differ in any bit (arrays by their bytes)."""
+    """The places where two results differ in any bit: arrays by their bytes, and outcomes and
+    records (dataclasses of either package) field by field."""
+    if dataclasses.is_dataclass(a) and dataclasses.is_dataclass(b):
+        if type(a).__name__ != type(b).__name__:
+            return [where]
+        a, b = vars(a), vars(b)
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         same = (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype
                 and a.shape == b.shape and a.tobytes() == b.tobytes())
