@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands: ``frequency`` (optimal waiting times and cost rates), ``tc``
-(leading-order total costs), ``simulate`` (Monte Carlo strategy comparison),
-``table`` (built-in benchmark tables 1-4), ``figure`` (waiting time and
-performance across correlations), and ``validate`` (model sanity checks).
-All output is CSV on stdout or ``--out``. Exit codes: 0 success, 1 input
-error, 2 numerical failure. Runs are pure functions of (config, seed):
-repeating an invocation reproduces its output byte for byte.
+Subcommands: ``frequency`` (optimal waiting times and cost rates), ``tc`` (leading-order total
+costs), ``simulate`` (Monte Carlo strategy comparison), ``table`` (built-in benchmark tables
+1-4), ``figure`` (waiting time and performance across correlations), and ``validate`` (model
+sanity checks). All output is CSV: each command returns its files as ``{path: text}``, where
+``None`` is stdout, and :func:`main` writes them. Exit codes: 0 success, 1 input error, 2
+numerical failure. Runs are pure functions of (config, seed): repeating an invocation
+reproduces its output byte for byte.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ def cmd_frequency(args):
         lines.append(f"constant_A_star,{_fmt(crule.A)}")
         lines.append(f"constant_waiting_time_years,{format(cwait, '.4g')}")
         lines.append(f"constant_waiting_time_months,{format(12.0 * cwait, '.4g')}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return {args.out: "\n".join(lines) + "\n"}
 
 
 def cmd_tc(args):
@@ -109,8 +108,7 @@ def cmd_tc(args):
         f"tac_over_de_at_optimum,{_fmt(split)}",
         f"split_residual,{_fmt(abs(split - 2.0))}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return {args.out: "\n".join(lines) + "\n"}
 
 
 def _given_flags(args, base, min_paths=1):
@@ -149,27 +147,24 @@ def cmd_simulate(args):
     if k and all(n == "frictionless" for n in run.strategies):
         raise InputError("path dumps need at least one simulated strategy")
     result = run_table_cell(run.model, sim, run.strategies, record_paths=k)
-    reports, records = result if k else (result, None)
-    _emit(rows_to_csv(reports), out_path)
-    if dump:
-        _dump_paths(run, records, dump)
-    return 0
+    if not k:
+        return {out_path: rows_to_csv(result)}
+    return {out_path: rows_to_csv(result[0]), dump: _dump_paths(run, result[1])}
 
 
-def _dump_paths(run, records, path):
+def _dump_paths(run, records):
+    """The per-step ledger of the recorded paths, as CSV text."""
     lines = ["strategy,path,time,wealth," + ",".join(f"weight_{i+1}" for i in range(run.model.m))]
     for label, w in records.wealth.items():
         ww = records.weights[label]
         for pi in range(w.shape[0]):
             for ti, t in enumerate(records.times):
                 lines.append(f"{label},{pi}," + ",".join(map(_fmt, (t, w[pi, ti], *ww[pi, ti]))))
-    _emit("\n".join(lines) + "\n", path)
+    return "\n".join(lines) + "\n"
 
 
 def cmd_table(args):
-    reports = table_runner(args.table, **_given_flags(args, _run_config()))
-    _emit(rows_to_csv(reports), args.out)
-    return 0
+    return {args.out: rows_to_csv(table_runner(args.table, **_given_flags(args, _run_config())))}
 
 
 def cmd_figure(args):
@@ -177,8 +172,7 @@ def cmd_figure(args):
     lines = ["rho,A_star_years,F_hat"]
     for r in rows:
         lines.append(f"{_fmt(r['rho'])},{_fmt(r['A_star_years'])},{_fmt(r['F_hat'])}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return {args.out: "\n".join(lines) + "\n"}
 
 
 def cmd_validate(args):
@@ -219,8 +213,7 @@ def cmd_validate(args):
             f"beta_l21_analytic_bound,{_fmt(nd['analytic_bound'])},"
             f"{_status(nd['min_beta_l21'] >= nd['analytic_bound'] - 1e-12)}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return {args.out: "\n".join(lines) + "\n"}
 
 
 def _status(ok):
@@ -244,54 +237,38 @@ def build_parser():
         "paths": dict(type=int, default=None, help="override path count"),
         "epsilon": dict(type=float, default=None, help="override cost rate"),
         "out": dict(default=None, help="write CSV here instead of stdout"),
+        "dump-paths": dict(type=int, default=0, metavar="K",
+                           help="also write a per-step ledger for the first K paths"),
+        "table": dict(type=int, required=True, choices=[1, 2, 3, 4]),
+        "figure": dict(type=int, required=True, choices=[1]),
     }
-
-    def add_flags(p, *names):
-        """Register ``--out`` and the named flags, the ones the command reads."""
-        for name in names + ("out",):
-            p.add_argument(f"--{name}", **flags[name])
-
-    p = sub.add_parser("frequency", help="optimal waiting time and cost rates")
-    add_flags(p, "config", "seed", "epsilon")
-    p.set_defaults(func=cmd_frequency)
-
-    p = sub.add_parser("tc", help="leading-order total costs and the 2:1 split")
-    add_flags(p, "config", "seed", "epsilon")
-    p.set_defaults(func=cmd_tc)
-
-    p = sub.add_parser("simulate", help="Monte Carlo strategy comparison")
-    add_flags(p, "config", "seed", "paths", "epsilon")
-    p.add_argument(
-        "--dump-paths",
-        type=int,
-        default=0,
-        metavar="K",
-        help="also write a per-step ledger for the first K paths",
-    )
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("table", help="run a built-in benchmark table")
-    p.add_argument("--table", type=int, required=True, choices=[1, 2, 3, 4])
-    add_flags(p, "seed", "paths", "epsilon")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("figure", help="waiting time and performance vs correlation")
-    p.add_argument("--figure", type=int, required=True, choices=[1])
-    add_flags(p, "seed", "paths", "epsilon")
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("validate", help="model and assumption checks")
-    add_flags(p, "config", "seed")
-    p.set_defaults(func=cmd_validate)
+    # each command's function, help text and flags, in the order --help lists them
+    commands = {
+        "frequency": (cmd_frequency, "optimal waiting time and cost rates",
+                      "config seed epsilon out"),
+        "tc": (cmd_tc, "leading-order total costs and the 2:1 split", "config seed epsilon out"),
+        "simulate": (cmd_simulate, "Monte Carlo strategy comparison",
+                     "config seed paths epsilon out dump-paths"),
+        "table": (cmd_table, "run a built-in benchmark table", "table seed paths epsilon out"),
+        "figure": (cmd_figure, "waiting time and performance vs correlation",
+                   "figure seed paths epsilon out"),
+        "validate": (cmd_validate, "model and assumption checks", "config seed out"),
+    }
+    for name, (func, text, names) in commands.items():
+        p = sub.add_parser(name, help=text)
+        for flag in names.split():
+            p.add_argument(f"--{flag}", **flags[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _out_checked(args.out)  # before any work
-        return args.func(args)
+        for path, text in args.func(args).items():
+            _emit(text, path)
+        return 0
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

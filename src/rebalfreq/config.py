@@ -94,6 +94,8 @@ def load_config(path):
             raw = yaml.load(fh, Loader=_unique_key_loader())
     except FileNotFoundError as exc:
         raise InputError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"config file cannot be read: {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
@@ -144,7 +146,7 @@ def load_config(path):
     if not isinstance(strategies, list) or not strategies:
         raise InputError("config.strategies must be a nonempty list")
     for s in strategies:
-        if s not in STRATEGIES:
+        if not isinstance(s, str) or s not in STRATEGIES:
             raise InputError(
                 f"unknown strategy {s!r} in config.strategies; known: {', '.join(STRATEGIES)}"
             )

@@ -413,7 +413,8 @@ def _cell_predictions(model, config, names, grid):
     ``time_constant`` is not among ``names``.
     """
     # the exact frictionless rate of a constant-coefficient model, else None
-    fr = float(merton_state(model, np.zeros(0), config.gamma).f_rate) if model.p == 0 else None
+    st = merton_state(model, np.zeros(0), config.gamma) if model.p == 0 else None
+    fr = None if st is None else float(st.f_rate)
     eps23 = config.epsilon ** (2.0 / 3.0)
     preds = {"frictionless": fr}
     rule = None
@@ -427,12 +428,8 @@ def _cell_predictions(model, config, names, grid):
                 preds[name] = base - eps23 * cost / config.horizon
     if "move" in names and model.p == 0 and model.m == 1 and config.epsilon > 0:
         try:
-            forms = bs1d_closed_forms(
-                float(model.mu(np.zeros(0))[0, 0]),
-                float(model.vol[0]),
-                config.gamma,
-                config.epsilon,
-            )
+            forms = bs1d_closed_forms(float(st.mu[0]), float(np.sqrt(st.Sigma[0, 0])),
+                                      config.gamma, config.epsilon)
             preds["move"] = fr - forms.move_based_loss_rate
         except _NOT_APPLICABLE:
             pass

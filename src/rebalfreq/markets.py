@@ -169,7 +169,7 @@ class MarketModel:
 
     @property
     def constant_sigma(self):
-        """True when sigma does not depend on the state (fast paths)."""
+        """True if ``sigma`` and ``g`` do not vary with the state; one state's values serve all."""
         return False
 
     def _state_params(self):
@@ -538,8 +538,9 @@ def model_from_config(cfg, base_dir=None):
         try:
             kwargs["correlation"] = np.atleast_2d(np.loadtxt(path, delimiter=","))
         except OSError as exc:
+            what = "not found" if isinstance(exc, FileNotFoundError) else "cannot be read"
             raise InputError(
-                f"correlation matrix file not found: {path!r}; supply a CSV matrix "
+                f"correlation matrix file {what}: {path!r}; supply a CSV matrix "
                 "via model.correlation_file (comma-separated, one row per line)"
             ) from exc
     return cls(**kwargs)

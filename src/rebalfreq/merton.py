@@ -128,9 +128,9 @@ def merton_state(model, y, gamma):
 
 
 def _constant_block(model, y):
-    """``(sigma, g, Sigma, Sigma_inv)`` of a ``constant_sigma`` model at the states ``y``, formed
-    at the first and broadcast over all as read-only views (``None`` for a state-dependent
-    covariance). :func:`_geometry` broadcasts them again to its own batch."""
+    """``(sigma, g, Sigma, Sigma_inv)`` of a ``constant_sigma`` model (constant ``sigma`` and
+    ``g``) at the states ``y``, formed at the first and broadcast over all as read-only views
+    (``None`` otherwise). :func:`_geometry` broadcasts them again to its own batch."""
     if not model.constant_sigma:
         return None
     c = evaluate_coefficients(model, y[:1])

@@ -371,8 +371,8 @@ def _reflect(y, support):
 
 def _euler(model, y, z, dt, out):
     """Euler steps of the states ``y`` ``(B, p)`` on the tape ``z`` ``(d, K, B)``, reflected at
-    the support box, step ``j``'s into ``out[j]``; returns the last. A constant ``g`` (as
-    with a constant covariance) gives the diffusion terms of all ``K`` steps in one go."""
+    the support box, step ``j``'s into ``out[j]``; returns the last. A ``constant_sigma`` model's
+    ``g``, read at the first state, gives the diffusion terms of all ``K`` steps in one go."""
     def shock(g, z):  # g z sqrt(dt), states last
         return _fixed_sum((g[:, i] * z[i] for i in range(len(z))), 2) * np.sqrt(dt)
 

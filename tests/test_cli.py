@@ -334,3 +334,30 @@ def test_directory_as_output_file_rejected_before_running(tmp_path, monkeypatch,
     assert runs == [] and not (tmp_path / "sim.csv").exists()
     assert "output path is a directory: " + str(tmp_path / "sim.csv.paths.csv") in (
         capsys.readouterr().err)
+
+
+BS2D_CONFIG = BS1D_CONFIG.replace("[0.08]", "[0.08, 0.08]").replace(
+    "[0.16]", "[0.16, 0.16]\n  correlation: [[1.0, 0.3], [0.3, 1.0]]")
+
+
+@pytest.mark.parametrize("text", [BS1D_CONFIG, BS2D_CONFIG], ids=["bs1d", "bs2d"])
+def test_validate_of_a_constant_coefficient_model(tmp_path, text):
+    # the one state of a model without a state stands for every sample; two assets held
+    # long add the analytic lower bound of ||beta||_{2,1}, w1 w2 sigma_22
+    from rebalfreq import l21_norm, load_config, merton_state
+
+    path, out = tmp_path / "run.yaml", tmp_path / "validate.csv"
+    path.write_text(text)
+    assert cli.main(["validate", "--config", str(path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "check,value,status"
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in lines[1:]}
+    st = merton_state(load_config(str(path)).model, np.zeros(0), 5.0)
+    assert rows["min_beta_l21_sampled"] == [evaluate._fmt(l21_norm(st.beta)), "pass"]
+    assert rows["assumption_ok_fraction_sampled"] == ["1", "pass"]
+    if len(st.w_star) == 1:
+        assert "beta_l21_analytic_bound" not in rows
+    else:
+        bound = st.w_star[0] * st.w_star[1] * 0.16 * np.sqrt(1 - 0.3**2)
+        assert float(rows["beta_l21_analytic_bound"][0]) == pytest.approx(bound, rel=1e-9)
+        assert rows["beta_l21_analytic_bound"][1] == "pass"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,9 @@ BS = "model:\n" + MODELS["black_scholes"]
         (BS + SIM + "strategies: []\n", "config.strategies must be a nonempty list"),
         (BS + SIM + "strategies: move\n", "config.strategies must be a nonempty list"),
         (BS + SIM + "strategies: [move, hold]\n", "unknown strategy 'hold' in config.strategies"),
+        (BS + SIM + "strategies: [[move]]\n", r"unknown strategy \['move'\] in config\.strategies"),
+        (BS + SIM + "strategies: [{move: 1}]\n",
+         r"unknown strategy \{'move': 1\} in config\.strategies"),
     ],
 )
 def test_loader_messages(tmp_path, text, message):
@@ -275,3 +279,27 @@ def test_loader_messages(tmp_path, text, message):
         path.write_text(text)
     with pytest.raises(InputError, match=message):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("directory", "config file cannot be read: .*run\\.yaml: .*Is a directory"),
+        ("not UTF-8", "config file cannot be read: .*run\\.yaml: 'utf-8' codec can't decode"),
+        ("correlation file a directory", "correlation matrix file cannot be read: .*corr"),
+    ],
+)
+def test_unreadable_files_are_input_errors(tmp_path, capsys, case, message):
+    # test_loader_messages writes each case as a text file, which these cases are not
+    path = tmp_path / "run.yaml"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not UTF-8":
+        path.write_bytes(b"model: \xff\n")
+    else:
+        (tmp_path / "corr").mkdir()
+        write_config(tmp_path, model_extra="  correlation_file: corr\n")
+    with pytest.raises(InputError, match=message):
+        load_config(str(path))
+    assert cli.main(["simulate", "--config", str(path)]) == 1
+    assert re.match("input error: " + message, capsys.readouterr().err)

@@ -23,6 +23,7 @@ from rebalfreq import (
 )
 from rebalfreq import evaluate, simulate
 from rebalfreq.evaluate import CSV_HEADER, _table_spec, run_table_cell
+from rebalfreq.markets import MarketModel
 
 from conftest import EPS, GAMMA, KO_PARAMS
 
@@ -172,6 +173,45 @@ def test_move_prediction_of_bs1d_cell(bs1d):
     for model, cfg in ((bs1d, config(epsilon=0.0)), (leveraged, config())):
         (_, preds), = evaluate._predictions([(model, cfg)], names)
         assert preds.get("move") is None and preds["frictionless"] is not None
+
+
+class ProtocolBS1d(MarketModel):
+    """BS-1d through the coefficient methods of the MarketModel protocol alone."""
+
+    m, d, p = 1, 1, 0
+
+    def mu(self, y):
+        return np.full((len(y), 1), 0.08)
+
+    def sigma(self, y):
+        return np.full((len(y), 1, 1), 0.16)
+
+    def b(self, y):
+        return np.zeros((len(y), 0))
+
+    def g(self, y):
+        return np.zeros((len(y), 0, 1))
+
+
+def test_move_prediction_read_through_the_model_protocol(bs1d):
+    # the closed forms take mu and the volatility from the model's coefficients, so a
+    # model without BlackScholesModel's own attributes gets the same prediction
+    cfg = config(horizon=0.2, n_paths=8)
+    for model in (ProtocolBS1d(), bs1d):
+        reports = run_table_cell(model, cfg, ["frictionless", "move"])
+        assert reports[1].asymptotic_prediction == 0.024807627705998873
+
+
+def test_unknown_strategy_name_rejected(bs1d):
+    with pytest.raises(InputError, match="unknown strategy name 'hold'"):
+        run_table_cell(bs1d, config(horizon=0.2, n_paths=8), ["time_adaptive", "hold"])
+
+
+def test_cell_of_frictionless_alone_runs_the_simulated_benchmark(bs1d):
+    # its row reads a simulated path sample, which the benchmark strategy provides
+    reports = run_table_cell(bs1d, config(horizon=0.2, n_paths=8), ["frictionless"])
+    assert [(r.strategy, r.n_paths) for r in reports] == [("frictionless", 8)]
+    assert reports[0].asymptotic_prediction == pytest.approx(0.025, abs=1e-15)
 
 
 def test_table_spec_validation():

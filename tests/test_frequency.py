@@ -610,3 +610,22 @@ def test_schedule_of_state_dependent_rule_needs_state_path(bs1d, ko1d):
         adaptive = optimal_rule(model, GAMMA, allow_flagged=True)
         with pytest.raises(ParameterError, match="needs a state_path"):
             schedule_trading_times(adaptive, EPS, 20.0)
+
+
+@pytest.mark.parametrize("case", ["foreign rule", "mixed state processes", "no samples"])
+def test_grid_and_diagnostic_input_checks(ko1d, case):
+    from rebalfreq.frequency import _rate_grid
+
+    grid_args = (GAMMA, 0.2, None, 8, 0.004, 0, True)
+    other = TruncatedKimOmbergModel(vol=[0.1428], **{**KO_PARAMS, "mean_reversion": 0.3})
+    message, call = {
+        "foreign rule": ("the grid holds no integrals of this state-dependent rule",
+                         lambda: _rate_grid(ko1d, *grid_args).rule_integrals(
+                             optimal_rule(ko1d, GAMMA, allow_flagged=True))),
+        "mixed state processes": ("the models of one grid pass must share their state process",
+                                  lambda: _rate_grid((ko1d, other), *grid_args)),
+        "no samples": ("sample_states must be nonempty",
+                       lambda: check_nondegeneracy(ko1d, GAMMA, np.zeros((0, 1)))),
+    }[case]
+    with pytest.raises(ParameterError, match=message):
+        call()

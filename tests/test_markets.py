@@ -361,3 +361,35 @@ def test_model_from_config_correlation_file(tmp_path):
             },
             base_dir=str(tmp_path),
         )
+
+
+def test_state_argument_shapes():
+    from rebalfreq.markets import _as_batch
+
+    batch, batched = _as_batch(np.zeros((3, 0)), 0)
+    assert batch.shape == (3, 0) and batched
+    for y, p, message in [(0.05, 2, "scalar state given but model has p=2"),
+                          (np.zeros(3), 1, "state has length 3, expected 1"),
+                          (np.zeros((4, 2)), 1, "state has trailing dim 2, expected 1")]:
+        with pytest.raises(ParameterError, match=message):
+            _as_batch(y, p)
+
+
+@pytest.mark.parametrize("case", ["correlation shape", "mu and vol", "band overlap", "section"])
+def test_model_input_checks(case):
+    two = dict(mu=[0.08, 0.08], vol=[0.16, 0.16])
+    error, message, call = {
+        "correlation shape": (ParameterError, r"correlation matrix must be 2x2, got \(1, 1\)",
+                              lambda: BlackScholesModel(**two, correlation=[[1.0]])),
+        "mu and vol": (ParameterError, "mu and vol must be 1-D arrays of equal length",
+                       lambda: BlackScholesModel(mu=[0.08], vol=[0.16, 0.16])),
+        # the second asset's bands overlap, the first's do not
+        "band overlap": (ParameterError, "cutoff bands overlap",
+                         lambda: TruncatedKimOmbergModel(
+                             vol=[0.1428, 0.1428], cutoff_low=[0.0, 0.0],
+                             cutoff_high=[0.2, 0.03], cutoff_width=0.02, **KO_PARAMS)),
+        "section": (InputError, "model section must be a mapping",
+                    lambda: model_from_config([("kind", "black_scholes")])),
+    }[case]
+    with pytest.raises(error, match=message):
+        call()

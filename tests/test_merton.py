@@ -7,6 +7,7 @@ from rebalfreq import (
     AssumptionError,
     BlackScholesModel,
     ParameterError,
+    TruncatedKimOmbergModel,
     beta_matrix,
     frictionless_rate,
     l21_norm,
@@ -16,7 +17,7 @@ from rebalfreq import (
 )
 from rebalfreq.merton import AssumptionWarning
 
-from conftest import GAMMA, sample_support_states
+from conftest import GAMMA, KO_PARAMS, sample_support_states
 
 
 def hand_inverse_2x2(a, b, c, d):
@@ -195,3 +196,22 @@ def test_batched_matches_single(ko1d):
         np.testing.assert_allclose(single.w_star, batch.w_star[i], atol=0)
         np.testing.assert_allclose(single.beta, batch.beta[i], atol=0)
         assert single.assumption_ok == batch.assumption_ok[i]
+
+
+def test_state_dependent_g_enters_sigma_tilde_at_each_state(ko1d):
+    # constant_sigma promises a constant sigma and g; a model whose g moves with the state
+    # declares it False, and its sigma_tilde is (dw*/dy) g(y) at each state
+    class MovingG(TruncatedKimOmbergModel):
+        constant_sigma = False
+
+        def g(self, y):
+            return super().g(y) * np.exp(5.0 * np.reshape(y, (-1, 1, 1)))
+
+    model = MovingG(vol=[0.1428], **KO_PARAMS)
+    states = sample_support_states(model, 50, seed=4)
+    h = 1e-6
+    up, dn = (merton_state(model, states + s, GAMMA).w_star for s in (h, -h))
+    expected = ((up - dn) / (2 * h))[:, :, None] * model.g(states)  # (n, m, d), p = 1
+    st = merton_state(model, states, GAMMA)
+    np.testing.assert_allclose(st.sigma_tilde, expected, rtol=1e-6, atol=1e-12)
+    assert np.max(np.abs(st.sigma_tilde - merton_state(ko1d, states, GAMMA).sigma_tilde)) > 0.1

@@ -1278,3 +1278,22 @@ def test_config_validation():
         with pytest.raises(ParameterError, match=key):
             SimulationConfig(horizon=20.0, dt=1 / 250, n_paths=1, epsilon=0.01, gamma=5.0,
                              **{key: value})
+
+
+@pytest.mark.parametrize("case", ["strategy kind", "time rule", "move width of two assets",
+                                  "trade shapes", "repeated labels"])
+def test_input_checks(case):
+    bs1d, bs2d = BlackScholesModel([0.08], [0.16]), BlackScholesModel([0.08] * 2, [0.16] * 2)
+    message, call = {
+        "strategy kind": ("unknown strategy kind 'trade'", lambda: simulate.Strategy("trade", "x")),
+        "time rule": ("need a discretization rule", lambda: simulate.Strategy("time", "x")),
+        "move width of two assets": (
+            "requires a single-asset model",
+            lambda: move_based_halfwidth_1d(bs2d, np.zeros(0), GAMMA, EPS)),
+        "trade shapes": ("same shape", lambda: rebalance_solve([0.1, 0.2], [0.5], EPS)),
+        "repeated labels": ("strategy labels must be unique",
+                            lambda: run_strategies(bs1d, small_config(n_paths=8),
+                                                   [buy_and_hold(), move_based(label="buy_hold")])),
+    }[case]
+    with pytest.raises(ParameterError, match=message):
+        call()
