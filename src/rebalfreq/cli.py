@@ -88,7 +88,7 @@ def cmd_frequency(args):
         lines.append(f"constant_A_star,{_fmt(crule.A)}")
         lines.append(f"constant_waiting_time_years,{format(cwait, '.4g')}")
         lines.append(f"constant_waiting_time_months,{format(12.0 * cwait, '.4g')}")
-    return {args.out: "\n".join(lines) + "\n"}
+    return {run.output: "\n".join(lines) + "\n"}
 
 
 def cmd_tc(args):
@@ -108,7 +108,7 @@ def cmd_tc(args):
         f"tac_over_de_at_optimum,{_fmt(split)}",
         f"split_residual,{_fmt(abs(split - 2.0))}",
     ]
-    return {args.out: "\n".join(lines) + "\n"}
+    return {run.output: "\n".join(lines) + "\n"}
 
 
 def _given_flags(args, base, min_paths=1):
@@ -129,27 +129,27 @@ def _given_flags(args, base, min_paths=1):
 
 def _load_run(args):
     """``(run, start state)`` of the ``--config`` run, its simulation settings replaced by the
-    run flags given (:func:`_given_flags`)."""
+    run flags given (:func:`_given_flags`) and its ``output`` by ``--out`` if given, checked."""
     run = load_config(args.config)
     run.simulation = dataclasses.replace(run.simulation, **_given_flags(args, run.simulation))
+    run.output = args.out or _out_checked(run.output)
     return run, _default_y0(run.model, run.simulation.y0)
 
 
 def cmd_simulate(args):
     run, _ = _load_run(args)
-    sim = run.simulation
-    k, out_path = args.dump_paths, args.out or _out_checked(run.output)
+    sim, k = run.simulation, args.dump_paths
     if not 0 <= k <= sim.n_paths:
         raise InputError(f"--dump-paths must lie in [0, {sim.n_paths}], the run's path count")
-    if k and not out_path:
+    if k and not run.output:
         raise InputError("--dump-paths requires --out (or config.output)")
-    dump = k and _out_checked(out_path + ".paths.csv")
+    dump = k and _out_checked(run.output + ".paths.csv")
     if k and all(n == "frictionless" for n in run.strategies):
         raise InputError("path dumps need at least one simulated strategy")
     result = run_table_cell(run.model, sim, run.strategies, record_paths=k)
     if not k:
-        return {out_path: rows_to_csv(result)}
-    return {out_path: rows_to_csv(result[0]), dump: _dump_paths(run, result[1])}
+        return {run.output: rows_to_csv(result)}
+    return {run.output: rows_to_csv(result[0]), dump: _dump_paths(run, result[1])}
 
 
 def _dump_paths(run, records):
@@ -213,7 +213,7 @@ def cmd_validate(args):
             f"beta_l21_analytic_bound,{_fmt(nd['analytic_bound'])},"
             f"{_status(nd['min_beta_l21'] >= nd['analytic_bound'] - 1e-12)}"
         )
-    return {args.out: "\n".join(lines) + "\n"}
+    return {run.output: "\n".join(lines) + "\n"}
 
 
 def _status(ok):

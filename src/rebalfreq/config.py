@@ -85,7 +85,8 @@ def load_config(path):
     keys only numbers (``horizon: 2`` is 2.0; ``1e-2`` is a string in YAML 1.1).
     Unknown keys, missing keys and values of the wrong type are
     :class:`InputError`, with their dotted location; YAML syntax errors and
-    a key repeated in one mapping report the line number.
+    a key repeated in one mapping report the line number. Relative paths
+    (``output``, ``model.correlation_file``) resolve against the file's directory.
     """
     import yaml
 
@@ -109,10 +110,9 @@ def load_config(path):
         raise InputError("config.simulation must be a mapping")
     _reject_unknown(raw["simulation"], _SIM_TYPES, "simulation")
 
+    base_dir = os.path.dirname(os.path.abspath(path))
     try:
-        model = model_from_config(
-            raw["model"], base_dir=os.path.dirname(os.path.abspath(path))
-        )
+        model = model_from_config(raw["model"], base_dir=base_dir)
     except InputError:
         raise
     except (TypeError, ValueError) as exc:
@@ -163,5 +163,5 @@ def load_config(path):
         model_cfg=raw["model"],
         simulation=sim,
         strategies=list(strategies),
-        output=output,
+        output=output and os.path.join(base_dir, output),
     )

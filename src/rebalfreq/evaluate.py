@@ -133,7 +133,7 @@ def estimate_objective(outcome, config, frictionless_rate=None, prediction=None)
     )
 
 
-def frictionless_report(outcome, config, analytic=None, label="frictionless"):
+def frictionless_report(outcome, config, analytic=None):
     """Frictionless benchmark row from the same paths as a simulated run.
 
     For constant-coefficient models pass ``analytic`` (the exact rate); the
@@ -146,7 +146,7 @@ def frictionless_report(outcome, config, analytic=None, label="frictionless"):
     else:
         rate, stderr = float(analytic), 0.0
     return StrategyReport(
-        strategy=label,
+        strategy="frictionless",
         F_hat=rate,
         stderr=stderr,
         mean_tac=0.0,

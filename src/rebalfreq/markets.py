@@ -131,8 +131,8 @@ class MarketModel:
     Subclasses must set ``m`` (assets), ``d`` (Brownian factors), ``p``
     (state dimension), and ``support`` (``(p, 2)`` box or ``None``), and
     implement the batched coefficient methods ``mu``, ``sigma``, ``b``,
-    ``g``. Analytic Jacobians ``dmu_dy`` / ``dsigma_dy`` default to central
-    finite differences.
+    ``g``; with ``has_analytic_jacobians`` also ``dmu_dy`` / ``dsigma_dy``,
+    else :func:`jacobians` takes central finite differences.
     """
 
     m: int
@@ -154,18 +154,9 @@ class MarketModel:
     def g(self, y):  # (n, p) -> (n, p, d)
         raise NotImplementedError
 
-    def dmu_dy(self, y):  # (n, p) -> (n, m, p)
-        dmu, _ = finite_difference_jacobians(self, y)
-        return dmu
-
-    def dsigma_dy(self, y):
-        """Entrywise gradient of Sigma = sigma sigma^T, shape (n, m, m, p)."""
-        _, dsig = finite_difference_jacobians(self, y)
-        return dsig
-
     def fused_coeffs(self, y):
         """``(mu, dmu_dy)`` at the states ``y``; override to share one sweep."""
-        return self.mu(y), self.dmu_dy(y)
+        return self.mu(y), jacobians(self, y)[0]
 
     @property
     def constant_sigma(self):
@@ -192,7 +183,6 @@ class MarketModel:
 class Coefficients(NamedTuple):
     mu: np.ndarray
     sigma: np.ndarray
-    b: np.ndarray
     g: np.ndarray
     Sigma: np.ndarray
     Sigma_inv: np.ndarray
@@ -412,21 +402,20 @@ def _check_finite(*coefficients):
 
 
 def evaluate_coefficients(model, y):
-    """Evaluate all coefficient functions at a state point (or batch).
+    """Evaluate ``mu``, ``sigma`` and ``g`` (not the state drift ``b``) at a state or a batch.
 
-    Returns a :class:`Coefficients` tuple ``(mu, sigma, b, g, Sigma,
-    Sigma_inv)``. Raises :class:`DomainError` outside the model's support
-    or where ``mu`` or ``sigma`` is not finite, both checked at every state,
-    and :class:`DegenerateCovarianceError` if ``sigma sigma^T`` is not
-    positive definite. For models with ``constant_sigma`` the covariance is
-    formed, checked and inverted once, and ``Sigma`` / ``Sigma_inv`` are
-    read-only views of that one matrix broadcast over the batch.
+    Returns a :class:`Coefficients` tuple ``(mu, sigma, g, Sigma, Sigma_inv)``.
+    Raises :class:`DomainError` outside the model's support or where ``mu``
+    or ``sigma`` is not finite, both checked at every state, and
+    :class:`DegenerateCovarianceError` if ``sigma sigma^T`` is not positive
+    definite. For ``constant_sigma`` models the covariance is formed, checked
+    and inverted once; ``Sigma`` / ``Sigma_inv`` are read-only views of that
+    one matrix broadcast over the batch.
     """
     model.check_support(y)
     batch, batched = _as_batch(y, model.p)
     mu = model.mu(batch)
     sigma = model.sigma(batch)
-    b = model.b(batch)
     g = model.g(batch)
     _check_finite(mu, sigma)
     sig = sigma[:1] if model.constant_sigma else sigma
@@ -435,16 +424,16 @@ def evaluate_coefficients(model, y):
     if model.constant_sigma:
         shape = (len(batch),) + Sigma.shape[1:]
         Sigma, Sigma_inv = np.broadcast_to(Sigma, shape), np.broadcast_to(Sigma_inv, shape)
-    out = Coefficients(mu, sigma, b, g, Sigma, Sigma_inv)
+    out = Coefficients(mu, sigma, g, Sigma, Sigma_inv)
     if not batched:
         out = Coefficients(*(a[0] for a in out))
     return out
 
 
-def finite_difference_jacobians(model, y, h_scale=1e-6):
+def finite_difference_jacobians(model, y):
     """Central finite-difference Jacobians of mu and Sigma w.r.t. the state.
 
-    Uses step ``h = h_scale * max(1, |y_i|)`` per component. Serves both as
+    Uses step ``h = 1e-6 * max(1, |y_i|)`` per component. Serves both as
     the fallback for models without analytic derivatives and as the
     independent oracle in tests. Returns ``(dmu_dy, dSigma_dy)`` with shapes
     ``(n, m, p)`` and ``(n, m, m, p)``.
@@ -454,7 +443,7 @@ def finite_difference_jacobians(model, y, h_scale=1e-6):
     dmu = np.zeros((n, model.m, model.p))
     dsig = np.zeros((n, model.m, model.m, model.p))
     for j in range(model.p):
-        h = h_scale * np.maximum(1.0, np.abs(batch[:, j]))
+        h = 1e-6 * np.maximum(1.0, np.abs(batch[:, j]))
         up = batch.copy()
         dn = batch.copy()
         up[:, j] += h

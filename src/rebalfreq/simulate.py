@@ -391,12 +391,11 @@ def _log_returns(mu, sigma, z, dt):
     return (mu - 0.5 * rownorm2) * dt + shock * np.sqrt(dt)
 
 
-def _state_path(model, seed, lo, hi, antithetic, y, n_steps, dt, K=None, chunk=128):
-    """Paths ``lo .. hi - 1`` from the states ``y`` ``(B, p)``, ``K`` steps at a time (by default
-    the block walk's; fewer where a drawn chunk ends): yields each chunk's tape ``z`` ``(d, k,
-    B)`` and the states after its steps, ``(k, B, p)``."""
-    source = _BlockNormals(seed, lo, hi, model.d, antithetic, chunk)
-    K, step = K or max(1, _CHUNK // (hi - lo)), 0
+def _state_path(model, seed, lo, hi, antithetic, y, n_steps, dt):
+    """Paths ``lo .. hi - 1`` from the states ``y`` ``(B, p)`` in the block walk's chunks: yields
+    each chunk's tape ``z`` ``(d, k, B)`` and the states after its steps, ``(k, B, p)``."""
+    source = _BlockNormals(seed, lo, hi, model.d, antithetic)
+    K, step = max(1, _CHUNK // (hi - lo)), 0
     while step < n_steps:
         z = source.tape(n_steps - step, K)
         k = z.shape[1]
@@ -462,7 +461,8 @@ def simulate_market_path(model, config, path_index):
     ``states`` has shape ``(n_steps + 1, p)`` and ``log_returns`` has shape
     ``(n_steps, m)``; the pair ``(config.seed, path_index)`` fully
     determines the output, which equals the engine's for that path. Under
-    antithetic sampling the path is drawn with its partner, as a pair.
+    antithetic sampling the path is drawn with its partner, as a pair; the
+    block walk's chunks are joined.
     """
     if not 0 <= path_index < config.n_paths:
         raise ParameterError(f"path_index must lie in [0, {config.n_paths}), got {path_index}")
@@ -472,14 +472,15 @@ def simulate_market_path(model, config, path_index):
     lo = path_index - path_index % pair
     col = path_index - lo
     y0 = _default_y0(model, config.y0)[None]
-    (z, ys), = _state_path(model, config.seed, lo, lo + pair, config.antithetic,
-                           np.repeat(y0, pair, axis=0), n_steps, config.dt, n_steps, chunk=n_steps)
-    states = np.concatenate([y0, ys[:, col]])
+    zs, yss = zip(*_state_path(model, config.seed, lo, lo + pair, config.antithetic,
+                               np.repeat(y0, pair, axis=0), n_steps, config.dt))
+    states = np.concatenate([y0, *(ys[:, col] for ys in yss)])
     left = states[:-1]
     model.check_support(left)
     mu, sigma = model.mu(left), model.sigma(left)
     _check_finite(mu, sigma)
-    return times, states, _log_returns(_last(mu), _last(sigma), z[:, :, col], config.dt).T
+    z = np.concatenate(zs, axis=1)[:, :, col]
+    return times, states, _log_returns(_last(mu), _last(sigma), z, config.dt).T
 
 
 # ---------------------------------------------------------------------------

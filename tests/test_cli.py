@@ -361,3 +361,39 @@ def test_validate_of_a_constant_coefficient_model(tmp_path, text):
         bound = st.w_star[0] * st.w_star[1] * 0.16 * np.sqrt(1 - 0.3**2)
         assert float(rows["beta_l21_analytic_bound"][0]) == pytest.approx(bound, rel=1e-9)
         assert rows["beta_l21_analytic_bound"][1] == "pass"
+
+
+@pytest.mark.parametrize("command", ["frequency", "tc", "validate"])
+def test_config_output_honoured_by_every_config_command(tmp_path, capsys, command):
+    printed, written = tmp_path / "printed.yaml", tmp_path / "written.yaml"
+    printed.write_text(BS1D_CONFIG)
+    written.write_text(BS1D_CONFIG + f"output: {command}.csv\n")
+    assert cli.main([command, "--config", str(printed)]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main([command, "--config", str(written)]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / f"{command}.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("command", ["frequency", "tc", "validate", "simulate"])
+def test_missing_config_output_directory_rejected_before_running(tmp_path, monkeypatch, capsys,
+                                                                 command):
+    calls = []
+    for name in ("optimal_rule", "_config_grid", "_sample_states", "run_table_cell"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: calls.append(args))
+    path = tmp_path / "ko1d.yaml"
+    path.write_text(KO1D_CONFIG + "output: missing/out.csv\n")
+    assert cli.main([command, "--config", str(path)]) == 1
+    assert calls == [] and not (tmp_path / "missing").exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: output directory not found: {tmp_path / 'missing'}\n"
+
+
+def test_simulate_without_path_dump_writes_the_report_alone(tmp_path):
+    path, out = tmp_path / "run.yaml", tmp_path / "sim.csv"
+    path.write_text(BS1D_CONFIG + "strategies: [frictionless, move]\n")
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == evaluate.CSV_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == ["frictionless", "move"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml", "sim.csv"]

@@ -303,3 +303,17 @@ def test_unreadable_files_are_input_errors(tmp_path, capsys, case, message):
         load_config(str(path))
     assert cli.main(["simulate", "--config", str(path)]) == 1
     assert re.match("input error: " + message, capsys.readouterr().err)
+
+
+def test_relative_output_resolves_against_the_config_directory(tmp_path, monkeypatch):
+    # as model.correlation_file does, whatever the working directory
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    path = tmp_path / "configs" / "run.yaml"
+    path.write_text(Path(write_config(tmp_path)).read_text() + "output: result.csv\n")
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    config = str(Path("..") / "configs" / "run.yaml")
+    assert load_config(config).output == str(tmp_path / "configs" / "result.csv")
+    assert cli.main(["simulate", "--config", config]) == 0
+    assert (tmp_path / "configs" / "result.csv").read_text().startswith("strategy,F_hat")
+    assert not any((tmp_path / "elsewhere").iterdir())

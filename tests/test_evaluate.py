@@ -398,3 +398,31 @@ def test_expansion_check_needs_two_positive_cost_rates(bs1d, epsilons):
     cfg = config(horizon=1.0, n_paths=64)
     with pytest.raises(ParameterError, match="two distinct positive cost rates"):
         expansion_check(bs1d, GAMMA, cfg, alphas=[2.0 / 3.0], epsilons=epsilons)
+
+
+def test_cells_of_unnamed_state_parameters_draw_a_pass_each(monkeypatch, ko1d):
+    # a model that does not name the parameters of b and g has no state key, so equal cells
+    # cannot be proved to share a grid; each draws its own, with the keyed model's bits
+    class Unnamed(TruncatedKimOmbergModel):
+        def _state_params(self):
+            return None
+
+    unnamed = Unnamed(vol=[0.1428], **KO_PARAMS)
+    assert simulate._state_key(unnamed, None) is None
+    cfg = config(horizon=0.2, n_paths=8, allow_flagged=True)
+    names = ["frictionless", "time_adaptive"]
+    calls = _count_grids(monkeypatch)
+    found = evaluate._predictions([(unnamed, cfg), (unnamed, cfg)], names)
+    assert len(calls) == 2
+    keyed = evaluate._predictions([(ko1d, cfg), (ko1d, cfg)], names)
+    assert len(calls) == 3
+    assert found == keyed and found[0][1]["time_adaptive"] is not None
+
+
+def test_one_surviving_path_has_no_standard_error(bs1d):
+    cfg = config(n_paths=2)
+    out = run_strategy(bs1d, cfg, buy_and_hold())
+    out.failed[:] = [False, True]
+    rep = estimate_objective(out, cfg)
+    assert rep.n_paths == 1 and rep.n_failed == 1
+    assert np.isnan(rep.stderr) and np.isfinite(rep.F_hat)

@@ -215,3 +215,10 @@ def test_state_dependent_g_enters_sigma_tilde_at_each_state(ko1d):
     st = merton_state(model, states, GAMMA)
     np.testing.assert_allclose(st.sigma_tilde, expected, rtol=1e-6, atol=1e-12)
     assert np.max(np.abs(st.sigma_tilde - merton_state(ko1d, states, GAMMA).sigma_tilde)) > 0.1
+
+
+def test_scalar_state_of_a_one_factor_state_model(ko1d):
+    scalar = merton_state(ko1d, 0.07, GAMMA)
+    vector = merton_state(ko1d, np.array([0.07]), GAMMA)
+    for name, value in vars(vector).items():
+        np.testing.assert_array_equal(getattr(scalar, name), value)

@@ -1297,3 +1297,12 @@ def test_input_checks(case):
     }[case]
     with pytest.raises(ParameterError, match=message):
         call()
+
+
+def test_state_without_support_box_steps_unreflected(ko1d):
+    # one year of KO-1d paths stays far inside the box, so dropping it changes no bit
+    unbounded = TruncatedKimOmbergModel(vol=[0.1428], **KO_PARAMS)
+    unbounded.support = None
+    _, boxed = simulate_state_grid(ko1d, 1.0, 0.004, 8, seed=3)
+    _, free = simulate_state_grid(unbounded, 1.0, 0.004, 8, seed=3)
+    np.testing.assert_array_equal(free, boxed)

@@ -14,8 +14,10 @@ In each checkout it runs, with ``PYTHONPATH`` set to the checkout's ``src``:
   configs: the checkout's ``perfbench/configs/ko2d_engine.yaml``, and a one-asset and a
   two-asset Black-Scholes config (``bs1d.yaml``, ``bs2d.yaml``) that the script writes into
   its temporary directory;
-* ``simulate --dump-paths 4`` on a one-asset Black-Scholes config whose ``output:`` key names
-  the CSV, without ``--out``;
+* ``simulate --dump-paths 4`` on a one-asset Black-Scholes config whose relative ``output:``
+  key names the CSV, without ``--out``. This config is written into each checkout's output
+  directory, where its commands run, so the CSV lands there whether a checkout resolves
+  ``output:`` against the working directory or against the config's directory;
 * ``table --table 1 --paths 8`` on stdout.
 
 Every command runs in its own checkout's output directory, under a temporary directory. The
@@ -47,9 +49,11 @@ CONFIGS = {
     "bs2d.yaml": "model:\n  kind: black_scholes\n  mu: [0.08, 0.06]\n  vol: [0.16, 0.2]\n"
                  "  correlation: [[1.0, 0.3], [0.3, 1.0]]\n" + SIMULATION
                  + "strategies: [frictionless, time_adaptive, time_constant, pasted]\n",
-    "bs1d_output.yaml": BS1D + "strategies: [frictionless, time_adaptive, move]\n"
-                               "output: simulate_output.csv\n",
 }
+# the config with an ``output:`` key, written into each checkout's output directory
+OUTPUT_CONFIG = "bs1d_output.yaml"
+OUTPUT_TEXT = (BS1D + "strategies: [frictionless, time_adaptive, move]\n"
+               "output: simulate_output.csv\n")
 
 
 def runs(checkout, configs):
@@ -72,8 +76,7 @@ def runs(checkout, configs):
                      ["simulate", "--config", config, "--paths", "64", "--dump-paths", "6"], "out"))
     todo += [
         ("simulate_output.csv",
-         ["simulate", "--config", os.path.join(configs, "bs1d_output.yaml"), "--dump-paths", "4"],
-         None),
+         ["simulate", "--config", OUTPUT_CONFIG, "--dump-paths", "4"], None),
         ("table1_paths8.stdout", ["table", "--table", "1", "--paths", "8"], "stdout"),
     ]
     return todo
@@ -108,10 +111,13 @@ def compare(parent, change, work):
     for side, checkout in (("parent", parent), ("change", change)):
         dirs[side] = os.path.join(work, side)
         os.makedirs(dirs[side], exist_ok=True)
+        with open(os.path.join(dirs[side], OUTPUT_CONFIG), "w", encoding="utf-8") as fh:
+            fh.write(OUTPUT_TEXT)
         for name, code, err in run_all(checkout, dirs[side], configs):
             print(f"{side}: {name} exited {code}: {err}")
             problems += 1
-    names = sorted(set(os.listdir(dirs["parent"])) | set(os.listdir(dirs["change"])))
+    names = sorted((set(os.listdir(dirs["parent"])) | set(os.listdir(dirs["change"])))
+                   - {OUTPUT_CONFIG})
     for name in names:
         a, b = (os.path.join(dirs[side], name) for side in ("parent", "change"))
         if not (os.path.exists(a) and os.path.exists(b)):
