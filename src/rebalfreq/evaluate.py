@@ -89,12 +89,10 @@ class StrategyReport:
 
 
 def _stderr(values, antithetic):
+    if antithetic and len(values) % 2 == 0:
+        values = values.reshape(-1, 2).mean(axis=1)  # antithetic pairs' means
     if len(values) <= 1:
         return float("nan")
-    if antithetic and len(values) % 2 == 0:
-        pairs = values.reshape(-1, 2).mean(axis=1)
-        if len(pairs) > 1:
-            return float(pairs.std(ddof=1) / np.sqrt(len(pairs)))
     return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
@@ -466,15 +464,15 @@ def _cell_reports(model, config, names, suffix, rule, predictions, pool, record_
     return reports, records
 
 
-def run_table_cell(model, config, strategy_names, label_suffix="", record_paths=0):
+def run_table_cell(model, config, strategy_names, record_paths=0):
     """Run one model's strategy battery and return report rows.
 
     With ``config.n_workers > 1`` one process pool, shut down before this returns or
     raises, serves the cell's prediction grid and then its Monte Carlo blocks. With
     ``record_paths > 0`` returns ``(reports, records)``, as :func:`run_strategy` does.
     """
-    (reports, records), = _run_cells([(model, config)], strategy_names, [label_suffix],
-                                     config.n_workers, record_paths)
+    (reports, records), = _run_cells([(model, config)], strategy_names, [""], config.n_workers,
+                                     record_paths)
     return (reports, records) if record_paths else reports
 
 

@@ -24,11 +24,11 @@ states after their steps, chunk by chunk, to the engine, the state grid and
 the single-path API alike, and one trapezoid, :func:`_trapezoid`, sums a rate
 along them step by step for the engine's frictionless rate and the state grid's
 integrals. Strategies of one run share the market draws, which
-sharpens their comparison, and one ledger of arrays stacked over (strategy,
-path), paths last. The block walk: paths run in blocks of at most ``_BLOCK``, and a block of
-``B`` paths from its start states, then in chunks of ``K = max(1, _CHUNK // B)`` steps (fewer
-where a drawn chunk ends) in step order. The engine's market pass (:func:`_market_pass`) forms
-the geometry, band widths and growth of a chunk's ``k B`` states at once; its ledger
+sharpens their comparison, and one ledger: its results and records are arrays by name over
+(strategy, path), paths last. The block walk: paths run in blocks of at most ``_BLOCK``, and a
+block of ``B`` paths from its start states, then in chunks of ``K = max(1, _CHUNK // B)`` steps
+(fewer where a drawn chunk ends) in step order. The engine's market pass (:func:`_market_pass`)
+forms the geometry, band widths and growth of a chunk's ``k B`` states at once; its ledger
 (:func:`_run_block`) reads step slices of these.
 
 Bit identity: a path's draws depend only on the seed and its index, and every
@@ -515,7 +515,7 @@ class StrategyOutcome:
 
 @dataclass
 class PathRecords:
-    """Full ledgers for the first few paths (debugging and reconciliation)."""
+    """Full ledgers of the first few paths: block arrays joined in path order with the ledger."""
 
     times: np.ndarray
     growth: np.ndarray  # (K, n_steps, m) asset growth factors, shared
@@ -584,8 +584,8 @@ def _market_pass(model, config, lo, hi, with_beta, banded):
 def _run_block(model, config, strategies, lo, hi, record_upto):
     """The ledgers of all ``S`` strategies on one :func:`_market_pass` of paths ``lo .. hi - 1``,
     stacked ``(S, B)`` and ``(S, m, B)``, paths last; trades use rows ``strategy * B + path``.
-    Returns the ``(S, B)`` ledger and the pass's ``(B,)`` sums, both by :class:`StrategyOutcome`
-    field name, and the records of the paths below ``record_upto`` (or ``None``)."""
+    Returns the ``(S, B)`` ledger and the pass's ``(B,)`` sums by :class:`StrategyOutcome` field
+    name, the records of the paths below ``record_upto`` by name, and each strategy's trades."""
     n_steps, m, dt, eps = config.n_steps, model.m, config.dt, config.epsilon
     S, B, const = len(strategies), hi - lo, model.constant_sigma
     n_rec = max(0, min(record_upto, hi) - lo)
@@ -611,15 +611,10 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
     for k, rule in timed:
         next_t[k] = rule.waiting_time(y, eps, model=model, st=first)
 
-    vi_rec = Vi[:, :, :n_rec].transpose(0, 2, 1)  # live view; records put paths before assets
-    rec = {
-        "growth": np.empty((n_rec, n_steps, m)),
-        "wealth": np.ones((S, n_rec, n_steps + 1)),
-        "positions": np.repeat(vi_rec[:, :, None], n_steps + 1, axis=2),
-        "w_pre_min": vi_rec.copy(),
-        "w_pre_max": vi_rec.copy(),
-        "trades": [[] for _ in strategies],
-    } if n_rec else None
+    rec = dict(growth=np.empty((n_steps, m, n_rec)), wealth=np.ones((S, n_steps + 1, n_rec)),
+               positions=np.repeat(Vi[:, None, :, :n_rec], n_steps + 1, axis=1),
+               w_pre_min=Vi[..., :n_rec].copy(), w_pre_max=Vi[..., :n_rec].copy())
+    trades = [[] for _ in strategies]
 
     step = 0
     for ys, geo, W, G, HW in market:
@@ -693,19 +688,18 @@ def _run_block(model, config, strategies, lo, hi, record_upto):
                     dl = np.where(tm, u * keep[:, None] - w, 0.0)
                     for i in np.flatnonzero(bi < n_rec):
                         trade = (step + 1, lo + int(bi[i]), dl[i].copy(), float(sz[i]))
-                        rec["trades"][si[i]].append(trade)
+                        trades[si[i]].append(trade)
             if n_rec:
-                rec["growth"][:, step] = G[:, j, :n_rec].T
-                rec["wealth"][:, :, step + 1] = V[:, :n_rec]
-                rec["positions"][:, :, step + 1] = vi_rec
-                w_rec = w_pre[:, :, :n_rec].transpose(0, 2, 1)
-                np.minimum(rec["w_pre_min"], w_rec, out=rec["w_pre_min"])
-                np.maximum(rec["w_pre_max"], w_rec, out=rec["w_pre_max"])
+                rec["growth"][step] = G[:, j, :n_rec]
+                rec["wealth"][:, step + 1] = V[:, :n_rec]
+                rec["positions"][:, step + 1] = Vi[..., :n_rec]
+                np.minimum(rec["w_pre_min"], w_pre[..., :n_rec], out=rec["w_pre_min"])
+                np.maximum(rec["w_pre_max"], w_pre[..., :n_rec], out=rec["w_pre_max"])
             step += 1
         del ys, geo, W, G, HW  # let the pass free this chunk as it forms the next
 
     ledger = dict(rel_sum=rel, rel_sq_sum=rel2, tac=tac, de=de, n_trades=n_trades, failed=V <= 0.0)
-    return ledger, sums, rec
+    return ledger, sums, rec, trades
 
 
 def _ranges(n_paths, n_workers, cap, pairs):
@@ -740,51 +734,38 @@ def _on_ranges(fn, ranges, n_workers, pool=None):
 def run_strategies(model, config, strategies, record_paths=0, *, pool=None):
     """Simulate several strategies on shared market draws.
 
-    Returns ``(outcomes, records)`` where ``outcomes`` maps each strategy
-    label to a :class:`StrategyOutcome` with per-path arrays in path order,
-    and ``records`` holds full ledgers for the first ``record_paths`` paths
-    of the run, merged from the blocks in path order (``None`` if zero).
-    The blocks run on ``pool`` if given (:func:`_on_ranges`).
+    Returns ``(outcomes, records)``: ``outcomes`` maps each strategy label to a
+    :class:`StrategyOutcome`, and ``records`` is the :class:`PathRecords` of the first
+    ``record_paths`` paths (``None`` if zero). Both are the blocks' arrays joined in path order
+    (weights: positions over wealth, zero where it is not positive); trades are sorted by
+    step, then path, so neither depends on the block size. The blocks run on ``pool`` if given.
     """
     labels = [s.label for s in strategies]
     if len(set(labels)) != len(labels):
         raise ParameterError("strategy labels must be unique")
     if fault := _move_fault([s.kind for s in strategies], model.m):
         raise ParameterError(fault)
+    integer = isinstance(record_paths, (int, np.integer)) and not isinstance(record_paths, bool)
+    if not integer or record_paths < 0:
+        raise ParameterError(f"record_paths must be a nonnegative integer, got {record_paths!r}")
     ranges = _ranges(config.n_paths, config.n_workers, _BLOCK, config.antithetic)
     run_block = partial(_run_block, model, config, strategies, record_upto=record_paths)
     results = _on_ranges(run_block, ranges, config.n_workers, pool)
 
-    ledger, sums = ({name: np.concatenate([r[i][name] for r in results], axis=-1)
-                     for name in results[0][i]} for i in (0, 1))  # each along the path axis
+    ledger, sums, rec = ({name: np.concatenate([r[i][name] for r in results], axis=-1)
+                          for name in results[0][i]} for i in (0, 1, 2))  # along the path axis
     outcomes = {label: StrategyOutcome(label, **{name: a[k] for name, a in ledger.items()}, **sums)
                 for k, label in enumerate(labels)}
-    return outcomes, _merge_records(config, labels, [r[2] for r in results if r[2] is not None])
-
-
-def _merge_records(config, labels, parts):
-    """Join the blocks' stacked records in path order and split them by label.
-
-    Weights are positions over wealth (zero where wealth is not positive).
-    Trades are listed by step, then path, as one block lists them, so the
-    records do not depend on the block size.
-    """
-    if not parts:
-        return None
-    times = np.linspace(0.0, config.horizon, config.n_steps + 1)
-    merged = PathRecords(times, np.concatenate([r["growth"] for r in parts]))
-    cat = {
-        name: np.concatenate([r[name] for r in parts], axis=1)
-        for name in ("wealth", "positions", "w_pre_min", "w_pre_max")
-    }
-    pos, wealth = cat.pop("positions"), cat["wealth"][..., None]
-    cat["weights"] = np.divide(pos, wealth, out=np.zeros_like(pos), where=wealth > 0)
-    for name, stacked in cat.items():
-        getattr(merged, name).update(zip(labels, stacked))
-    for k, label in enumerate(labels):
-        trades = (t for r in parts for t in r["trades"][k])
-        merged.trades[label] = sorted(trades, key=lambda t: t[:2])
-    return merged
+    if not record_paths:
+        return outcomes, None
+    pos, wealth = rec.pop("positions"), rec["wealth"][:, :, None]
+    rec["weights"] = np.divide(pos, wealth, out=np.zeros_like(pos), where=wealth > 0)
+    records = PathRecords(
+        np.linspace(0.0, config.horizon, config.n_steps + 1), np.moveaxis(rec.pop("growth"), -1, 0),
+        **{name: dict(zip(labels, np.moveaxis(a, -1, 1))) for name, a in rec.items()},
+        trades={label: sorted((t for r in results for t in r[3][k]), key=lambda t: t[:2])
+                for k, label in enumerate(labels)})
+    return outcomes, records
 
 
 def run_strategy(model, config, strategy, record_paths=0):

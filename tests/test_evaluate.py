@@ -298,7 +298,9 @@ def test_table4_cells_share_one_grid_pass(monkeypatch):
     alone = []
     for suffix, model in spec["models"]:
         cfg = evaluate._run_config(8, horizon=0.2, allow_flagged=True)
-        alone += run_table_cell(model, cfg, spec["strategies"], suffix)
+        for rep in run_table_cell(model, cfg, spec["strategies"]):
+            rep.strategy += suffix  # the cell's label, as table_runner gives it
+            alone.append(rep)
     assert len(calls) == 4
     assert rows_to_csv(reports) == rows_to_csv(alone)
     for shared, own in zip(reports, alone):
@@ -409,6 +411,7 @@ def test_cells_of_unnamed_state_parameters_draw_a_pass_each(monkeypatch, ko1d):
 
     unnamed = Unnamed(vol=[0.1428], **KO_PARAMS)
     assert simulate._state_key(unnamed, None) is None
+    assert simulate._state_key(ProtocolBS1d(), None) is None  # MarketModel's own default
     cfg = config(horizon=0.2, n_paths=8, allow_flagged=True)
     names = ["frictionless", "time_adaptive"]
     calls = _count_grids(monkeypatch)
@@ -426,3 +429,8 @@ def test_one_surviving_path_has_no_standard_error(bs1d):
     rep = estimate_objective(out, cfg)
     assert rep.n_paths == 1 and rep.n_failed == 1
     assert np.isnan(rep.stderr) and np.isfinite(rep.F_hat)
+    # nor has one antithetic pair: its mirrored paths are not independent, so the standard
+    # error is over pair means
+    values = np.array([0.03, 0.01])
+    assert np.isnan(evaluate._stderr(values, True))
+    assert evaluate._stderr(values, False) == pytest.approx(0.01, rel=1e-12)

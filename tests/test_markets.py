@@ -214,6 +214,7 @@ def test_bs_jacobians_empty(bs1d):
     dmu, dsig = jacobians(bs1d, np.zeros(0))
     assert dmu.shape == (1, 0)
     assert dsig.shape == (1, 1, 0)
+    np.testing.assert_array_equal(bs1d.b(np.zeros((3, 0))), np.zeros((3, 0)))  # no state drift
 
 
 def test_ko_interior_dmu_is_one(ko1d):
@@ -288,6 +289,10 @@ def test_ko_lone_cutoff_level_kept(ko1d):
     for lone in ({"cutoff_low": 0.0}, {"cutoff_high": 0.2}):  # no default without a spread
         with pytest.raises(ParameterError, match="explicit cutoff levels"):
             TruncatedKimOmbergModel(vol=[0.1428], **lone, **{**KO_PARAMS, "state_vol": 0.0})
+    # both levels of a deterministic state: the transition width is 5 % of their span
+    both = TruncatedKimOmbergModel(vol=[0.1428], cutoff_low=0.0, cutoff_high=0.2,
+                                   **{**KO_PARAMS, "state_vol": 0.0})
+    assert both.cutoff_width[0] == 0.05 * 0.2
 
 
 def test_ko_parameter_errors():

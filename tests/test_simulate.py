@@ -1281,7 +1281,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("case", ["strategy kind", "time rule", "move width of two assets",
-                                  "trade shapes", "repeated labels"])
+                                  "trade shapes", "repeated labels", "start state"])
 def test_input_checks(case):
     bs1d, bs2d = BlackScholesModel([0.08], [0.16]), BlackScholesModel([0.08] * 2, [0.16] * 2)
     message, call = {
@@ -1294,9 +1294,21 @@ def test_input_checks(case):
         "repeated labels": ("strategy labels must be unique",
                             lambda: run_strategies(bs1d, small_config(n_paths=8),
                                                    [buy_and_hold(), move_based(label="buy_hold")])),
+        "start state": (  # a one-state model with no long-run mean to start from
+            "y0 is required for this model",
+            lambda: simulate_state_grid(type("OneState", (MarketModel,), {"p": 1})(), 1.0, 0.5, 2)),
     }[case]
     with pytest.raises(ParameterError, match=message):
         call()
+
+
+@pytest.mark.parametrize("count", [-3, 2.5, True])
+def test_record_paths_must_be_a_nonnegative_integer(bs1d, count):
+    cfg, message = small_config(n_paths=8), f"record_paths must be a nonnegative .* got {count}"
+    with pytest.raises(ParameterError, match=message):
+        run_strategies(bs1d, cfg, [buy_and_hold()], record_paths=count)
+    with pytest.raises(ParameterError, match=message):
+        run_strategy(bs1d, cfg, buy_and_hold(), record_paths=count)
 
 
 def test_state_without_support_box_steps_unreflected(ko1d):

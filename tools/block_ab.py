@@ -10,7 +10,7 @@ engine block, run in this process. The side that goes first alternates from pair
 Going through ``run_strategies``, not the block itself, keeps the comparison independent of
 the shape of a block's return. It prints:
 
-* whether the two sides' outcomes, field by field, and merged path records are bit-identical;
+* whether the two sides' outcomes, field by field, and joined path records are bit-identical;
 * each side's median and quartiles of the call time;
 * in how many pairs the change's call was the faster one.
 

@@ -10,10 +10,11 @@ In each checkout it runs, with ``PYTHONPATH`` set to the checkout's ``src``:
 
 * ``table --table N --paths 256`` for N = 1 to 4;
 * ``figure --figure 1``, analytic and with ``--paths 8``;
-* ``frequency``, ``tc``, ``validate`` and ``simulate --paths 64 --dump-paths 6`` on three
+* ``frequency``, ``tc``, ``validate`` and ``simulate --paths 64 --dump-paths 40`` on three
   configs: the checkout's ``perfbench/configs/ko2d_engine.yaml``, and a one-asset and a
   two-asset Black-Scholes config (``bs1d.yaml``, ``bs2d.yaml``) that the script writes into
-  its temporary directory;
+  its temporary directory. The KO-2d config runs its 64 paths on two workers, in the path
+  ranges 0-31 and 32-63, so its 40 dumped paths check records joined across both;
 * ``simulate --dump-paths 4`` on a one-asset Black-Scholes config whose relative ``output:``
   key names the CSV, without ``--out``. This config is written into each checkout's output
   directory, where its commands run, so the CSV lands there whether a checkout resolves
@@ -72,8 +73,8 @@ def runs(checkout, configs):
                            ("_bs2d", os.path.join(configs, "bs2d.yaml"))):
         todo += [(f"{cmd}{suffix}.csv", [cmd, "--config", config], "out")
                  for cmd in ("frequency", "tc", "validate")]
-        todo.append((f"simulate{suffix}.csv",
-                     ["simulate", "--config", config, "--paths", "64", "--dump-paths", "6"], "out"))
+        todo.append((f"simulate{suffix}.csv", ["simulate", "--config", config, "--paths", "64",
+                                               "--dump-paths", "40"], "out"))
     todo += [
         ("simulate_output.csv",
          ["simulate", "--config", OUTPUT_CONFIG, "--dump-paths", "4"], None),
