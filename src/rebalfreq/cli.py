@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .config import load_config
 from .errors import InputError, ParameterError, RebalfreqError
-from .evaluate import (_config_grid, _fmt, _run_config, figure_rows, rows_to_csv, run_table_cell,
-                       table_runner)
+from .evaluate import (TABLE_IDS, _config_grid, _fmt, _run_config, figure_rows, rows_to_csv,
+                       run_table_cell, table_runner)
 from .frequency import check_nondegeneracy, cost_breakdown, optimal_rule
 from .markets import finite_difference_jacobians, jacobians
 from .merton import l21_norm, merton_state
@@ -53,7 +53,7 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _sample_states(run, n=100):
+def _sample_states(run):
     """States drawn from simulated state paths (the measure the rules see)."""
     model = run.model
     if model.p == 0:
@@ -61,7 +61,7 @@ def _sample_states(run, n=100):
     sim = run.simulation
     _, states = simulate_state_grid(model, sim.horizon, sim.dt, 16, sim.y0, sim.seed)
     flat = states.reshape(-1, model.p)
-    idx = np.linspace(0, len(flat) - 1, n).astype(int)
+    idx = np.linspace(0, len(flat) - 1, 100).astype(int)
     return flat[idx]
 
 
@@ -239,7 +239,7 @@ def build_parser():
         "out": dict(default=None, help="write CSV here instead of stdout"),
         "dump-paths": dict(type=int, default=0, metavar="K",
                            help="also write a per-step ledger for the first K paths"),
-        "table": dict(type=int, required=True, choices=[1, 2, 3, 4]),
+        "table": dict(type=int, required=True, choices=TABLE_IDS),
         "figure": dict(type=int, required=True, choices=[1]),
     }
     # each command's function, help text and flags, in the order --help lists them

@@ -207,6 +207,8 @@ def expansion_check(model, gamma, config, alphas, epsilons, allow_flagged=False)
     """
     if not (min(epsilons, default=0) > 0 and len(set(epsilons)) > 1):
         raise ParameterError(f"need two distinct positive cost rates or more, got {epsilons!r}")
+    if not alphas:
+        raise ParameterError("no waiting-time exponents to check")
     rule0 = optimal_rule(model, gamma, allow_flagged=allow_flagged)
     limits = lemma_constants(model, gamma, rule0, config.horizon, y0=config.y0, dt=config.dt,
                              seed=config.seed, allow_flagged=allow_flagged)
@@ -434,16 +436,18 @@ def _cell_predictions(model, config, names, grid):
     return rule, preds
 
 
-def _cell_reports(model, config, names, suffix, rule, predictions, pool, record_paths=0):
+def _cell_reports(model, config, names, rule, predictions, pool, record_paths=0):
     """The report rows of one cell, and its records, from its ``time_constant`` rule and
     predictions; the Monte Carlo blocks run on ``pool``."""
     if unknown := [n for n in names if n not in STRATEGIES]:
         raise InputError(f"unknown strategy name {unknown[0]!r}")
+    if not names:
+        raise InputError("no strategy names to run")
     sims = [
         STRATEGIES[n](model, config, rule)
         for n in names
         if n != "frictionless"
-    ] or [frictionless_benchmark()]
+    ] or [buy_and_hold()]  # a frictionless row reads only the market pass
     outcomes, records = run_strategies(model, config, sims, record_paths, pool=pool)
     sample = outcomes[sims[0].label]
     fr_analytic = predictions["frictionless"]
@@ -459,7 +463,6 @@ def _cell_reports(model, config, names, suffix, rule, predictions, pool, record_
                 frictionless_rate=fr_analytic,
                 prediction=predictions.get(name),
             )
-        rep.strategy = rep.strategy + suffix
         reports.append(rep)
     return reports, records
 
@@ -471,7 +474,7 @@ def run_table_cell(model, config, strategy_names, record_paths=0):
     raises, serves the cell's prediction grid and then its Monte Carlo blocks. With
     ``record_paths > 0`` returns ``(reports, records)``, as :func:`run_strategy` does.
     """
-    (reports, records), = _run_cells([(model, config)], strategy_names, [""], config.n_workers,
+    (reports, records), = _run_cells([(model, config)], strategy_names, config.n_workers,
                                      record_paths)
     return (reports, records) if record_paths else reports
 
@@ -494,19 +497,19 @@ def table_runner(
     n = spec["default_paths"] if n_paths is None else int(n_paths)
     cells = [(model, _run_config(n, seed, epsilon, horizon, n_workers, allow_flagged=model.p > 0))
              for _, model in spec["models"]]
-    suffixes = [suffix for suffix, _ in spec["models"]]
-    return [rep for reports, _ in _run_cells(cells, spec["strategies"], suffixes, n_workers)
-            for rep in reports]
+    results = _run_cells(cells, spec["strategies"], n_workers)
+    return [replace(rep, strategy=rep.strategy + suffix)
+            for (suffix, _), (reports, _) in zip(spec["models"], results) for rep in reports]
 
 
-def _run_cells(cells, names, suffixes, n_workers, record_paths=0):
-    """The report rows and records of each ``(model, config)`` cell, labelled with its
-    suffix. One process pool, shut down before this returns or raises, serves every cell's
-    predictions and then the cells' Monte Carlo blocks in turn."""
+def _run_cells(cells, names, n_workers, record_paths=0):
+    """The report rows and records of each ``(model, config)`` cell. One process pool, shut
+    down before this returns or raises, serves every cell's predictions and then the cells'
+    Monte Carlo blocks in turn."""
     with _worker_pool(n_workers) as pool:
         predictions = _predictions(cells, names, pool)
-        return [_cell_reports(model, config, names, suffix, rule, preds, pool, record_paths)
-                for (model, config), suffix, (rule, preds) in zip(cells, suffixes, predictions)]
+        return [_cell_reports(model, config, names, rule, preds, pool, record_paths)
+                for (model, config), (rule, preds) in zip(cells, predictions)]
 
 
 def figure_rows(rho_grid=None, epsilon=_EPSILON, n_paths=0, seed=_SEED):
@@ -526,8 +529,7 @@ def figure_rows(rho_grid=None, epsilon=_EPSILON, n_paths=0, seed=_SEED):
     config = _run_config(n_paths or 2, seed, epsilon, _HORIZON, _N_WORKERS, allow_flagged=True)
     cells, names = [(_bs2d(rho), config) for rho in rho_grid], ["time_adaptive"]
     if n_paths:
-        f_hats = [reports[0].F_hat
-                  for reports, _ in _run_cells(cells, names, [""] * len(cells), _N_WORKERS)]
+        f_hats = [reports[0].F_hat for reports, _ in _run_cells(cells, names, _N_WORKERS)]
     else:
         f_hats = [preds["time_adaptive"] for _, preds in _predictions(cells, names)]
     rows = []

@@ -41,7 +41,7 @@ can be reproduced in isolation; results are joined in path order.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
 from typing import TYPE_CHECKING, Optional
@@ -76,6 +76,9 @@ class SimulationConfig:
     only spreads the engine's path blocks and the prediction grid's path ranges over
     worker processes; it never changes results. ``n_paths``, ``seed`` and ``n_workers``
     are integers (Python or numpy, not bool), and ``seed`` lies in ``[0, 2**64)``.
+    ``allow_flagged`` governs the rules, grids and band-width functions that
+    :mod:`rebalfreq.evaluate` and :mod:`rebalfreq.cli` build from the config. The engine's bands
+    never check it; a time rule checks its own flag, at the states it trades at.
     """
 
     horizon: float
@@ -519,11 +522,11 @@ class PathRecords:
 
     times: np.ndarray
     growth: np.ndarray  # (K, n_steps, m) asset growth factors, shared
-    wealth: dict = field(default_factory=dict)  # label -> (K, n_steps + 1)
-    weights: dict = field(default_factory=dict)  # label -> (K, n_steps + 1, m), post-trade
-    w_pre_min: dict = field(default_factory=dict)  # label -> (K, m)
-    w_pre_max: dict = field(default_factory=dict)
-    trades: dict = field(default_factory=dict)  # label -> list of (step, path, DeltaL, s)
+    wealth: dict  # label -> (K, n_steps + 1)
+    weights: dict  # label -> (K, n_steps + 1, m), post-trade
+    w_pre_min: dict  # label -> (K, m)
+    w_pre_max: dict
+    trades: dict  # label -> list of (step, path, DeltaL, s)
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +744,8 @@ def run_strategies(model, config, strategies, record_paths=0, *, pool=None):
     step, then path, so neither depends on the block size. The blocks run on ``pool`` if given.
     """
     labels = [s.label for s in strategies]
+    if not labels:
+        raise ParameterError("no strategies to simulate")
     if len(set(labels)) != len(labels):
         raise ParameterError("strategy labels must be unique")
     if fault := _move_fault([s.kind for s in strategies], model.m):

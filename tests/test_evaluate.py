@@ -207,11 +207,32 @@ def test_unknown_strategy_name_rejected(bs1d):
         run_table_cell(bs1d, config(horizon=0.2, n_paths=8), ["time_adaptive", "hold"])
 
 
-def test_cell_of_frictionless_alone_runs_the_simulated_benchmark(bs1d):
-    # its row reads a simulated path sample, which the benchmark strategy provides
+def test_cell_of_frictionless_alone_runs_the_simulated_benchmark(bs1d, ko1d):
+    # its row reads a simulated path sample, which the lightest ledger, buy-and-hold, provides
     reports = run_table_cell(bs1d, config(horizon=0.2, n_paths=8), ["frictionless"])
     assert [(r.strategy, r.n_paths) for r in reports] == [("frictionless", 8)]
     assert reports[0].asymptotic_prediction == pytest.approx(0.025, abs=1e-15)
+    cfg = config(horizon=0.2, n_paths=8, allow_flagged=True)
+    alone, records = run_table_cell(ko1d, cfg, ["frictionless"], record_paths=2)
+    assert list(records.wealth) == ["buy_hold"]
+    # the plug-in row is the same bytes as beside a ledger that trades every step
+    with_bench = run_table_cell(ko1d, cfg, ["frictionless", "frictionless_sim"])
+    assert rows_to_csv(alone) == rows_to_csv(with_bench[:1])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda model, cfg: simulate.run_strategies(model, cfg, []), ParameterError),
+    (lambda model, cfg: run_table_cell(model, cfg, []), InputError),
+    (lambda model, cfg: expansion_check(model, GAMMA, cfg, [], [0.01, 0.02]), ParameterError),
+], ids=["run_strategies", "run_table_cell", "expansion_check"])
+def test_empty_strategy_lists_rejected_before_running(bs1d, monkeypatch, call, error):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before refusing an empty list")
+
+    monkeypatch.setattr(simulate, "_on_ranges", no_work)
+    monkeypatch.setattr(evaluate, "lemma_constants", no_work)
+    with pytest.raises(error):
+        call(bs1d, config(horizon=0.2, n_paths=8))
 
 
 def test_table_spec_validation():

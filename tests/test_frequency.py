@@ -537,6 +537,10 @@ def test_schedule_rejects_nonpositive_waiting():
     rule = DiscretizationRule(kind="constant", A=-1.0)
     with pytest.raises(ParameterError):
         schedule_trading_times(rule, EPS, 20.0)
+    # a positive A whose wait eps**alpha * A underflows to zero reaches the schedule's own check
+    rule = DiscretizationRule(kind="constant", A=1.0, alpha=1.9)
+    with pytest.raises(ParameterError, match="non-positive waiting time 0.0"):
+        schedule_trading_times(rule, 1e-300, 20.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""The package's modules import each other at module level only, and without a cycle."""
+"""The package's modules import each other at module level only, and without a cycle; the
+cross-references of their docstrings name objects that exist."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import rebalfreq
@@ -69,3 +72,55 @@ def test_module_level_imports_form_no_cycle():
 
     for name in sorted(edges):
         visit(name)
+
+
+# a Sphinx cross-reference, ``:func:`~rebalfreq.simulate._trapezoid``` and the like
+_REFERENCE = re.compile(r":(func|class|meth|mod|attr):`~?([\w.]+)`")
+
+
+def _lookup(obj, dotted):
+    for name in filter(None, dotted.split(".")):
+        obj = getattr(obj, name)
+    return obj
+
+
+def _resolves(role, target, module, cls):
+    """Whether ``target`` names an object: by import if absolute, else in ``module``, then in
+    the package, then, for ``:meth:`` and ``:attr:``, in the class ``cls`` around it."""
+    if target.split(".")[0] == "rebalfreq":
+        parts = target.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                base = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            try:
+                _lookup(base, ".".join(parts[cut:]))
+                return True
+            except AttributeError:
+                return False
+        return False
+    scopes = [module, rebalfreq] + ([cls] if role in ("meth", "attr") and cls else [])
+    for scope in scopes:
+        try:
+            _lookup(scope, target)
+            return True
+        except AttributeError:
+            pass
+    return False
+
+
+def test_docstring_cross_references_resolve():
+    checked, missing = 0, []
+    for name, tree in MODULES.items():
+        module = importlib.import_module("rebalfreq" if name == "__init__" else f"rebalfreq.{name}")
+        classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        for lineno, line in enumerate((PACKAGE / f"{name}.py").read_text().splitlines(), 1):
+            for role, target in _REFERENCE.findall(line):
+                around = [c for c in classes if c.lineno <= lineno <= c.end_lineno]
+                cls = getattr(module, around[-1].name) if around else None
+                checked += 1
+                if not _resolves(role, target, module, cls):
+                    missing.append(f"{name}.py:{lineno} :{role}:`{target}`")
+    assert checked, "no cross-references found"
+    assert not missing, "cross-references to nothing: " + ", ".join(missing)

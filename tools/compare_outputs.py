@@ -15,6 +15,8 @@ In each checkout it runs, with ``PYTHONPATH`` set to the checkout's ``src``:
   two-asset Black-Scholes config (``bs1d.yaml``, ``bs2d.yaml``) that the script writes into
   its temporary directory. The KO-2d config runs its 64 paths on two workers, in the path
   ranges 0-31 and 32-63, so its 40 dumped paths check records joined across both;
+* ``simulate --paths 64`` on a one-asset Kim-Omberg config (``ko1d_frictionless.yaml``) that
+  lists only ``frictionless``, whose row is the plug-in rate of the simulated state paths;
 * ``simulate --dump-paths 4`` on a one-asset Black-Scholes config whose relative ``output:``
   key names the CSV, without ``--out``. This config is written into each checkout's output
   directory, where its commands run, so the CSV lands there whether a checkout resolves
@@ -50,6 +52,10 @@ CONFIGS = {
     "bs2d.yaml": "model:\n  kind: black_scholes\n  mu: [0.08, 0.06]\n  vol: [0.16, 0.2]\n"
                  "  correlation: [[1.0, 0.3], [0.3, 1.0]]\n" + SIMULATION
                  + "strategies: [frictionless, time_adaptive, time_constant, pasted]\n",
+    "ko1d_frictionless.yaml": "model:\n  kind: kim_omberg\n  vol: [0.1428]\n"
+                              "  mean_reversion: 0.2712\n  long_run_mean: 0.056\n"
+                              "  state_vol: 0.0368\n  state_correlation: -0.9351\n" + SIMULATION
+                              + "  allow_flagged: true\nstrategies: [frictionless]\n",
 }
 # the config with an ``output:`` key, written into each checkout's output directory
 OUTPUT_CONFIG = "bs1d_output.yaml"
@@ -76,6 +82,9 @@ def runs(checkout, configs):
         todo.append((f"simulate{suffix}.csv", ["simulate", "--config", config, "--paths", "64",
                                                "--dump-paths", "40"], "out"))
     todo += [
+        ("simulate_ko1d_frictionless.csv",
+         ["simulate", "--config", os.path.join(configs, "ko1d_frictionless.yaml"), "--paths", "64"],
+         "out"),
         ("simulate_output.csv",
          ["simulate", "--config", OUTPUT_CONFIG, "--dump-paths", "4"], None),
         ("table1_paths8.stdout", ["table", "--table", "1", "--paths", "8"], "stdout"),
